@@ -101,12 +101,12 @@ fn retraining_improves_test_accuracy_across_epochs() {
 
 #[test]
 fn batched_epoch_training_matches_oracle_across_configs() {
-    // Property-style sweep: batched-epoch training must stay bit-identical
-    // to the sequential oracle across dense/binarized x perforation
-    // {1.0, 0.5} x epochs {1, 3}. The isolet workload trains from a zero
-    // class matrix, so every configuration performs mid-epoch class-row
-    // updates — the batched schedule must report the re-scores it did to
-    // stay exact, not assume the frozen epoch scores held.
+    // Property-style sweep: blocked re-freeze training must stay
+    // bit-identical to the sequential oracle across dense/binarized x
+    // perforation {1.0, 0.5} x epochs {1, 3}. The isolet workload trains
+    // from a zero class matrix, so every configuration performs mid-block
+    // class-row updates — the batched schedule must report the scores it
+    // patched to stay exact, not assume a block's frozen scores held.
     let dataset = isolet();
     for binarized in [true, false] {
         for stride in [1usize, 2] {
@@ -139,6 +139,10 @@ fn batched_epoch_training_matches_oracle_across_configs() {
                     "{cfg}: mid-epoch updates must force re-scoring"
                 );
                 assert!(batched.stats.rescored_samples <= epochs * train, "{cfg}");
+                assert!(
+                    batched.stats.rescored_rows >= batched.stats.rescored_samples,
+                    "{cfg}"
+                );
             }
         }
     }
@@ -277,4 +281,37 @@ fn matching_top_k_runs_as_batched_selection_kernel() {
         "expected batched encode/similarity/top-k kernels, got {}",
         run.stats.batched_kernel_ops
     );
+}
+
+// ---------------------------------------------------------------------------
+// batched means batched
+// ---------------------------------------------------------------------------
+
+#[test]
+fn batched_mode_never_runs_a_reference_kernel() {
+    // Every similarity reduction of the three apps, binarized and dense,
+    // must reach a batch kernel in batched mode: a per-sample fallback or a
+    // reference all-pairs loop would count here.
+    for options in [CompileOptions::default(), CompileOptions::baseline()] {
+        let classify = ClassificationApp::with_options(isolet(), 512, 2, &options).unwrap();
+        let cluster = ClusteringApp::with_options(emg(), 512, 2, &options).unwrap();
+        let matcher = MatchingApp::with_options(spectra(), 512, 5, &options).unwrap();
+        let stats = [
+            classify.run(ExecMode::Batched).unwrap().stats,
+            cluster.run(ExecMode::Batched).unwrap().stats,
+            matcher.run(ExecMode::Batched).unwrap().stats,
+        ];
+        for (app, stats) in ["classification", "clustering", "matching"]
+            .iter()
+            .zip(stats)
+        {
+            assert_eq!(
+                stats.reference_kernel_ops,
+                0,
+                "{app}, binarized={}: {stats:?}",
+                options.binarize.is_some()
+            );
+            assert!(stats.batched_kernel_ops > 0, "{app}");
+        }
+    }
 }

@@ -386,7 +386,7 @@ fn time_app(
 /// batched run's [`ExecStats`] counters.
 struct TrainingRecord {
     app: &'static str,
-    /// `epoch_training` (frozen-epoch scoring + in-order replay) or
+    /// `epoch_training` (blocked re-freeze scoring + in-order replay) or
     /// `segmented_update` (accumulate-by-assignment collapsed to one
     /// kernel).
     pattern: &'static str,
@@ -396,9 +396,12 @@ struct TrainingRecord {
     train_samples: usize,
     epoch_kernel_ops: usize,
     rescored_samples: usize,
+    /// `(sample, class row)` scores patched on behalf of those samples.
+    rescored_rows: usize,
     /// `rescored_samples / (passes x train_samples)`: the fraction of
-    /// per-sample predictions the batched schedule had to re-score against
-    /// the live class matrix to stay bit-identical to the oracle.
+    /// per-sample predictions whose frozen score row the batched schedule
+    /// had to patch against the live class matrix to stay bit-identical to
+    /// the oracle.
     rescore_rate: f64,
     /// End-to-end app speedup (sequential_ms / batched_ms).
     speedup: f64,
@@ -423,6 +426,7 @@ fn training_records(suite: &AppSuite, apps: &[AppRecord]) -> Vec<TrainingRecord>
             train_samples: samples,
             epoch_kernel_ops: record.batched_stats.epoch_kernel_ops,
             rescored_samples: rescored,
+            rescored_rows: record.batched_stats.rescored_rows,
             rescore_rate: rescored as f64 / (passes * samples).max(1) as f64,
             speedup: record.sequential_ms / record.batched_ms,
             outputs_match: record.outputs_match,
@@ -440,6 +444,7 @@ fn training_records(suite: &AppSuite, apps: &[AppRecord]) -> Vec<TrainingRecord>
             train_samples: samples,
             epoch_kernel_ops: record.batched_stats.epoch_kernel_ops,
             rescored_samples: rescored,
+            rescored_rows: record.batched_stats.rescored_rows,
             // The segmented update never re-scores today; deriving the rate
             // keeps the record self-consistent if that ever changes.
             rescore_rate: rescored as f64 / (passes * samples).max(1) as f64,
@@ -1417,6 +1422,7 @@ fn training_json(r: &TrainingRecord) -> String {
             "      \"train_samples\": {},\n",
             "      \"epoch_kernel_ops\": {},\n",
             "      \"rescored_samples\": {},\n",
+            "      \"rescored_rows\": {},\n",
             "      \"rescore_rate\": {:.4},\n",
             "      \"speedup\": {:.2},\n",
             "      \"outputs_match\": {}\n",
@@ -1428,6 +1434,7 @@ fn training_json(r: &TrainingRecord) -> String {
         r.train_samples,
         r.epoch_kernel_ops,
         r.rescored_samples,
+        r.rescored_rows,
         r.rescore_rate,
         r.speedup,
         r.outputs_match,
@@ -1661,9 +1668,9 @@ x dense/binarized x perforation {1.0, 0.5}) and the three hdc-apps workloads
 once on the sequential reference oracle (per-sample stage loops, dense
 reference reductions, per-row selection) and once on the batched kernel
 path, asserting identical outputs before recording timings. A `training`
-section records how the batched-epoch training schedule and the
+section records how the blocked re-freeze training schedule and the
 segmented-reduction clustering update executed (epoch kernels, re-scored
-samples, rescore rate, end-to-end speedup). A `scaling` section re-runs the
+samples and score rows, rescore rate, end-to-end speedup). A `scaling` section re-runs the
 unperforated kernel grid on the batched path at 1/2/4/8 worker threads
 (HDC_NUM_THREADS-equivalent overrides), asserting every point against the
 sequential oracle and recording the class-memory shard counts and
@@ -1761,7 +1768,8 @@ OUTPUT (schema \"hdc-bench/perf_json/v8\"):
           \"passes\",                 // training epochs / clustering rounds
           \"train_samples\",
           \"epoch_kernel_ops\",       // one batched kernel per epoch/round
-          \"rescored_samples\",       // replays against the live class matrix
+          \"rescored_samples\",       // samples with a patched score row
+          \"rescored_rows\",          // (sample, class) scores patched for them
           \"rescore_rate\",           // rescored / (passes * train_samples)
           \"speedup\", \"outputs_match\" } ],
       \"scaling\": {  // batched kernel grid across worker-thread counts
@@ -1964,25 +1972,27 @@ fn main() {
     // ----- training-pattern section -----
     let training = training_records(&suite, &apps);
     println!(
-        "\n{:>24} {:>18} {:>7} {:>8} {:>14} {:>10} {:>13} {:>8}",
+        "\n{:>24} {:>18} {:>7} {:>8} {:>14} {:>10} {:>13} {:>13} {:>8}",
         "app",
         "pattern",
         "passes",
         "samples",
         "epoch_kernels",
         "rescored",
+        "rescored_rows",
         "rescore_rate",
         "speedup"
     );
     for record in &training {
         println!(
-            "{:>24} {:>18} {:>7} {:>8} {:>14} {:>10} {:>13.4} {:>7.2}x",
+            "{:>24} {:>18} {:>7} {:>8} {:>14} {:>10} {:>13} {:>13.4} {:>7.2}x",
             record.app,
             record.pattern,
             record.passes,
             record.train_samples,
             record.epoch_kernel_ops,
             record.rescored_samples,
+            record.rescored_rows,
             record.rescore_rate,
             record.speedup,
         );

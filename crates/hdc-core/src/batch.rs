@@ -11,14 +11,21 @@
 //!   instead of walking indices bit by bit.
 //! * [`cosine_similarity_batch`] — dense queries × dense classes with the
 //!   class-row norms precomputed once per batch and reused for every query
-//!   row (the per-sample form recomputes them per query).
+//!   row (the per-sample form recomputes them per query). Query rows are
+//!   packed eight at a time into a column-major panel and the class rows
+//!   stream against it in place; a perforated reduction packs and streams
+//!   only the visited columns, so it runs on the same SIMD panels as the
+//!   dense one and costs its visited fraction.
 //! * [`hamming_distance_batch_dense`] — the dense reference form of the
 //!   Hamming batch, for unbinarized configurations.
 //!
-//! All three parallelize over query rows through the rayon compat layer and
-//! produce results **bit-identical** to looping the per-sample kernels row by
-//! row: integer popcounts are exact, and the dense kernels accumulate in the
-//! same element order as their per-sample counterparts. That equivalence is
+//! Each score kernel has one implementation, the `_sharded` entry point:
+//! every `(query row block, class shard)` pair is a work item of the rayon
+//! compat layer and writes its own tile of one preallocated row-major score
+//! buffer. The unsharded names are the one-shard plan. Results are
+//! **bit-identical** to looping the per-sample kernels row by row: integer
+//! popcounts are exact, and the dense kernels accumulate in the same
+//! element order as their per-sample counterparts. That equivalence is
 //! what lets `hdc-runtime` swap a per-sample stage loop for one batched call
 //! without changing any classification output.
 
@@ -30,8 +37,10 @@ use crate::hypervector::HyperVector;
 use crate::ops::TotalOrd;
 use crate::perforation::Perforation;
 use crate::shard::ShardPlan;
-use crate::similarity::norm_sq_perforated;
+use crate::simd::dot_panel_dense;
+use crate::similarity::{dot_perforated, hamming_count_perforated, norm_sq_perforated};
 use rayon::prelude::*;
+use std::ops::Range;
 
 const WORD_BITS: usize = 64;
 
@@ -56,6 +65,55 @@ fn perforation_mask(dimension: usize, perforation: Perforation) -> Vec<u64> {
     mask
 }
 
+/// Query rows per work item of a score kernel, and the widest query panel
+/// of the cosine kernel: eight rows keep two 4-lane accumulator chains busy
+/// where one would serialize on add latency, and their panel (128 KiB at
+/// 2048 dimensions) stays cache-resident while the class rows stream by.
+const SCORE_TILE_ROWS: usize = 8;
+
+/// Allocate the `rows x plan.rows()` score matrix once and let every
+/// `(query row block, class shard)` pair fill its own tile of it:
+/// `fill(block, shard, tile)` receives the block's row range and one slice
+/// per row, each covering the columns `plan.ranges()[shard]`. The class
+/// axis is folded into the same flat work list the rayon compat layer
+/// chunks over — shard work steals idle threads when there are few query
+/// rows without ever nesting parallel scopes.
+fn fill_scores<F>(rows: usize, plan: &ShardPlan, fill: F) -> HyperMatrix<f64>
+where
+    F: Fn(Range<usize>, usize, &mut [&mut [f64]]) + Sync,
+{
+    let cols = plan.rows();
+    let shards = plan.shard_count();
+    let mut data = vec![0.0f64; rows * cols];
+    if cols > 0 {
+        let blocks = rows.div_ceil(SCORE_TILE_ROWS);
+        let mut tiles: Vec<(usize, Vec<&mut [f64]>)> = (0..blocks * shards)
+            .map(|i| (i, Vec::with_capacity(SCORE_TILE_ROWS)))
+            .collect();
+        for (row, mut rest) in data.chunks_mut(cols).enumerate() {
+            for (shard, range) in plan.ranges().iter().enumerate() {
+                let (head, tail) = rest.split_at_mut(range.len());
+                tiles[(row / SCORE_TILE_ROWS) * shards + shard].1.push(head);
+                rest = tail;
+            }
+        }
+        tiles
+            .into_par_iter()
+            .map(|(i, mut tile)| {
+                let start = (i / shards) * SCORE_TILE_ROWS;
+                fill(start..start + tile.len(), i % shards, &mut tile)
+            })
+            .collect::<()>();
+    }
+    HyperMatrix::from_flat(rows, cols, data).expect("buffer allocated as rows x cols")
+}
+
+/// The rows `rows` of `queries` as slices, so a kernel can score a block of
+/// a larger matrix in place.
+fn row_block<T: Element>(queries: &HyperMatrix<T>, rows: Range<usize>) -> Result<Vec<&[T]>> {
+    rows.map(|r| queries.row(r)).collect()
+}
+
 /// Hamming distance from every row of `queries` to every row of `classes`,
 /// producing a `queries.rows() x classes.rows()` score matrix.
 ///
@@ -73,117 +131,29 @@ pub fn hamming_distance_batch(
     classes: &BitMatrix,
     perforation: Perforation,
 ) -> Result<HyperMatrix<f64>> {
-    check_cols(queries.cols(), classes.cols(), "hamming distance batch")?;
-    perforation.validate(queries.cols())?;
-    let mask = if perforation.is_dense_over(queries.cols()) {
-        None
-    } else {
-        Some(perforation_mask(queries.cols(), perforation))
-    };
-    // One dispatch-table fetch per batch call; the row loops then run on
-    // plain function pointers (scalar oracle or the selected SIMD backend,
-    // bit-identical either way).
-    let kernels = crate::simd::bit_kernels();
-    let query_words: Vec<&[u64]> = queries.iter().map(|r| r.as_words()).collect();
-    let rows: Vec<HyperVector<f64>> = query_words
-        .into_par_iter()
-        .map(|q| {
-            let scores: Vec<f64> = classes
-                .iter()
-                .map(|class| {
-                    let count = match &mask {
-                        None => (kernels.xor_popcount)(q, class.as_words()),
-                        Some(m) => (kernels.xor_popcount_masked)(q, class.as_words(), m),
-                    };
-                    count as f64
-                })
-                .collect();
-            HyperVector::from_vec(scores)
-        })
-        .collect();
-    HyperMatrix::from_rows(rows)
+    let plan = ShardPlan::single(classes.rows());
+    hamming_distance_batch_sharded(queries, classes, perforation, &plan)
 }
 
-/// Class rows processed together by one [`cosine_similarity_batch`] inner
-/// block: each keeps its own dot-product accumulator, giving independent
-/// multiply-add chains where a single dependent chain would serialize on
-/// add latency.
-const COSINE_CLASS_BLOCK: usize = 4;
-
-/// Pack `rows` (each sliced to `cols`) into a column-major `f64` panel:
-/// `panel[c * rows.len() + k]` holds row `k`'s element `c`, so a walk down
-/// the element axis reads one contiguous lane group per element. This is
-/// the micro-kernel layout shared by [`dot_panel`] consumers: the blocked
-/// cosine batch here and the blocked [`crate::matmul::matmul_batch`].
-pub(crate) fn pack_panel<T: Element>(rows: &[&[T]], cols: usize) -> Vec<f64> {
+/// Pack the columns of `rows` that `perforation` visits (of the first
+/// `cols`) into a column-major `f64` panel: `panel[v * rows.len() + k]`
+/// holds row `k`'s `v`-th visited element, so a walk down the element axis
+/// reads one contiguous lane group per element. This is the micro-kernel
+/// layout of the panel dot kernels: the blocked cosine batch here and the
+/// blocked [`crate::matmul::matmul_batch`] (which packs every column).
+pub(crate) fn pack_panel<T: Element>(
+    rows: &[&[T]],
+    cols: usize,
+    perforation: Perforation,
+) -> Vec<f64> {
     let rs: Vec<&[T]> = rows.iter().map(|r| &r[..cols]).collect();
-    let mut panel = Vec::with_capacity(cols * rs.len());
-    for c in 0..cols {
+    let mut panel = Vec::with_capacity(perforation.visited_count(cols) * rs.len());
+    for c in perforation.indices(cols) {
         for row in &rs {
             panel.push(row[c].to_f64());
         }
     }
     panel
-}
-
-/// A block of class rows packed into a column-major `f64` panel
-/// ([`pack_panel`]), once per batch, reused for every query row.
-struct ClassPanel {
-    width: usize,
-    panel: Vec<f64>,
-}
-
-fn pack_class_panels<T: Element>(class_rows: &[&[T]], cols: usize) -> Vec<ClassPanel> {
-    let mut panels = Vec::new();
-    let mut off = 0;
-    for width in [COSINE_CLASS_BLOCK, 2, 1] {
-        while class_rows.len() - off >= width {
-            panels.push(ClassPanel {
-                width,
-                panel: pack_panel(&class_rows[off..off + width], cols),
-            });
-            off += width;
-        }
-    }
-    panels
-}
-
-/// Dot products of one streamed row against a [`pack_panel`]-packed block,
-/// walking the element axis once. `B` is a compile-time width so the lane
-/// loop unrolls into SIMD-friendly contiguous reads; each accumulator sums
-/// in ascending element order, bit-identical to the per-sample kernel on
-/// that pair. Shared with the blocked [`crate::matmul::matmul_batch`].
-pub(crate) fn dot_panel<T: Element, const B: usize>(
-    q: &[T],
-    panel: &[f64],
-    dense: bool,
-    perforation: Perforation,
-) -> [f64; B] {
-    let mut acc = [0.0f64; B];
-    if dense {
-        // `f64` rows go straight to the dispatched panel kernel (SIMD when
-        // selected); the generic path below is the same loop with a
-        // per-element `to_f64`. Both keep `B` independent accumulator
-        // chains in ascending element order, so outputs are bit-identical.
-        if let Some(qf) = T::as_f64_slice(q) {
-            return crate::simd::dot_panel_dense::<B>(qf, panel);
-        }
-        for (lanes, x) in panel.chunks_exact(B).zip(q.iter()) {
-            let qv = x.to_f64();
-            for k in 0..B {
-                acc[k] += qv * lanes[k];
-            }
-        }
-    } else {
-        for i in perforation.indices(q.len()) {
-            let qv = q[i].to_f64();
-            let lanes = &panel[i * B..i * B + B];
-            for k in 0..B {
-                acc[k] += qv * lanes[k];
-            }
-        }
-    }
-    acc
 }
 
 /// Cosine similarity between every row of `queries` and every row of
@@ -192,7 +162,7 @@ pub(crate) fn dot_panel<T: Element, const B: usize>(
 /// The class-row norms are precomputed once per batch and reused for every
 /// query row; the per-sample form
 /// ([`crate::similarity::cosine_similarity_matrix`]) recomputes them for each
-/// query. Class rows are scored `COSINE_CLASS_BLOCK` at a time with
+/// query. Query rows are scored up to `SCORE_TILE_ROWS` at a time with
 /// independent accumulator chains, and each accumulation order matches the
 /// per-sample kernel, so row `q` of the result is bit-identical to the
 /// per-sample scores for `queries.row(q)`.
@@ -206,43 +176,8 @@ pub fn cosine_similarity_batch<T: Element>(
     classes: &HyperMatrix<T>,
     perforation: Perforation,
 ) -> Result<HyperMatrix<f64>> {
-    check_cols(queries.cols(), classes.cols(), "cosine similarity batch")?;
-    perforation.validate(queries.cols())?;
-    let dense = perforation.is_dense_over(queries.cols());
-    let class_rows: Vec<&[T]> = classes.iter_rows().collect();
-    let class_norms: Vec<f64> = class_rows
-        .iter()
-        .map(|row| norm_sq_perforated(row, perforation).sqrt())
-        .collect();
-    let panels = pack_class_panels(&class_rows, classes.cols());
-    let query_rows: Vec<&[T]> = queries.iter_rows().collect();
-    let rows: Vec<HyperVector<f64>> = query_rows
-        .into_par_iter()
-        .map(|q| {
-            let qn = norm_sq_perforated(q, perforation).sqrt();
-            let mut dots: Vec<f64> = Vec::with_capacity(class_rows.len());
-            for p in &panels {
-                match p.width {
-                    4 => dots.extend(dot_panel::<T, 4>(q, &p.panel, dense, perforation)),
-                    2 => dots.extend(dot_panel::<T, 2>(q, &p.panel, dense, perforation)),
-                    _ => dots.extend(dot_panel::<T, 1>(q, &p.panel, dense, perforation)),
-                }
-            }
-            let scores: Vec<f64> = dots
-                .into_iter()
-                .zip(class_norms.iter())
-                .map(|(dot, &rn)| {
-                    if qn == 0.0 || rn == 0.0 {
-                        0.0
-                    } else {
-                        dot / (qn * rn)
-                    }
-                })
-                .collect();
-            HyperVector::from_vec(scores)
-        })
-        .collect();
-    HyperMatrix::from_rows(rows)
+    let plan = ShardPlan::single(classes.rows());
+    cosine_similarity_batch_sharded(queries, classes, perforation, &plan)
 }
 
 /// Hamming distance between every row of two dense hypermatrices (the
@@ -257,37 +192,14 @@ pub fn hamming_distance_batch_dense<T: Element>(
     classes: &HyperMatrix<T>,
     perforation: Perforation,
 ) -> Result<HyperMatrix<f64>> {
-    check_cols(queries.cols(), classes.cols(), "hamming distance batch")?;
-    perforation.validate(queries.cols())?;
-    let dense = perforation.is_dense_over(queries.cols());
-    let query_rows: Vec<&[T]> = queries.iter_rows().collect();
-    let rows: Vec<HyperVector<f64>> = query_rows
-        .into_par_iter()
-        .map(|q| {
-            let scores: Vec<f64> = classes
-                .iter_rows()
-                .map(|row| {
-                    let count = if dense {
-                        q.iter().zip(row.iter()).filter(|(x, y)| x != y).count()
-                    } else {
-                        perforation
-                            .indices(q.len())
-                            .filter(|&i| q[i] != row[i])
-                            .count()
-                    };
-                    count as f64
-                })
-                .collect();
-            HyperVector::from_vec(scores)
-        })
-        .collect();
-    HyperMatrix::from_rows(rows)
+    let plan = ShardPlan::single(classes.rows());
+    hamming_distance_batch_dense_sharded(queries, classes, perforation, &plan)
 }
 
 /// Which similarity reduction an epoch-scoring call performs.
 ///
-/// The batched training schedule scores a whole epoch with one kernel; the
-/// metric names which per-sample reduction that kernel must be
+/// The batched training schedule scores blocks of an epoch with one kernel;
+/// the metric names which per-sample reduction that kernel must be
 /// bit-identical to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityMetric {
@@ -301,15 +213,13 @@ pub enum SimilarityMetric {
 /// of `train` against every row of the **frozen** class matrix `classes`,
 /// producing a `train.rows() x classes.rows()` score matrix.
 ///
-/// This is the epoch-scoring kernel of the batched training schedule: the
-/// executor freezes the class matrix at the top of an epoch, scores the
-/// entire train matrix here, and then replays the perceptron updates in
-/// sample order, re-scoring only samples whose class rows changed since the
-/// freeze. Row `q` of the result is bit-identical to the per-sample
-/// reference kernel for `train.row(q)`
+/// Row `q` of the result is bit-identical to the per-sample reference
+/// kernel for `train.row(q)`
 /// ([`crate::similarity::cosine_similarity_matrix`] /
-/// [`crate::similarity::hamming_distance_matrix`]), which is what keeps the
-/// replay equal to the sequential oracle.
+/// [`crate::similarity::hamming_distance_matrix`]), which is what keeps a
+/// replay of the perceptron updates against these scores equal to the
+/// sequential oracle. The executor's blocked schedule scores one row block
+/// at a time with [`score_rows_sharded`].
 ///
 /// # Errors
 ///
@@ -321,10 +231,8 @@ pub fn score_epoch<T: Element>(
     metric: SimilarityMetric,
     perforation: Perforation,
 ) -> Result<HyperMatrix<f64>> {
-    match metric {
-        SimilarityMetric::Cosine => cosine_similarity_batch(train, classes, perforation),
-        SimilarityMetric::Hamming => hamming_distance_batch_dense(train, classes, perforation),
-    }
+    let plan = ShardPlan::single(classes.rows());
+    score_epoch_sharded(train, classes, metric, perforation, &plan)
 }
 
 /// Segmented reduction: sum encoded rows into per-segment accumulators
@@ -479,46 +387,10 @@ fn check_shard_plan(plan: &ShardPlan, class_rows: usize) -> Result<()> {
     Ok(())
 }
 
-/// Enumerate the flattened `(query row, shard)` work list of a two-axis
-/// sharded kernel. The class axis is folded into the same flat list the
-/// rayon compat layer chunks over — shard work steals idle threads when
-/// there are few query rows without ever nesting parallel scopes.
-fn sharded_items(query_rows: usize, shards: usize) -> Vec<(usize, usize)> {
-    let mut items = Vec::with_capacity(query_rows * shards);
-    for q in 0..query_rows {
-        for s in 0..shards {
-            items.push((q, s));
-        }
-    }
-    items
-}
-
-/// Stitch per-`(row, shard)` score blocks (row-major, ascending shard
-/// order) back into the full `rows x cols` score matrix.
-fn stitch_blocks(
-    rows: usize,
-    shards: usize,
-    cols: usize,
-    blocks: Vec<Vec<f64>>,
-) -> Result<HyperMatrix<f64>> {
-    let stitched: Vec<HyperVector<f64>> = (0..rows)
-        .map(|r| {
-            let mut row = Vec::with_capacity(cols);
-            for block in &blocks[r * shards..(r + 1) * shards] {
-                row.extend_from_slice(block);
-            }
-            HyperVector::from_vec(row)
-        })
-        .collect();
-    HyperMatrix::from_rows(stitched)
-}
-
-/// Class-memory-sharded form of [`hamming_distance_batch`]: every
-/// `(query row, class shard)` pair is an independent work item, and the
-/// per-shard score blocks are stitched into the same `queries.rows() x
-/// classes.rows()` matrix. Bit-identical to the unsharded kernel — each
+/// [`hamming_distance_batch`] with the class memory split by `plan`: every
+/// `(query row, class shard)` pair is an independent work item. Each
 /// distance is the same exact integer popcount regardless of which shard
-/// computes it. A single-shard plan delegates to the unsharded kernel.
+/// computes it, so the result is identical for any plan.
 ///
 /// # Errors
 ///
@@ -531,9 +403,6 @@ pub fn hamming_distance_batch_sharded(
     plan: &ShardPlan,
 ) -> Result<HyperMatrix<f64>> {
     check_shard_plan(plan, classes.rows())?;
-    if plan.shard_count() <= 1 {
-        return hamming_distance_batch(queries, classes, perforation);
-    }
     check_cols(queries.cols(), classes.cols(), "hamming distance batch")?;
     perforation.validate(queries.cols())?;
     let mask = if perforation.is_dense_over(queries.cols()) {
@@ -541,35 +410,29 @@ pub fn hamming_distance_batch_sharded(
     } else {
         Some(perforation_mask(queries.cols(), perforation))
     };
+    // One dispatch-table fetch per batch call; the row loops then run on
+    // plain function pointers (scalar oracle or the selected SIMD backend,
+    // bit-identical either way).
     let kernels = crate::simd::bit_kernels();
     let query_words: Vec<&[u64]> = queries.iter().map(|r| r.as_words()).collect();
     let class_words: Vec<&[u64]> = classes.iter().map(|r| r.as_words()).collect();
-    let shards = plan.shard_count();
-    let blocks: Vec<Vec<f64>> = sharded_items(query_words.len(), shards)
-        .into_par_iter()
-        .map(|(qi, si)| {
-            let q = query_words[qi];
-            plan.ranges()[si]
-                .clone()
-                .map(|c| {
-                    let count = match &mask {
-                        None => (kernels.xor_popcount)(q, class_words[c]),
-                        Some(m) => (kernels.xor_popcount_masked)(q, class_words[c], m),
-                    };
-                    count as f64
-                })
-                .collect()
-        })
-        .collect();
-    stitch_blocks(query_words.len(), shards, classes.rows(), blocks)
+    Ok(fill_scores(query_words.len(), plan, |block, si, tile| {
+        for (q, out) in query_words[block].iter().zip(tile.iter_mut()) {
+            for (slot, c) in out.iter_mut().zip(plan.ranges()[si].clone()) {
+                let count = match &mask {
+                    None => (kernels.xor_popcount)(q, class_words[c]),
+                    Some(m) => (kernels.xor_popcount_masked)(q, class_words[c], m),
+                };
+                *slot = count as f64;
+            }
+        }
+    }))
 }
 
-/// Class-memory-sharded form of [`cosine_similarity_batch`]. The class
-/// panels are packed per shard with the same `[4, 2, 1]` width schedule;
-/// since every class row keeps its own accumulator chain in ascending
-/// element order, panel grouping cannot change any value and the stitched
-/// matrix is bit-identical to the unsharded kernel. A single-shard plan
-/// delegates to the unsharded kernel.
+/// [`cosine_similarity_batch`] with the class memory split by `plan`.
+/// Every `(query, class)` pair keeps its own accumulator chain in ascending
+/// element order whichever tile computes it, so the result is bit-identical
+/// for any plan.
 ///
 /// # Errors
 ///
@@ -581,60 +444,134 @@ pub fn cosine_similarity_batch_sharded<T: Element>(
     perforation: Perforation,
     plan: &ShardPlan,
 ) -> Result<HyperMatrix<f64>> {
-    check_shard_plan(plan, classes.rows())?;
-    if plan.shard_count() <= 1 {
-        return cosine_similarity_batch(queries, classes, perforation);
-    }
-    check_cols(queries.cols(), classes.cols(), "cosine similarity batch")?;
-    perforation.validate(queries.cols())?;
-    let dense = perforation.is_dense_over(queries.cols());
-    let class_rows: Vec<&[T]> = classes.iter_rows().collect();
-    let class_norms: Vec<f64> = class_rows
-        .iter()
-        .map(|row| norm_sq_perforated(row, perforation).sqrt())
-        .collect();
-    let shard_panels: Vec<Vec<ClassPanel>> = plan
-        .ranges()
-        .iter()
-        .map(|r| pack_class_panels(&class_rows[r.clone()], classes.cols()))
-        .collect();
-    let query_rows: Vec<&[T]> = queries.iter_rows().collect();
-    let shards = plan.shard_count();
-    let blocks: Vec<Vec<f64>> = sharded_items(query_rows.len(), shards)
-        .into_par_iter()
-        .map(|(qi, si)| {
-            let q = query_rows[qi];
-            // Recomputed per (row, shard): the same exact sqrt of the same
-            // exact sum, so duplication cannot diverge from the unsharded
-            // per-row value.
-            let qn = norm_sq_perforated(q, perforation).sqrt();
-            let range = plan.ranges()[si].clone();
-            let mut dots: Vec<f64> = Vec::with_capacity(range.len());
-            for p in &shard_panels[si] {
-                match p.width {
-                    4 => dots.extend(dot_panel::<T, 4>(q, &p.panel, dense, perforation)),
-                    2 => dots.extend(dot_panel::<T, 2>(q, &p.panel, dense, perforation)),
-                    _ => dots.extend(dot_panel::<T, 1>(q, &p.panel, dense, perforation)),
-                }
-            }
-            dots.into_iter()
-                .zip(class_norms[range].iter())
-                .map(|(dot, &rn)| {
-                    if qn == 0.0 || rn == 0.0 {
-                        0.0
-                    } else {
-                        dot / (qn * rn)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    stitch_blocks(query_rows.len(), shards, classes.rows(), blocks)
+    cosine_rows(queries, 0..queries.rows(), classes, perforation, plan)
 }
 
-/// Class-memory-sharded form of [`hamming_distance_batch_dense`];
-/// bit-identical (exact integer counts). A single-shard plan delegates to
-/// the unsharded kernel.
+/// The class rows of one cosine call as the panel kernel streams them:
+/// `f64`, the visited columns of row `c` at every `stride`-th element of
+/// [`StreamedClasses::row`]`(c)`.
+struct StreamedClasses<'a> {
+    /// The class matrix, row-major: borrowed when it already holds `f64`,
+    /// converted once per call otherwise.
+    data: std::borrow::Cow<'a, [f64]>,
+    cols: usize,
+    /// Where in a row the streamed span starts and ends.
+    span: Range<usize>,
+    stride: usize,
+    /// [`perforated_norm`] of every class row.
+    norms: Vec<f64>,
+}
+
+impl<'a> StreamedClasses<'a> {
+    fn new<T: Element>(classes: &'a HyperMatrix<T>, perforation: Perforation) -> Result<Self> {
+        let cols = classes.cols();
+        let flat = classes.as_slice();
+        Ok(StreamedClasses {
+            data: match T::as_f64_slice(flat) {
+                Some(in_place) => in_place.into(),
+                None => flat.iter().map(|x| x.to_f64()).collect::<Vec<_>>().into(),
+            },
+            cols,
+            span: perforation.begin.min(cols)..perforation.end_clamped(cols),
+            stride: perforation.stride,
+            norms: row_block(classes, 0..classes.rows())?
+                .iter()
+                .map(|row| perforated_norm(row, perforation))
+                .collect(),
+        })
+    }
+
+    fn row(&self, c: usize) -> &[f64] {
+        let start = c * self.cols;
+        &self.data[start + self.span.start..start + self.span.end]
+    }
+}
+
+/// The cosine kernel over the row block `rows` of `queries`.
+fn cosine_rows<T: Element>(
+    queries: &HyperMatrix<T>,
+    rows: Range<usize>,
+    classes: &HyperMatrix<T>,
+    perforation: Perforation,
+    plan: &ShardPlan,
+) -> Result<HyperMatrix<f64>> {
+    check_shard_plan(plan, classes.rows())?;
+    check_cols(queries.cols(), classes.cols(), "cosine similarity batch")?;
+    perforation.validate(queries.cols())?;
+    let streamed = StreamedClasses::new(classes, perforation)?;
+    let query_rows = row_block(queries, rows)?;
+    Ok(fill_scores(query_rows.len(), plan, |block, si, tile| {
+        let (block, class_range) = (&query_rows[block], plan.ranges()[si].clone());
+        // Decompose a short block into power-of-two sub-blocks so the
+        // unrolled panel kernels cover every width.
+        let mut off = 0;
+        for width in [8usize, 4, 2, 1] {
+            while block.len() - off >= width {
+                let (q, out) = (&block[off..off + width], &mut tile[off..off + width]);
+                match width {
+                    8 => cosine_tile::<T, 8>(q, perforation, &streamed, class_range.clone(), out),
+                    4 => cosine_tile::<T, 4>(q, perforation, &streamed, class_range.clone(), out),
+                    2 => cosine_tile::<T, 2>(q, perforation, &streamed, class_range.clone(), out),
+                    _ => cosine_tile::<T, 1>(q, perforation, &streamed, class_range.clone(), out),
+                }
+                off += width;
+            }
+        }
+    }))
+}
+
+/// `B` query rows against the class rows `class_range`: the queries'
+/// visited columns are packed into one column-major panel
+/// ([`pack_panel`]) and every class row takes one dispatched panel pass
+/// over it, streamed at the reduction's stride. Each of the `B` chains per
+/// class row sums that pair's products in ascending visited order (a
+/// product does not depend on which factor is streamed), so every score is
+/// bit-identical to the per-sample kernel, and a perforated reduction costs
+/// its visited fraction of the dense one.
+fn cosine_tile<T: Element, const B: usize>(
+    query_rows: &[&[T]],
+    perforation: Perforation,
+    classes: &StreamedClasses<'_>,
+    class_range: Range<usize>,
+    out: &mut [&mut [f64]],
+) {
+    let cols = query_rows[0].len();
+    let panel = pack_panel(query_rows, cols, perforation);
+    let query_norms = panel_norms::<B>(&panel);
+    for (j, c) in class_range.enumerate() {
+        let dots = dot_panel_dense::<B>(classes.row(c), classes.stride, &panel);
+        for k in 0..B {
+            out[k][j] = cosine_from_parts(dots[k], query_norms[k], classes.norms[c]);
+        }
+    }
+}
+
+/// [`perforated_norm`] of each of the `B` rows packed in `panel`: every lane
+/// sums its squares in ascending element order, and the `B` chains overlap
+/// where one norm per row would serialize on add latency — a tile's query
+/// norms cost one more panel pass, not `B` of them.
+fn panel_norms<const B: usize>(panel: &[f64]) -> [f64; B] {
+    let mut acc = [0.0f64; B];
+    for lanes in panel.chunks_exact(B) {
+        for k in 0..B {
+            acc[k] += lanes[k] * lanes[k];
+        }
+    }
+    acc.map(f64::sqrt)
+}
+
+/// A cosine score from its dot product and the two norms; a zero norm on
+/// either side scores `0`, as in [`crate::similarity::cosine_similarity`].
+fn cosine_from_parts(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
+    if query_norm == 0.0 || row_norm == 0.0 {
+        0.0
+    } else {
+        dot / (query_norm * row_norm)
+    }
+}
+
+/// [`hamming_distance_batch_dense`] with the class memory split by `plan`;
+/// identical for any plan (exact integer counts).
 ///
 /// # Errors
 ///
@@ -646,43 +583,33 @@ pub fn hamming_distance_batch_dense_sharded<T: Element>(
     perforation: Perforation,
     plan: &ShardPlan,
 ) -> Result<HyperMatrix<f64>> {
-    check_shard_plan(plan, classes.rows())?;
-    if plan.shard_count() <= 1 {
-        return hamming_distance_batch_dense(queries, classes, perforation);
-    }
-    check_cols(queries.cols(), classes.cols(), "hamming distance batch")?;
-    perforation.validate(queries.cols())?;
-    let dense = perforation.is_dense_over(queries.cols());
-    let class_rows: Vec<&[T]> = classes.iter_rows().collect();
-    let query_rows: Vec<&[T]> = queries.iter_rows().collect();
-    let shards = plan.shard_count();
-    let blocks: Vec<Vec<f64>> = sharded_items(query_rows.len(), shards)
-        .into_par_iter()
-        .map(|(qi, si)| {
-            let q = query_rows[qi];
-            plan.ranges()[si]
-                .clone()
-                .map(|c| {
-                    let row = class_rows[c];
-                    let count = if dense {
-                        q.iter().zip(row.iter()).filter(|(x, y)| x != y).count()
-                    } else {
-                        perforation
-                            .indices(q.len())
-                            .filter(|&i| q[i] != row[i])
-                            .count()
-                    };
-                    count as f64
-                })
-                .collect()
-        })
-        .collect();
-    stitch_blocks(query_rows.len(), shards, classes.rows(), blocks)
+    dense_hamming_rows(queries, 0..queries.rows(), classes, perforation, plan)
 }
 
-/// Class-memory-sharded form of [`score_epoch`]: the epoch-scoring kernel
-/// with the class (frozen class matrix) axis sharded. Bit-identical to
-/// [`score_epoch`] for any plan.
+/// The dense Hamming kernel over the row block `rows` of `queries`.
+fn dense_hamming_rows<T: Element>(
+    queries: &HyperMatrix<T>,
+    rows: Range<usize>,
+    classes: &HyperMatrix<T>,
+    perforation: Perforation,
+    plan: &ShardPlan,
+) -> Result<HyperMatrix<f64>> {
+    check_shard_plan(plan, classes.rows())?;
+    check_cols(queries.cols(), classes.cols(), "hamming distance batch")?;
+    perforation.validate(queries.cols())?;
+    let class_rows = row_block(classes, 0..classes.rows())?;
+    let query_rows = row_block(queries, rows)?;
+    Ok(fill_scores(query_rows.len(), plan, |block, si, tile| {
+        for (q, out) in query_rows[block].iter().zip(tile.iter_mut()) {
+            for (slot, c) in out.iter_mut().zip(plan.ranges()[si].clone()) {
+                *slot = hamming_count_perforated(q, class_rows[c], perforation) as f64;
+            }
+        }
+    }))
+}
+
+/// [`score_epoch`] with the class (frozen class matrix) axis split by
+/// `plan`; bit-identical for any plan.
 ///
 /// # Errors
 ///
@@ -694,14 +621,92 @@ pub fn score_epoch_sharded<T: Element>(
     perforation: Perforation,
     plan: &ShardPlan,
 ) -> Result<HyperMatrix<f64>> {
+    score_rows_sharded(train, 0..train.rows(), classes, metric, perforation, plan)
+}
+
+/// The epoch kernel over one row block: rows `rows` of `train`, read in
+/// place, against every row of `classes`, producing a `rows.len() x
+/// classes.rows()` score matrix whose row `i` is bit-identical to the
+/// per-sample reference kernel for `train.row(rows.start + i)`.
+///
+/// This is what the executor's blocked training schedule calls per block,
+/// against the class matrix as it stands at the top of the block.
+///
+/// # Errors
+///
+/// Same contract as [`score_epoch_sharded`], plus an index error when
+/// `rows` reaches past `train.rows()`.
+pub fn score_rows_sharded<T: Element>(
+    train: &HyperMatrix<T>,
+    rows: Range<usize>,
+    classes: &HyperMatrix<T>,
+    metric: SimilarityMetric,
+    perforation: Perforation,
+    plan: &ShardPlan,
+) -> Result<HyperMatrix<f64>> {
+    match metric {
+        SimilarityMetric::Cosine => cosine_rows(train, rows, classes, perforation, plan),
+        SimilarityMetric::Hamming => dense_hamming_rows(train, rows, classes, perforation, plan),
+    }
+}
+
+/// The norm a cosine score divides by: the square root of the squared sum
+/// over the elements `perforation` visits, in the per-sample kernel's
+/// order. Public so a caller that keeps score rows current while class rows
+/// change ([`rescore_columns`]) can cache one norm per class row and
+/// refresh it when that row is updated.
+pub fn perforated_norm<T: Element>(row: &[T], perforation: Perforation) -> f64 {
+    norm_sq_perforated(row, perforation).sqrt()
+}
+
+/// Re-score the entries `columns` of one score row against the live class
+/// matrix: `scores[c]` becomes the score of `query` against
+/// `classes.row(c)`, computed with the per-pair reference reduction, so the
+/// patched row equals what the per-sample reference kernel
+/// ([`crate::similarity::cosine_similarity_matrix`] /
+/// [`crate::similarity::hamming_distance_matrix`]) returns for `query`
+/// wherever `scores` was current outside `columns`.
+///
+/// `class_norms[c]` must be [`perforated_norm`] of `classes.row(c)` for
+/// every patched column; it is read for [`SimilarityMetric::Cosine`] only.
+///
+/// # Errors
+///
+/// Returns a dimension-mismatch error when `query` is not one element per
+/// class column or `scores` not one entry per class row, an index error
+/// for a column outside the class matrix (or outside `class_norms`, for
+/// cosine), and an invalid-perforation error for a bad descriptor.
+pub fn rescore_columns<T: Element>(
+    scores: &mut [f64],
+    query: &[T],
+    classes: &HyperMatrix<T>,
+    class_norms: &[f64],
+    columns: &[usize],
+    metric: SimilarityMetric,
+    perforation: Perforation,
+) -> Result<()> {
+    check_cols(classes.cols(), query.len(), "rescore columns query")?;
+    check_cols(classes.rows(), scores.len(), "rescore columns scores")?;
+    perforation.validate(query.len())?;
     match metric {
         SimilarityMetric::Cosine => {
-            cosine_similarity_batch_sharded(train, classes, perforation, plan)
+            let qn = perforated_norm(query, perforation);
+            for &c in columns {
+                let rn = *class_norms.get(c).ok_or(HdcError::IndexOutOfBounds {
+                    index: c,
+                    len: class_norms.len(),
+                })?;
+                let dot = dot_perforated(query, classes.row(c)?, perforation);
+                scores[c] = cosine_from_parts(dot, qn, rn);
+            }
         }
         SimilarityMetric::Hamming => {
-            hamming_distance_batch_dense_sharded(train, classes, perforation, plan)
+            for &c in columns {
+                scores[c] = hamming_count_perforated(query, classes.row(c)?, perforation) as f64;
+            }
         }
     }
+    Ok(())
 }
 
 /// Class-memory-sharded form of [`arg_top_k_batch`]: each row's selection
@@ -901,6 +906,114 @@ mod tests {
                 assert_eq!(ham.row(r).unwrap(), expect_ham.as_slice(), "perf {perf}");
             }
         }
+    }
+
+    #[test]
+    fn every_query_block_width_matches_per_sample() {
+        // 1..=19 query rows walk every [8, 4, 2, 1] decomposition of a tile,
+        // with and without a second tile behind it.
+        let mut rng = HdcRng::seed_from_u64(0x71E5);
+        let c: HyperMatrix<f64> = random::gaussian_hypermatrix(5, 97, &mut rng);
+        for rows in 1..=19 {
+            let q: HyperMatrix<f64> = random::gaussian_hypermatrix(rows, 97, &mut rng);
+            for perf in perforations(97) {
+                let batch = cosine_similarity_batch(&q, &c, perf).unwrap();
+                for r in 0..rows {
+                    let expect =
+                        cosine_similarity_matrix(&q.row_vector(r).unwrap(), &c, perf).unwrap();
+                    assert_eq!(batch.row(r).unwrap(), expect.as_slice(), "rows {rows}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_f64_rows_are_converted_then_streamed() {
+        let q = HyperMatrix::<i32>::from_fn(9, 70, |r, c| ((r * 7 + c * 3) % 11) as i32 - 5);
+        let c = HyperMatrix::<i32>::from_fn(6, 70, |r, c| ((r * 5 + c) % 7) as i32 - 3);
+        for perf in perforations(70) {
+            let batch = cosine_similarity_batch(&q, &c, perf).unwrap();
+            for r in 0..9 {
+                let expect = cosine_similarity_matrix(&q.row_vector(r).unwrap(), &c, perf).unwrap();
+                assert_eq!(batch.row(r).unwrap(), expect.as_slice(), "perf {perf}");
+            }
+        }
+    }
+
+    #[test]
+    fn score_rows_is_a_row_block_of_score_epoch() {
+        let mut rng = HdcRng::seed_from_u64(0xB10C);
+        let train: HyperMatrix<f64> = random::gaussian_hypermatrix(21, 130, &mut rng);
+        let classes: HyperMatrix<f64> = random::gaussian_hypermatrix(9, 130, &mut rng);
+        for metric in [SimilarityMetric::Cosine, SimilarityMetric::Hamming] {
+            for perf in perforations(130) {
+                let whole = score_epoch(&train, &classes, metric, perf).unwrap();
+                for shards in [1, 2, 3] {
+                    let plan = ShardPlan::split(9, shards);
+                    for rows in [0..21, 3..4, 5..18, 20..21, 7..7] {
+                        let block =
+                            score_rows_sharded(&train, rows.clone(), &classes, metric, perf, &plan)
+                                .unwrap();
+                        assert_eq!((block.rows(), block.cols()), (rows.len(), 9));
+                        assert_eq!(
+                            block.as_slice(),
+                            &whole.as_slice()[rows.start * 9..rows.end * 9],
+                            "{metric:?} perf {perf} shards {shards} rows {rows:?}"
+                        );
+                    }
+                }
+            }
+        }
+        let plan = ShardPlan::single(9);
+        let past_the_end = score_rows_sharded(
+            &train,
+            18..22,
+            &classes,
+            SimilarityMetric::Cosine,
+            Perforation::NONE,
+            &plan,
+        );
+        assert!(past_the_end.is_err());
+    }
+
+    #[test]
+    fn rescored_columns_equal_the_reference_against_the_live_matrix() {
+        let mut rng = HdcRng::seed_from_u64(0x9A7C);
+        let queries: HyperMatrix<f64> = random::gaussian_hypermatrix(4, 130, &mut rng);
+        let frozen_classes: HyperMatrix<f64> = random::gaussian_hypermatrix(7, 130, &mut rng);
+        let replacement: HyperMatrix<f64> = random::gaussian_hypermatrix(2, 130, &mut rng);
+        let dirty = [5usize, 1];
+        let mut live = frozen_classes.clone();
+        for (&c, row) in dirty.iter().zip(replacement.iter_rows()) {
+            live.set_row(c, &HyperVector::from_vec(row.to_vec()))
+                .unwrap();
+        }
+        for perf in perforations(130) {
+            let norms: Vec<f64> = live.iter_rows().map(|r| perforated_norm(r, perf)).collect();
+            for metric in [SimilarityMetric::Cosine, SimilarityMetric::Hamming] {
+                let mut scores = score_epoch(&queries, &frozen_classes, metric, perf).unwrap();
+                for (r, row) in scores.as_mut_slice().chunks_mut(7).enumerate() {
+                    let q = queries.row(r).unwrap();
+                    rescore_columns(row, q, &live, &norms, &dirty, metric, perf).unwrap();
+                    let sample = queries.row_vector(r).unwrap();
+                    let expect = match metric {
+                        SimilarityMetric::Cosine => cosine_similarity_matrix(&sample, &live, perf),
+                        SimilarityMetric::Hamming => hamming_distance_matrix(&sample, &live, perf),
+                    }
+                    .unwrap();
+                    assert_eq!(row, expect.as_slice(), "{metric:?} perf {perf}");
+                }
+            }
+        }
+        // Shape and index errors.
+        let norms = vec![1.0; 7];
+        let q = queries.row(0).unwrap();
+        let cos = SimilarityMetric::Cosine;
+        let none = Perforation::NONE;
+        assert!(rescore_columns(&mut [0.0; 6], q, &live, &norms, &[0], cos, none).is_err());
+        assert!(rescore_columns(&mut [0.0; 7], &q[..129], &live, &norms, &[0], cos, none).is_err());
+        assert!(rescore_columns(&mut [0.0; 7], q, &live, &norms, &[7], cos, none).is_err());
+        assert!(rescore_columns(&mut [0.0; 7], q, &live, &norms[..3], &[4], cos, none).is_err());
     }
 
     #[test]

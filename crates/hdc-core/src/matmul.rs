@@ -81,10 +81,49 @@ pub fn matvec<T: Element>(
 /// block instead of once per query.
 const MATMUL_QUERY_BLOCK: usize = 8;
 
+/// Dot products of one streamed row against a block packed by
+/// [`crate::batch::pack_panel`] over every column, walking the element axis
+/// once — the micro-kernel of the blocked [`matmul_batch`]. `B` is a
+/// compile-time width so the lane loop unrolls into SIMD-friendly
+/// contiguous reads; each accumulator sums in ascending element order,
+/// bit-identical to the per-sample kernel on that pair.
+fn dot_panel<T: Element, const B: usize>(
+    q: &[T],
+    panel: &[f64],
+    dense: bool,
+    perforation: Perforation,
+) -> [f64; B] {
+    let mut acc = [0.0f64; B];
+    if dense {
+        // `f64` rows go straight to the dispatched panel kernel (SIMD when
+        // selected); the generic path below is the same loop with a
+        // per-element `to_f64`. Both keep `B` independent accumulator
+        // chains in ascending element order, so outputs are bit-identical.
+        if let Some(qf) = T::as_f64_slice(q) {
+            return crate::simd::dot_panel_dense::<B>(qf, 1, panel);
+        }
+        for (lanes, x) in panel.chunks_exact(B).zip(q.iter()) {
+            let qv = x.to_f64();
+            for k in 0..B {
+                acc[k] += qv * lanes[k];
+            }
+        }
+    } else {
+        for i in perforation.indices(q.len()) {
+            let qv = q[i].to_f64();
+            let lanes = &panel[i * B..i * B + B];
+            for k in 0..B {
+                acc[k] += qv * lanes[k];
+            }
+        }
+    }
+    acc
+}
+
 /// One block of query rows against the whole projection matrix. `B` is a
 /// compile-time block width: the block is packed into a column-major `f64`
 /// panel ([`crate::batch::pack_panel`]) and each projection row takes one
-/// [`crate::batch::dot_panel`] pass over it — the GEMM micro-kernel layout
+/// [`dot_panel`] pass over it — the GEMM micro-kernel layout
 /// the vectorizer turns into SIMD lanes. Each accumulator still sums the
 /// feature axis in ascending order, which keeps every output element
 /// bit-identical to the per-sample [`matvec`].
@@ -98,11 +137,11 @@ fn matmul_block<T: Element, const B: usize>(
     debug_assert_eq!(qrows.len(), B);
     let d = matrix.rows();
     let cols = matrix.cols();
-    let panel = crate::batch::pack_panel(qrows, cols);
+    let panel = crate::batch::pack_panel(qrows, cols, Perforation::NONE);
     let mut out: Vec<Vec<T>> = (0..B).map(|_| Vec::with_capacity(d)).collect();
     for r in 0..d {
         let row = &matrix.row(r).expect("projection row in range")[..cols];
-        let acc = crate::batch::dot_panel::<T, B>(row, &panel, dense, perforation);
+        let acc = dot_panel::<T, B>(row, &panel, dense, perforation);
         for k in 0..B {
             out[k].push(T::from_f64(acc[k] * scale));
         }

@@ -353,31 +353,38 @@ pub(crate) fn bit_kernels() -> BitKernels {
     }
 }
 
-/// Dense dot products of one streamed `f64` row against a column-major
-/// packed panel ([`crate::batch::pack_panel`]), `B` independent accumulator
-/// chains, ascending element order — dispatched to the selected backend.
+/// Dot products of one streamed `f64` row against a column-major packed
+/// panel ([`crate::batch::pack_panel`]): element `i` of the panel meets
+/// `q[i * stride]`, so a strided reduction streams its row in place
+/// (`stride` 1 is the dense walk). `B` independent accumulator chains,
+/// ascending element order — dispatched to the selected backend.
 /// Bit-identical to [`scalar::dot_panel_dense`] on every backend.
-pub(crate) fn dot_panel_dense<const B: usize>(q: &[f64], panel: &[f64]) -> [f64; B] {
+///
+/// # Panics
+///
+/// Panics if `stride` is zero.
+pub(crate) fn dot_panel_dense<const B: usize>(q: &[f64], stride: usize, panel: &[f64]) -> [f64; B] {
+    assert!(stride > 0, "a streamed row needs a non-zero stride");
     match selected() {
         // Avx512 uses the AVX2 panels: widths are ≤ 4 f64 lanes (256 bits),
         // and the accumulation-order contract is already satisfied there.
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 | KernelBackend::Avx512 => {
-            if let Some(out) = avx2::dot_panel::<B>(q, panel) {
+            if let Some(out) = avx2::dot_panel::<B>(q, stride, panel) {
                 note_simd_dispatch();
                 return out;
             }
-            scalar::dot_panel_dense::<B>(q, panel)
+            scalar::dot_panel_dense::<B>(q, stride, panel)
         }
         #[cfg(target_arch = "aarch64")]
         KernelBackend::Neon => {
-            if let Some(out) = neon::dot_panel::<B>(q, panel) {
+            if let Some(out) = neon::dot_panel::<B>(q, stride, panel) {
                 note_simd_dispatch();
                 return out;
             }
-            scalar::dot_panel_dense::<B>(q, panel)
+            scalar::dot_panel_dense::<B>(q, stride, panel)
         }
-        _ => scalar::dot_panel_dense::<B>(q, panel),
+        _ => scalar::dot_panel_dense::<B>(q, stride, panel),
     }
 }
 
@@ -434,11 +441,20 @@ pub(crate) mod scalar {
         }
     }
 
-    /// Dense `f64` dot-panel: `B` independent accumulator chains, ascending
-    /// element order, separate multiply and add.
-    pub(crate) fn dot_panel_dense<const B: usize>(q: &[f64], panel: &[f64]) -> [f64; B] {
+    /// `f64` dot-panel over every `stride`-th element of `q`: `B`
+    /// independent accumulator chains, ascending element order, separate
+    /// multiply and add.
+    pub(crate) fn dot_panel_dense<const B: usize>(
+        q: &[f64],
+        stride: usize,
+        panel: &[f64],
+    ) -> [f64; B] {
         let mut acc = [0.0f64; B];
-        for (lanes, &qv) in panel.chunks_exact(B).zip(q.iter()) {
+        // Every `stride`-th element is the head of a `stride`-long chunk.
+        // (A `step_by` or indexed walk here made the one-lane tail — every
+        // single-row call — 3.7x slower on its one dependent add chain.)
+        for (lanes, chunk) in panel.chunks_exact(B).zip(q.chunks(stride)) {
+            let qv = chunk[0];
             for k in 0..B {
                 acc[k] += qv * lanes[k];
             }
@@ -475,14 +491,18 @@ mod avx2 {
     }
 
     #[allow(unsafe_code)]
-    pub(super) fn dot_panel<const B: usize>(q: &[f64], panel: &[f64]) -> Option<[f64; B]> {
+    pub(super) fn dot_panel<const B: usize>(
+        q: &[f64],
+        stride: usize,
+        panel: &[f64],
+    ) -> Option<[f64; B]> {
         let mut out = [0.0f64; B];
         // SAFETY: only dispatched on hosts where avx2+popcnt are detected.
         unsafe {
             match B {
-                8 => out.copy_from_slice(&dot8_impl(q, panel)),
-                4 => out.copy_from_slice(&dot4_impl(q, panel)),
-                2 => out.copy_from_slice(&dot2_impl(q, panel)),
+                8 => out.copy_from_slice(&dot8_impl(q, stride, panel)),
+                4 => out.copy_from_slice(&dot4_impl(q, stride, panel)),
+                2 => out.copy_from_slice(&dot2_impl(q, stride, panel)),
                 _ => return None,
             }
         }
@@ -602,15 +622,17 @@ mod avx2 {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `avx2`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot8_impl(q: &[f64], panel: &[f64]) -> [f64; 8] {
-        let n = q.len().min(panel.len() / 8);
+    unsafe fn dot8_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 8] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 8);
         let mut acc0 = _mm256_setzero_pd();
         let mut acc1 = _mm256_setzero_pd();
         for i in 0..n {
-            let qv = _mm256_set1_pd(*q.get_unchecked(i));
+            let qv = _mm256_set1_pd(*q.get_unchecked(i * stride));
             let base = panel.as_ptr().add(i * 8);
             acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(qv, _mm256_loadu_pd(base)));
             acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(qv, _mm256_loadu_pd(base.add(4))));
@@ -624,14 +646,16 @@ mod avx2 {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `avx2`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot4_impl(q: &[f64], panel: &[f64]) -> [f64; 4] {
-        let n = q.len().min(panel.len() / 4);
+    unsafe fn dot4_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 4] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 4);
         let mut acc = _mm256_setzero_pd();
         for i in 0..n {
-            let qv = _mm256_set1_pd(*q.get_unchecked(i));
+            let qv = _mm256_set1_pd(*q.get_unchecked(i * stride));
             let lanes = _mm256_loadu_pd(panel.as_ptr().add(i * 4));
             acc = _mm256_add_pd(acc, _mm256_mul_pd(qv, lanes));
         }
@@ -643,14 +667,16 @@ mod avx2 {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `avx2`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot2_impl(q: &[f64], panel: &[f64]) -> [f64; 2] {
-        let n = q.len().min(panel.len() / 2);
+    unsafe fn dot2_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 2] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 2);
         let mut acc = _mm_setzero_pd();
         for i in 0..n {
-            let qv = _mm_set1_pd(*q.get_unchecked(i));
+            let qv = _mm_set1_pd(*q.get_unchecked(i * stride));
             let lanes = _mm_loadu_pd(panel.as_ptr().add(i * 2));
             acc = _mm_add_pd(acc, _mm_mul_pd(qv, lanes));
         }
@@ -774,14 +800,18 @@ mod neon {
     }
 
     #[allow(unsafe_code)]
-    pub(super) fn dot_panel<const B: usize>(q: &[f64], panel: &[f64]) -> Option<[f64; B]> {
+    pub(super) fn dot_panel<const B: usize>(
+        q: &[f64],
+        stride: usize,
+        panel: &[f64],
+    ) -> Option<[f64; B]> {
         let mut out = [0.0f64; B];
         // SAFETY: only dispatched on hosts where neon is detected.
         unsafe {
             match B {
-                8 => out.copy_from_slice(&dot8_impl(q, panel)),
-                4 => out.copy_from_slice(&dot4_impl(q, panel)),
-                2 => out.copy_from_slice(&dot2_impl(q, panel)),
+                8 => out.copy_from_slice(&dot8_impl(q, stride, panel)),
+                4 => out.copy_from_slice(&dot4_impl(q, stride, panel)),
+                2 => out.copy_from_slice(&dot2_impl(q, stride, panel)),
                 _ => return None,
             }
         }
@@ -861,14 +891,16 @@ mod neon {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `neon`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "neon")]
-    unsafe fn dot8_impl(q: &[f64], panel: &[f64]) -> [f64; 8] {
-        let n = q.len().min(panel.len() / 8);
+    unsafe fn dot8_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 8] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 8);
         let mut acc = [vdupq_n_f64(0.0); 4];
         for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i));
+            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
             let base = panel.as_ptr().add(i * 8);
             for (k, lane) in acc.iter_mut().enumerate() {
                 *lane = vaddq_f64(*lane, vmulq_f64(qv, vld1q_f64(base.add(k * 2))));
@@ -884,15 +916,17 @@ mod neon {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `neon`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "neon")]
-    unsafe fn dot4_impl(q: &[f64], panel: &[f64]) -> [f64; 4] {
-        let n = q.len().min(panel.len() / 4);
+    unsafe fn dot4_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 4] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 4);
         let mut acc0 = vdupq_n_f64(0.0);
         let mut acc1 = vdupq_n_f64(0.0);
         for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i));
+            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
             let base = panel.as_ptr().add(i * 4);
             acc0 = vaddq_f64(acc0, vmulq_f64(qv, vld1q_f64(base)));
             acc1 = vaddq_f64(acc1, vmulq_f64(qv, vld1q_f64(base.add(2))));
@@ -906,14 +940,16 @@ mod neon {
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
     // must reach this only after runtime detection confirmed `neon`
     // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices; tails use safe indexing.
+    // arithmetic stays within the argument slices: `i < n` keeps the panel
+    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
+    // the streamed index `i * stride` below `q.len()`.
     #[allow(unsafe_code)]
     #[target_feature(enable = "neon")]
-    unsafe fn dot2_impl(q: &[f64], panel: &[f64]) -> [f64; 2] {
-        let n = q.len().min(panel.len() / 2);
+    unsafe fn dot2_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 2] {
+        let n = q.len().div_ceil(stride).min(panel.len() / 2);
         let mut acc = vdupq_n_f64(0.0);
         for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i));
+            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
             acc = vaddq_f64(acc, vmulq_f64(qv, vld1q_f64(panel.as_ptr().add(i * 2))));
         }
         let mut out = [0.0f64; 2];

@@ -53,6 +53,24 @@ pub(crate) fn norm_sq_perforated<T: Element>(a: &[T], perforation: Perforation) 
     }
 }
 
+/// Number of visited positions at which two element slices differ — the
+/// per-pair Hamming reduction. Shared with [`crate::batch`] (see
+/// [`dot_perforated`]).
+pub(crate) fn hamming_count_perforated<T: Element>(
+    a: &[T],
+    b: &[T],
+    perforation: Perforation,
+) -> usize {
+    if perforation.is_dense_over(a.len()) {
+        a.iter().zip(b.iter()).filter(|(x, y)| x != y).count()
+    } else {
+        perforation
+            .indices(a.len())
+            .filter(|&i| a[i] != b[i])
+            .count()
+    }
+}
+
 fn check_dims(a: usize, b: usize, context: &'static str) -> Result<()> {
     if a != b {
         return Err(HdcError::DimensionMismatch {
@@ -136,16 +154,7 @@ pub fn hamming_distance<T: Element>(
 ) -> Result<f64> {
     check_dims(a.dimension(), b.dimension(), "hamming distance")?;
     perforation.validate(a.dimension())?;
-    let (xs, ys) = (a.as_slice(), b.as_slice());
-    let count = if perforation.is_dense_over(a.dimension()) {
-        xs.iter().zip(ys.iter()).filter(|(x, y)| x != y).count()
-    } else {
-        perforation
-            .indices(a.dimension())
-            .filter(|&i| xs[i] != ys[i])
-            .count()
-    };
-    Ok(count as f64)
+    Ok(hamming_count_perforated(a.as_slice(), b.as_slice(), perforation) as f64)
 }
 
 /// Hamming distance between a query hypervector and every row of a
@@ -162,21 +171,9 @@ pub fn hamming_distance_matrix<T: Element>(
 ) -> Result<HyperVector<f64>> {
     check_dims(query.dimension(), rows.cols(), "hamming distance matrix")?;
     perforation.validate(query.dimension())?;
-    let q = query.as_slice();
-    let dense = perforation.is_dense_over(query.dimension());
     let dists = rows
         .iter_rows()
-        .map(|row| {
-            let count = if dense {
-                q.iter().zip(row.iter()).filter(|(x, y)| x != y).count()
-            } else {
-                perforation
-                    .indices(q.len())
-                    .filter(|&i| q[i] != row[i])
-                    .count()
-            };
-            count as f64
-        })
+        .map(|row| hamming_count_perforated(query.as_slice(), row, perforation) as f64)
         .collect();
     Ok(dists)
 }
@@ -230,14 +227,7 @@ pub fn hamming_distance_all_pairs<T: Element>(
     let mut out = HyperMatrix::zeros(lhs.rows(), rhs.rows());
     for (i, lrow) in lhs.iter_rows().enumerate() {
         for (j, rrow) in rhs.iter_rows().enumerate() {
-            let count = if perforation.is_dense_over(lhs.cols()) {
-                lrow.iter().zip(rrow.iter()).filter(|(x, y)| x != y).count()
-            } else {
-                perforation
-                    .indices(lhs.cols())
-                    .filter(|&k| lrow[k] != rrow[k])
-                    .count()
-            };
+            let count = hamming_count_perforated(lrow, rrow, perforation);
             out.set(i, j, count as f64).expect("indices in range");
         }
     }

@@ -158,6 +158,51 @@ fn batched_matches_sequential_oracle_on_simd_backend() {
     }
 }
 
+/// The cosine kernel packs the query columns a perforation visits and
+/// streams the class rows strided in place through the dispatched panel
+/// kernel. Every row must equal the per-sample reference
+/// (`cosine_similarity_matrix`, which walks `perforation.indices()` one pair
+/// at a time) exactly, on the scalar backend and on every SIMD backend this
+/// host supports, for query counts that leave 8/4/2/1-wide panel tails and
+/// spans whose length the stride does not divide.
+#[test]
+fn perforated_cosine_matches_per_sample_on_every_backend() {
+    let _guard = lock_backend();
+    let backends = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+        KernelBackend::Neon,
+    ];
+    for backend in backends.into_iter().filter(|&b| simd::supported(b)) {
+        simd::set_backend(backend).unwrap();
+        for &dim in &[7usize, 64, 65, 130, 333, 1027] {
+            let classes = dense_matrix(9, dim, 0x51AB ^ dim as u64);
+            for query_rows in [1usize, 3, 8, 15] {
+                let queries = dense_matrix(query_rows, dim, 0xC051 ^ dim as u64);
+                for perf in fuzz_perforations(dim) {
+                    let batched = cosine_similarity_batch(&queries, &classes, perf).unwrap();
+                    for r in 0..query_rows {
+                        let reference = cosine_similarity_matrix(
+                            &queries.row_vector(r).unwrap(),
+                            &classes,
+                            perf,
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            batched.row(r).unwrap(),
+                            reference.as_slice(),
+                            "backend={} dim={dim} rows={query_rows} row={r} perf={perf:?}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    simd::set_backend(simd::detected()).unwrap();
+}
+
 #[test]
 fn score_epoch_matches_scalar_across_backends() {
     use hdc_core::batch::score_epoch;

@@ -41,15 +41,21 @@
 //!   misprediction the sample is added to the true class row and subtracted
 //!   from the predicted row. A binarized class matrix is unpacked for the
 //!   duration of the stage and re-binarized by sign at stage exit. In
-//!   batched mode, a recognized training body runs on the **batched-epoch
-//!   schedule**: the class matrix is frozen at the top of each epoch, the
-//!   whole train matrix is scored in one epoch kernel
-//!   ([`hdc_core::batch::score_epoch`], counted in
+//!   batched mode, a recognized training body runs on the **blocked
+//!   re-freeze schedule**: each epoch is walked in fixed-length row blocks;
+//!   a block is scored against the class matrix as it stands at the top of
+//!   the block by the epoch kernel
+//!   ([`hdc_core::batch::score_rows_sharded`], reading the train rows in
+//!   place; all blocks of an epoch count once in
 //!   [`ExecStats::epoch_kernel_ops`]), and the perceptron updates are then
-//!   replayed in sample order against the frozen scores — re-scoring (with
-//!   the per-sample reference kernel, counted in
-//!   [`ExecStats::rescored_samples`]) only samples visited after a class
-//!   row changed, so the trained matrix stays bit-identical to the
+//!   replayed in sample order. A misprediction marks its two class rows
+//!   dirty; for the later samples of the block only those columns of the
+//!   frozen score row are patched with the per-pair reference reduction
+//!   ([`hdc_core::batch::rescore_columns`], counted per sample in
+//!   [`ExecStats::rescored_samples`] and per patched score in
+//!   [`ExecStats::rescored_rows`]), and the next block re-freezes. Every
+//!   score a selection reads is therefore the one the per-sample kernel
+//!   would compute, so the trained matrix stays bit-identical to the
 //!   sequential oracle. The clustering accumulate-by-assignment
 //!   `ParallelFor` gets the same frozen-assignment treatment: the
 //!   assignment vector is already frozen by the preceding assign stage, so
@@ -104,16 +110,30 @@ pub struct ExecStats {
     /// per-sample modeled cost.
     pub accelerated_stage_samples: usize,
     /// Epoch-level batched kernel calls: one per training epoch scored with
-    /// [`hdc_core::batch::score_epoch`] and one per clustering update
-    /// collapsed into [`hdc_core::batch::accumulate_by_segment`]. Every
-    /// epoch kernel is also counted in
+    /// the epoch kernel ([`hdc_core::batch::score_rows_sharded`], however
+    /// many row blocks the epoch is walked in) and one per clustering
+    /// update collapsed into [`hdc_core::batch::accumulate_by_segment`].
+    /// Every epoch kernel is also counted in
     /// [`batched_kernel_ops`](ExecStats::batched_kernel_ops).
     pub epoch_kernel_ops: usize,
-    /// Samples the batched-epoch training schedule re-scored against the
-    /// live class matrix because a class row changed after the epoch was
-    /// frozen. Zero when every epoch's updates happen after its last sample
-    /// (or in sequential mode); `epochs x samples` is the worst case.
+    /// Samples of the blocked training schedule that needed any live
+    /// rescoring: visited after a class row changed within their row block,
+    /// so part of their frozen score row was patched. Zero when no block
+    /// sees an update before its last sample (or in sequential mode);
+    /// `epochs x samples` minus one per block is the worst case.
     pub rescored_samples: usize,
+    /// `(sample, class row)` scores the blocked training schedule patched
+    /// with the per-pair reference reduction — the work behind
+    /// [`rescored_samples`](ExecStats::rescored_samples).
+    pub rescored_rows: usize,
+    /// Reference similarity kernel calls made while batched execution was
+    /// enabled: the per-sample `*_matrix` forms of [`hdc_core::similarity`]
+    /// (its `*_all_pairs` forms only ever run in sequential mode), reached
+    /// when a stage fell back to the per-sample loop. Zero means batched
+    /// mode never ran a reference loop; mixed packed/dense stage operands
+    /// are the only legitimate source. Always zero in sequential mode,
+    /// where the reference kernels are the schedule.
+    pub reference_kernel_ops: usize,
     /// Class-memory shard blocks launched by sharded batched kernels (the
     /// sum of shard counts over every batched call that ran sharded). Zero
     /// when every call ran unsharded — one thread, a small class memory, or
@@ -140,6 +160,8 @@ impl ExecStats {
         self.accelerated_stage_samples += other.accelerated_stage_samples;
         self.epoch_kernel_ops += other.epoch_kernel_ops;
         self.rescored_samples += other.rescored_samples;
+        self.rescored_rows += other.rescored_rows;
+        self.reference_kernel_ops += other.reference_kernel_ops;
         self.class_shards += other.class_shards;
         self.shard_merge_ops += other.shard_merge_ops;
         if self.kernel_backend.is_empty() {
@@ -275,7 +297,7 @@ enum StagePlan {
         then_sign: bool,
     },
     /// `training_loop` body: one similarity reduction of the sample against
-    /// the live class matrix — runs on the batched-epoch schedule.
+    /// the live class matrix — runs on the blocked re-freeze schedule.
     Training {
         classes: ValueId,
         epochs: usize,
@@ -364,8 +386,8 @@ impl<'p> Executor<'p> {
     /// Enable or disable batched execution (default: enabled). Disabling
     /// forces every stage through the per-sample sequential reference
     /// oracle, and the matrix-level instruction fast paths (all-pairs
-    /// bit-packed similarity, batched `arg_top_k` selection) through their
-    /// dense reference / per-row forms.
+    /// similarity, bit-packed or dense, and batched `arg_top_k` selection)
+    /// through their dense reference / per-row forms.
     pub fn set_batched_stages(&mut self, enabled: bool) -> &mut Self {
         self.batch_stages = enabled;
         self
@@ -555,6 +577,14 @@ impl<'p> Executor<'p> {
 
     fn note_copy(&mut self, bytes: usize) {
         self.stats.tensor_bytes_copied += bytes;
+    }
+
+    /// Count a reference `*_matrix` similarity call made while batched
+    /// execution is enabled (in sequential mode they are the schedule).
+    fn note_reference_kernel(&mut self) {
+        if self.batch_stages {
+            self.stats.reference_kernel_ops += 1;
+        }
     }
 
     /// Bytes a copy-on-write of `id`'s payload would materialize right now
@@ -1086,8 +1116,8 @@ impl<'p> Executor<'p> {
                             match self.value_mut(classes_id)? {
                                 Value::Matrix(classes) => {
                                     let m = Arc::make_mut(classes);
-                                    update_row_in_place(m, label, &sample, 1.0)?;
-                                    update_row_in_place(m, pred, &sample, -1.0)?;
+                                    update_row_in_place(m, label, sample.as_slice(), 1.0)?;
+                                    update_row_in_place(m, pred, sample.as_slice(), -1.0)?;
                                 }
                                 other => {
                                     return Err(RuntimeError::TypeMismatch {
@@ -1354,14 +1384,16 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// The batched-epoch training schedule. Per epoch: freeze the class
-    /// matrix, score the whole train matrix in one
-    /// [`hdc_core::batch::score_epoch`] kernel call, then replay the
-    /// perceptron updates in sample order against the frozen scores. A
-    /// sample visited after any class row changed is re-scored against the
-    /// live matrix with the per-sample reference kernel (whose rows the
-    /// epoch kernel is bit-identical to), so the trained matrix — and every
-    /// prediction along the way — exactly matches the sequential oracle.
+    /// The blocked re-freeze training schedule. Each epoch is walked in
+    /// blocks of [`TRAIN_BLOCK_ROWS`] samples: the block is scored against
+    /// the class matrix as it stands (the epoch kernel, reading the train
+    /// rows in place), then replayed in sample order. A misprediction
+    /// updates two class rows and marks them dirty; every later sample of
+    /// the block has exactly those columns of its frozen score row patched
+    /// with the per-pair reference reduction before it selects. Each score
+    /// read is thus the per-sample reference kernel's value against the
+    /// live matrix, so the trained matrix — and every prediction along the
+    /// way — exactly matches the sequential oracle.
     fn exec_training_batched(
         &mut self,
         stage: &StageNode,
@@ -1389,47 +1421,75 @@ impl<'p> Executor<'p> {
             Metric::Cosine => hdc_core::batch::SimilarityMetric::Cosine,
             Metric::Hamming => hdc_core::batch::SimilarityMetric::Hamming,
         };
-        let n = queries.rows();
-        let plan = self.shard_plan(classes_m.rows());
+        // One cached norm per class row, refreshed whenever the row is
+        // updated; only cosine patches read them.
+        let mut class_norms: Vec<f64> = match metric {
+            Metric::Cosine => classes_m
+                .iter_rows()
+                .map(|row| hdc_core::batch::perforated_norm(row, perf))
+                .collect(),
+            Metric::Hamming => Vec::new(),
+        };
+        let n = queries.rows().min(truth.len());
+        let class_count = classes_m.rows();
+        let plan = self.shard_plan(class_count);
+        let mut dirty: Vec<usize> = Vec::new();
         for _epoch in 0..epochs {
-            let frozen = hdc_core::batch::score_epoch_sharded(
-                queries.as_ref(),
-                &classes_m,
-                batch_metric,
-                perf,
-                &plan,
-            )?;
             self.stats.epoch_kernel_ops += 1;
             self.stats.batched_kernel_ops += 1;
             if plan.shard_count() > 1 {
                 self.stats.class_shards += plan.shard_count();
             }
-            let mut stale = false;
-            for (r, &label) in truth.iter().enumerate().take(n) {
-                let pred = if stale {
-                    // Live-matrix rescore: the per-sample reference kernel
-                    // and direct selection, exactly the sequential oracle.
-                    let sample = queries.row_vector(r)?;
-                    self.note_copy(sample.dimension() * 8);
-                    let scores = match metric {
-                        Metric::Cosine => cosine_similarity_matrix(&sample, &classes_m, perf)?,
-                        Metric::Hamming => hamming_distance_matrix(&sample, &classes_m, perf)?,
-                    };
-                    self.stats.rescored_samples += 1;
-                    stage.polarity.select(scores.as_slice())
-                } else {
-                    self.select_sharded(stage.polarity, frozen.row(r)?, &plan)
-                }
-                .ok_or(RuntimeError::Core(hdc_core::HdcError::EmptyInput(
-                    "stage scores",
-                )))?;
-                self.stats.stage_samples += 1;
-                self.stats.instructions_executed += 1;
-                if pred != label {
-                    let sample = queries.row_vector(r)?;
-                    update_row_in_place(&mut classes_m, label, &sample, 1.0)?;
-                    update_row_in_place(&mut classes_m, pred, &sample, -1.0)?;
-                    stale = true;
+            for start in (0..n).step_by(TRAIN_BLOCK_ROWS) {
+                let end = (start + TRAIN_BLOCK_ROWS).min(n);
+                let mut frozen = hdc_core::batch::score_rows_sharded(
+                    queries.as_ref(),
+                    start..end,
+                    &classes_m,
+                    batch_metric,
+                    perf,
+                    &plan,
+                )?;
+                dirty.clear();
+                for (r, &label) in truth.iter().enumerate().take(end).skip(start) {
+                    let first = (r - start) * class_count;
+                    let scores = &mut frozen.as_mut_slice()[first..first + class_count];
+                    let sample = queries.row(r)?;
+                    let pred = if dirty.is_empty() {
+                        self.select_sharded(stage.polarity, scores, &plan)
+                    } else {
+                        // Patched rows select directly, like the oracle.
+                        hdc_core::batch::rescore_columns(
+                            scores,
+                            sample,
+                            &classes_m,
+                            &class_norms,
+                            &dirty,
+                            batch_metric,
+                            perf,
+                        )?;
+                        self.stats.rescored_samples += 1;
+                        self.stats.rescored_rows += dirty.len();
+                        stage.polarity.select(scores)
+                    }
+                    .ok_or(RuntimeError::Core(
+                        hdc_core::HdcError::EmptyInput("stage scores"),
+                    ))?;
+                    self.stats.stage_samples += 1;
+                    self.stats.instructions_executed += 1;
+                    if pred != label {
+                        update_row_in_place(&mut classes_m, label, sample, 1.0)?;
+                        update_row_in_place(&mut classes_m, pred, sample, -1.0)?;
+                        for c in [label, pred] {
+                            if metric == Metric::Cosine {
+                                class_norms[c] =
+                                    hdc_core::batch::perforated_norm(classes_m.row(c)?, perf);
+                            }
+                            if !dirty.contains(&c) {
+                                dirty.push(c);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1975,22 +2035,47 @@ impl<'p> Executor<'p> {
                     }
                 })
             }
-            // Dense reference path (also covers mixed packed/dense operands
-            // and sequential-mode bit-matrix pairs; the remaining pure-bit
-            // combinations were all consumed above).
+            // Dense all-pairs reduction (also mixed packed/dense operands,
+            // unpacked first; the pure-bit combinations were all consumed
+            // above): one batched kernel call, like the bit-packed arm. In
+            // sequential mode the single-chain reference `*_all_pairs`
+            // runs instead, so the oracle stays per-pair.
             (Value::Matrix(_) | Value::BitMatrix(_), Value::Matrix(_) | Value::BitMatrix(_)) => {
                 let (a, ca) = lhs.dense_matrix("similarity")?;
                 let (b, cb) = rhs.dense_matrix("similarity")?;
                 self.note_copy(ca + cb);
-                Value::matrix(match metric {
-                    Metric::Cosine => cosine_similarity_all_pairs(&a, &b, perf)?,
-                    Metric::Hamming => hamming_distance_all_pairs(&a, &b, perf)?,
+                Value::matrix(if self.batch_stages {
+                    self.stats.batched_kernel_ops += 1;
+                    let plan = self.shard_plan(b.rows());
+                    if plan.shard_count() > 1 {
+                        self.stats.class_shards += plan.shard_count();
+                    }
+                    match metric {
+                        Metric::Cosine => hdc_core::batch::cosine_similarity_batch_sharded(
+                            a.as_ref(),
+                            b.as_ref(),
+                            perf,
+                            &plan,
+                        )?,
+                        Metric::Hamming => hdc_core::batch::hamming_distance_batch_dense_sharded(
+                            a.as_ref(),
+                            b.as_ref(),
+                            perf,
+                            &plan,
+                        )?,
+                    }
+                } else {
+                    match metric {
+                        Metric::Cosine => cosine_similarity_all_pairs(&a, &b, perf)?,
+                        Metric::Hamming => hamming_distance_all_pairs(&a, &b, perf)?,
+                    }
                 })
             }
             (Value::Matrix(_) | Value::BitMatrix(_), _) => {
                 let (a, ca) = lhs.dense_matrix("similarity")?;
                 let (q, cq) = rhs.dense_vector("similarity")?;
                 self.note_copy(ca + cq);
+                self.note_reference_kernel();
                 Value::vector(match metric {
                     Metric::Cosine => cosine_similarity_matrix(&q, &a, perf)?,
                     Metric::Hamming => hamming_distance_matrix(&q, &a, perf)?,
@@ -2000,6 +2085,7 @@ impl<'p> Executor<'p> {
                 let (q, cq) = lhs.dense_vector("similarity")?;
                 let (b, cb) = rhs.dense_matrix("similarity")?;
                 self.note_copy(cq + cb);
+                self.note_reference_kernel();
                 Value::vector(match metric {
                     Metric::Cosine => cosine_similarity_matrix(&q, &b, perf)?,
                     Metric::Hamming => hamming_distance_matrix(&q, &b, perf)?,
@@ -2031,6 +2117,15 @@ enum Metric {
     Hamming,
 }
 
+/// Samples per block of the blocked re-freeze training schedule: the epoch
+/// kernel re-freezes the scores every this many samples, so a patched
+/// sample never carries more than one block's worth of dirty class rows.
+/// Chosen by measurement on the ISOLET-shaped retraining workload (26
+/// classes, 2048 dimensions): shorter blocks pay the per-call panel packing
+/// and thread hand-off more often, longer ones patch more columns per
+/// sample.
+const TRAIN_BLOCK_ROWS: usize = 64;
+
 /// `matrix[row] += sign * sample`, in place, with bounds checking — the
 /// perceptron update of `training_loop`, run once per misprediction.
 ///
@@ -2048,7 +2143,7 @@ enum Metric {
 pub fn update_row_in_place(
     matrix: &mut HyperMatrix<f64>,
     row: usize,
-    sample: &HyperVector<f64>,
+    sample: &[f64],
     sign: f64,
 ) -> Result<()> {
     let (rows, cols) = (matrix.rows(), matrix.cols());
@@ -2058,15 +2153,15 @@ pub fn update_row_in_place(
             len: rows,
         }));
     }
-    if sample.dimension() != cols {
+    if sample.len() != cols {
         return Err(RuntimeError::Core(hdc_core::HdcError::DimensionMismatch {
             expected: cols,
-            actual: sample.dimension(),
+            actual: sample.len(),
             context: "training row update",
         }));
     }
     let slice = &mut matrix.as_mut_slice()[row * cols..(row + 1) * cols];
-    for (slot, &x) in slice.iter_mut().zip(sample.as_slice()) {
+    for (slot, &x) in slice.iter_mut().zip(sample) {
         *slot += sign * x;
     }
     Ok(())

@@ -430,9 +430,18 @@ fn build_training(
     perf: Option<(usize, usize, usize)>,
     epochs: usize,
 ) -> (Program, ValueId) {
+    build_training_rows(TRAIN_SAMPLES, metric, perf, epochs)
+}
+
+fn build_training_rows(
+    samples: usize,
+    metric: Metric,
+    perf: Option<(usize, usize, usize)>,
+    epochs: usize,
+) -> (Program, ValueId) {
     let mut b = ProgramBuilder::new("equiv_train");
-    let q = b.input_matrix("train", ElementKind::F64, TRAIN_SAMPLES, DIM);
-    let y = b.input_indices("labels", TRAIN_SAMPLES);
+    let q = b.input_matrix("train", ElementKind::F64, samples, DIM);
+    let y = b.input_indices("labels", samples);
     let c = b.input_matrix("classes", ElementKind::F64, CLASSES, DIM);
     let polarity = match metric {
         Metric::Hamming => ScorePolarity::Distance,
@@ -455,9 +464,21 @@ fn build_training(
 /// Noisy prototype samples whose labels force mispredictions from the zero
 /// class matrix, so every epoch performs mid-epoch class-row updates.
 fn training_data() -> (Value, Value, Value) {
+    let (train, labels, _) = prototype_samples(TRAIN_SAMPLES);
+    (
+        train,
+        labels,
+        Value::matrix(HyperMatrix::zeros(CLASSES, DIM)),
+    )
+}
+
+/// `samples` noisy copies of bipolar class prototypes (an eighth of the
+/// elements flipped, labels cycling through the classes), and the
+/// prototypes themselves.
+fn prototype_samples(samples: usize) -> (Value, Value, HyperMatrix<f64>) {
     let mut rng = HdcRng::seed_from_u64(0x7EA1);
     let protos: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(CLASSES, DIM, &mut rng);
-    let labels: Vec<usize> = (0..TRAIN_SAMPLES).map(|i| i % CLASSES).collect();
+    let labels: Vec<usize> = (0..samples).map(|i| i % CLASSES).collect();
     let rows: Vec<HyperVector<f64>> = labels
         .iter()
         .map(|&l| {
@@ -473,7 +494,7 @@ fn training_data() -> (Value, Value, Value) {
     (
         Value::matrix(HyperMatrix::from_rows(rows).unwrap()),
         Value::indices(labels),
-        Value::matrix(HyperMatrix::zeros(CLASSES, DIM)),
+        protos,
     )
 }
 
@@ -527,6 +548,233 @@ fn batched_epoch_training_is_bit_identical_to_sequential() {
             }
         }
     }
+}
+
+/// The executor's `TRAIN_BLOCK_ROWS` (private): the train-row counts below
+/// sit on both sides of one block boundary and past several.
+const TRAIN_BLOCK: usize = 64;
+
+/// Where a blocked-schedule case starts from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Start {
+    /// Zero class matrix: every class but the first mispredicts until its
+    /// row is first updated, so the first epoch patches nearly every sample.
+    Zero,
+    /// The class prototypes themselves: every sample is already classified
+    /// correctly, nothing updates, nothing is patched.
+    Converged,
+    /// Gaussian class matrix and Gaussian-perturbed samples: scores and
+    /// updates are non-integer, so bit-identity is not an artefact of exact
+    /// integer arithmetic.
+    Gaussian,
+}
+
+fn blocked_training_data(samples: usize, start: Start) -> (Value, Value, Value) {
+    let (train, labels, protos) = prototype_samples(samples);
+    match start {
+        Start::Zero => (
+            train,
+            labels,
+            Value::matrix(HyperMatrix::zeros(CLASSES, DIM)),
+        ),
+        Start::Converged => (train, labels, Value::matrix(protos)),
+        Start::Gaussian => {
+            let mut rng = HdcRng::seed_from_u64(0x6A55 ^ samples as u64);
+            let noise: HyperMatrix<f64> =
+                hdc_core::random::gaussian_hypermatrix(samples, DIM, &mut rng);
+            let classes: HyperMatrix<f64> =
+                hdc_core::random::gaussian_hypermatrix(CLASSES, DIM, &mut rng);
+            let bipolar = train.to_dense_matrix("train").unwrap();
+            let perturbed = bipolar.zip_with(&noise, |x, n| x + 0.75 * n).unwrap();
+            (Value::matrix(perturbed), labels, Value::matrix(classes))
+        }
+    }
+}
+
+#[test]
+fn blocked_training_matches_oracle_across_block_boundaries() {
+    let row_counts = [
+        1,
+        TRAIN_BLOCK - 1,
+        TRAIN_BLOCK,
+        TRAIN_BLOCK + 1,
+        3 * TRAIN_BLOCK + 7,
+    ];
+    for samples in row_counts {
+        for start in [Start::Zero, Start::Converged, Start::Gaussian] {
+            let data = blocked_training_data(samples, start);
+            for metric in [Metric::Cosine, Metric::Hamming] {
+                for perf in perforations() {
+                    for epochs in [1, 3] {
+                        let case = format!(
+                            "samples={samples} start={start:?} metric={metric:?} perf={perf:?} \
+                             epochs={epochs}"
+                        );
+                        let (program, trained) = build_training_rows(samples, metric, perf, epochs);
+                        let (oracle, _) = run_training(&program, trained, &data, false);
+                        for shards in [1, 2, 3, 7] {
+                            let mut exec = Executor::new(&program).unwrap();
+                            exec.set_class_shards(Some(shards));
+                            exec.bind("train", data.0.clone()).unwrap();
+                            exec.bind("labels", data.1.clone()).unwrap();
+                            exec.bind("classes", data.2.clone()).unwrap();
+                            let out = exec.run().unwrap();
+                            assert_eq!(
+                                out.matrix(trained).unwrap().as_slice(),
+                                oracle.as_slice(),
+                                "{case} shards={shards}"
+                            );
+                            let stats = exec.stats();
+                            let passes = epochs * samples;
+                            // However many blocks an epoch is walked in, it
+                            // counts as one epoch kernel.
+                            assert_eq!(stats.epoch_kernel_ops, epochs, "{case}");
+                            assert_eq!(stats.batched_kernel_ops, epochs, "{case}");
+                            assert_eq!(stats.stage_samples, passes, "{case}");
+                            assert_eq!(stats.reference_kernel_ops, 0, "{case}");
+                            assert_eq!(
+                                stats.class_shards,
+                                if shards > 1 { epochs * shards } else { 0 },
+                                "{case}"
+                            );
+                            // Untouched score rows select through the merge
+                            // tree, patched ones directly.
+                            assert_eq!(
+                                stats.shard_merge_ops,
+                                (passes - stats.rescored_samples) * (shards - 1),
+                                "{case} shards={shards}"
+                            );
+                            // A patched sample patches one to CLASSES scores;
+                            // the first sample of a block never is.
+                            assert!(stats.rescored_rows >= stats.rescored_samples, "{case}");
+                            assert!(
+                                stats.rescored_rows <= stats.rescored_samples * CLASSES,
+                                "{case}"
+                            );
+                            let blocks = epochs * samples.div_ceil(TRAIN_BLOCK);
+                            assert!(stats.rescored_samples <= passes - blocks, "{case}");
+                            match start {
+                                Start::Converged => {
+                                    assert_eq!(stats.rescored_samples, 0, "{case}");
+                                    assert_eq!(stats.rescored_rows, 0, "{case}");
+                                }
+                                // From zero, sample 1 (label 1, predicted 0)
+                                // mispredicts, so sample 2 is patched.
+                                Start::Zero if samples > 2 => {
+                                    assert!(stats.rescored_samples > 0, "{case}");
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn converged_training_leaves_the_class_matrix_untouched() {
+    let data = blocked_training_data(TRAIN_BLOCK + 1, Start::Converged);
+    let (program, trained) = build_training_rows(TRAIN_BLOCK + 1, Metric::Cosine, None, 3);
+    let (batched, _) = run_training(&program, trained, &data, true);
+    assert_eq!(batched, data.2.to_dense_matrix("classes").unwrap());
+}
+
+// ---------------------------------------------------------------------------
+// instruction-level dense all-pairs similarity
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dense_all_pairs_scores_are_bit_identical_to_sequential() {
+    // Query and library counts leave every panel tail: 8k+1..8k+7 rows on
+    // the packed side, 4k+1..4k+3 on the streamed side.
+    for (queries, library) in [(9, 5), (10, 6), (11, 7), (13, 9), (23, 10), (3, 11), (1, 1)] {
+        for metric in [Metric::Cosine, Metric::Hamming] {
+            for perf in perforations() {
+                let mut b = ProgramBuilder::new("dense_all_pairs");
+                let q = b.input_matrix("queries", ElementKind::F64, queries, DIM);
+                let lib = b.input_matrix("library", ElementKind::F64, library, DIM);
+                let scores = match metric {
+                    Metric::Hamming => b.hamming_distance(q, lib),
+                    Metric::Cosine => b.cossim(q, lib),
+                };
+                if let Some((begin, end, stride)) = perf {
+                    b.red_perf(scores, begin, end, stride);
+                }
+                b.mark_output(scores);
+                let program = b.finish();
+
+                let mut rng = HdcRng::seed_from_u64(0xA11 ^ (queries * 31 + library) as u64);
+                // Hamming needs coinciding elements to say anything: bipolar
+                // rows; cosine gets non-integer ones.
+                let (qm, lm): (HyperMatrix<f64>, HyperMatrix<f64>) = match metric {
+                    Metric::Hamming => (
+                        hdc_core::random::bipolar_hypermatrix(queries, DIM, &mut rng),
+                        hdc_core::random::bipolar_hypermatrix(library, DIM, &mut rng),
+                    ),
+                    Metric::Cosine => (
+                        hdc_core::random::gaussian_hypermatrix(queries, DIM, &mut rng),
+                        hdc_core::random::gaussian_hypermatrix(library, DIM, &mut rng),
+                    ),
+                };
+                let run = |batched: bool, shards: Option<usize>| {
+                    let mut exec = Executor::new(&program).unwrap();
+                    exec.set_batched_stages(batched);
+                    exec.set_class_shards(shards);
+                    exec.bind("queries", Value::matrix(qm.clone())).unwrap();
+                    exec.bind("library", Value::matrix(lm.clone())).unwrap();
+                    let out = exec.run().unwrap();
+                    (out.matrix(scores).unwrap(), exec.stats())
+                };
+                let (sequential, s_stats) = run(false, None);
+                assert_eq!(s_stats.batched_kernel_ops, 0, "the oracle stays per-pair");
+                assert_eq!(
+                    s_stats.reference_kernel_ops, 0,
+                    "only counted in batched mode"
+                );
+                for shards in [1, 2, 3] {
+                    let (batched, b_stats) = run(true, Some(shards));
+                    assert_eq!(
+                        batched.as_slice(),
+                        sequential.as_slice(),
+                        "{queries}x{library} metric={metric:?} perf={perf:?} shards={shards}"
+                    );
+                    assert_eq!(b_stats.batched_kernel_ops, 1, "one batch kernel call");
+                    assert_eq!(b_stats.reference_kernel_ops, 0);
+                    assert_eq!(b_stats.tensor_bytes_copied, 0, "dense operands are shared");
+                    let effective = shards.min(library);
+                    assert_eq!(
+                        b_stats.class_shards,
+                        if effective > 1 { effective } else { 0 }
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn per_sample_fallbacks_are_counted_as_reference_kernel_ops() {
+    // Mixed packed/dense stage operands are the one shape the batch kernels
+    // leave to the per-sample loop; every sample then calls a reference
+    // `*_matrix` kernel, and batched mode says so.
+    let mut b = ProgramBuilder::new("mixed_operands");
+    let q = b.input_matrix("queries", ElementKind::Bit, QUERIES, DIM);
+    let c = b.input_matrix("classes", ElementKind::F64, CLASSES, DIM);
+    let preds = b.inference_loop("infer", q, c, ScorePolarity::Distance, |b, s| {
+        b.hamming_distance(s, c)
+    });
+    b.mark_output(preds);
+    let program = b.finish();
+    let (queries, _) = inference_data(true);
+    let (_, classes) = inference_data(false);
+    let (batched, b_stats) = run_inference(&program, preds, &queries, &classes, true);
+    let (sequential, s_stats) = run_inference(&program, preds, &queries, &classes, false);
+    assert_eq!(batched, sequential);
+    assert_eq!(b_stats.batched_kernel_ops, 0);
+    assert_eq!(b_stats.reference_kernel_ops, QUERIES);
+    assert_eq!(s_stats.reference_kernel_ops, 0);
 }
 
 #[test]

@@ -528,9 +528,9 @@ impl OnlineTrainer {
             }
             .ok_or_else(|| ServeError::Execution("empty score row".to_string()))?;
             if pred != label {
-                let sample = queries.row_vector(r).map_err(exec_err)?;
-                update_row_in_place(&mut self.shadow, label, &sample, 1.0).map_err(exec_err)?;
-                update_row_in_place(&mut self.shadow, pred, &sample, -1.0).map_err(exec_err)?;
+                let sample = queries.row(r).map_err(exec_err)?;
+                update_row_in_place(&mut self.shadow, label, sample, 1.0).map_err(exec_err)?;
+                update_row_in_place(&mut self.shadow, pred, sample, -1.0).map_err(exec_err)?;
                 stale = true;
                 updates += 1;
             }
