@@ -1,6 +1,6 @@
 //! Offline, API-compatible subset of the `loom` model checker.
 //!
-//! Like the sibling `rand` / `rayon` / `tokio` stand-ins, this crate exists
+//! Like the sibling `rand` / `rayon` stand-ins, this crate exists
 //! because the build environment has no registry access; the API mirrors
 //! upstream loom so swapping in the real dependency is a one-line
 //! `Cargo.toml` change. It provides what the workspace's concurrency models

@@ -16,8 +16,9 @@
 //!   stream against it in place; a perforated reduction packs and streams
 //!   only the visited columns, so it runs on the same SIMD panels as the
 //!   dense one and costs its visited fraction.
-//! * [`hamming_distance_batch_dense`] — the dense reference form of the
-//!   Hamming batch, for unbinarized configurations.
+//! * [`score_rows_sharded`] — a row block of dense queries × dense classes
+//!   under either metric: the cosine kernel above, or the dense reference
+//!   form of the Hamming batch for unbinarized configurations.
 //!
 //! Each score kernel has one implementation, the `_sharded` entry point:
 //! every `(query row block, class shard)` pair is a work item of the rayon
@@ -180,59 +181,15 @@ pub fn cosine_similarity_batch<T: Element>(
     cosine_similarity_batch_sharded(queries, classes, perforation, &plan)
 }
 
-/// Hamming distance between every row of two dense hypermatrices (the
-/// unbinarized reference form of [`hamming_distance_batch`]).
-///
-/// # Errors
-///
-/// Returns a dimension-mismatch error if the column counts differ and an
-/// invalid-perforation error for a bad descriptor.
-pub fn hamming_distance_batch_dense<T: Element>(
-    queries: &HyperMatrix<T>,
-    classes: &HyperMatrix<T>,
-    perforation: Perforation,
-) -> Result<HyperMatrix<f64>> {
-    let plan = ShardPlan::single(classes.rows());
-    hamming_distance_batch_dense_sharded(queries, classes, perforation, &plan)
-}
-
-/// Which similarity reduction an epoch-scoring call performs.
-///
-/// The batched training schedule scores blocks of an epoch with one kernel;
-/// the metric names which per-sample reduction that kernel must be
+/// Which similarity reduction a dense scoring call ([`score_rows_sharded`])
+/// performs: the metric names which per-sample reduction the kernel must be
 /// bit-identical to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityMetric {
     /// `cossim` scores ([`cosine_similarity_batch`]).
     Cosine,
-    /// Dense `hamming_distance` scores ([`hamming_distance_batch_dense`]).
+    /// Dense `hamming_distance` scores (mismatch counts over dense rows).
     Hamming,
-}
-
-/// Score a whole training epoch in one batched similarity call: every row
-/// of `train` against every row of the **frozen** class matrix `classes`,
-/// producing a `train.rows() x classes.rows()` score matrix.
-///
-/// Row `q` of the result is bit-identical to the per-sample reference
-/// kernel for `train.row(q)`
-/// ([`crate::similarity::cosine_similarity_matrix`] /
-/// [`crate::similarity::hamming_distance_matrix`]), which is what keeps a
-/// replay of the perceptron updates against these scores equal to the
-/// sequential oracle. The executor's blocked schedule scores one row block
-/// at a time with [`score_rows_sharded`].
-///
-/// # Errors
-///
-/// Returns a dimension-mismatch error if the column counts differ and an
-/// invalid-perforation error for a bad descriptor.
-pub fn score_epoch<T: Element>(
-    train: &HyperMatrix<T>,
-    classes: &HyperMatrix<T>,
-    metric: SimilarityMetric,
-    perforation: Perforation,
-) -> Result<HyperMatrix<f64>> {
-    let plan = ShardPlan::single(classes.rows());
-    score_epoch_sharded(train, classes, metric, perforation, &plan)
 }
 
 /// Segmented reduction: sum encoded rows into per-segment accumulators
@@ -570,22 +527,6 @@ fn cosine_from_parts(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
     }
 }
 
-/// [`hamming_distance_batch_dense`] with the class memory split by `plan`;
-/// identical for any plan (exact integer counts).
-///
-/// # Errors
-///
-/// As [`hamming_distance_batch_dense`], plus a dimension-mismatch error
-/// when `plan` was not built for `classes.rows()` rows.
-pub fn hamming_distance_batch_dense_sharded<T: Element>(
-    queries: &HyperMatrix<T>,
-    classes: &HyperMatrix<T>,
-    perforation: Perforation,
-    plan: &ShardPlan,
-) -> Result<HyperMatrix<f64>> {
-    dense_hamming_rows(queries, 0..queries.rows(), classes, perforation, plan)
-}
-
 /// The dense Hamming kernel over the row block `rows` of `queries`.
 fn dense_hamming_rows<T: Element>(
     queries: &HyperMatrix<T>,
@@ -608,34 +549,26 @@ fn dense_hamming_rows<T: Element>(
     }))
 }
 
-/// [`score_epoch`] with the class (frozen class matrix) axis split by
-/// `plan`; bit-identical for any plan.
+/// The dense score kernel over one row block: rows `rows` of `train`, read
+/// in place, against every row of `classes` (split by `plan`; bit-identical
+/// for any plan), producing a `rows.len() x classes.rows()` score matrix
+/// whose row `i` is bit-identical to the per-sample reference kernel for
+/// `train.row(rows.start + i)`
+/// ([`crate::similarity::cosine_similarity_matrix`] /
+/// [`crate::similarity::hamming_distance_matrix`]).
+///
+/// This is what the blocked training schedule calls per block, against the
+/// class matrix as it stands at the top of the block — which is what keeps
+/// a replay of the perceptron updates against these scores equal to the
+/// sequential oracle — and what dense all-pairs scoring calls over
+/// `0..train.rows()`.
 ///
 /// # Errors
 ///
-/// Same contract as [`score_epoch`] plus the shard-plan check.
-pub fn score_epoch_sharded<T: Element>(
-    train: &HyperMatrix<T>,
-    classes: &HyperMatrix<T>,
-    metric: SimilarityMetric,
-    perforation: Perforation,
-    plan: &ShardPlan,
-) -> Result<HyperMatrix<f64>> {
-    score_rows_sharded(train, 0..train.rows(), classes, metric, perforation, plan)
-}
-
-/// The epoch kernel over one row block: rows `rows` of `train`, read in
-/// place, against every row of `classes`, producing a `rows.len() x
-/// classes.rows()` score matrix whose row `i` is bit-identical to the
-/// per-sample reference kernel for `train.row(rows.start + i)`.
-///
-/// This is what the executor's blocked training schedule calls per block,
-/// against the class matrix as it stands at the top of the block.
-///
-/// # Errors
-///
-/// Same contract as [`score_epoch_sharded`], plus an index error when
-/// `rows` reaches past `train.rows()`.
+/// Returns a dimension-mismatch error if the column counts differ or
+/// `plan` was not built for `classes.rows()` rows, an invalid-perforation
+/// error for a bad descriptor, and an index error when `rows` reaches past
+/// `train.rows()`.
 pub fn score_rows_sharded<T: Element>(
     train: &HyperMatrix<T>,
     rows: Range<usize>,
@@ -776,6 +709,17 @@ mod tests {
         (q, c, qb, cb)
     }
 
+    /// [`score_rows_sharded`] over every row of `train`, one shard.
+    fn score_all(
+        train: &HyperMatrix<f64>,
+        classes: &HyperMatrix<f64>,
+        metric: SimilarityMetric,
+        perf: Perforation,
+    ) -> Result<HyperMatrix<f64>> {
+        let plan = ShardPlan::single(classes.rows());
+        score_rows_sharded(train, 0..train.rows(), classes, metric, perf, &plan)
+    }
+
     fn perforations(dim: usize) -> Vec<Perforation> {
         vec![
             Perforation::NONE,
@@ -824,7 +768,7 @@ mod tests {
     fn dense_hamming_batch_matches_per_sample() {
         let (q, c, _, _) = fixtures(5, 3, 130);
         for perf in perforations(130) {
-            let batch = hamming_distance_batch_dense(&q, &c, perf).unwrap();
+            let batch = score_all(&q, &c, SimilarityMetric::Hamming, perf).unwrap();
             for r in 0..5 {
                 let expect = hamming_distance_matrix(&q.row_vector(r).unwrap(), &c, perf).unwrap();
                 assert_eq!(batch.row(r).unwrap(), expect.as_slice());
@@ -849,7 +793,7 @@ mod tests {
         let m = HyperMatrix::<f64>::zeros(2, 8);
         let n = HyperMatrix::<f64>::zeros(2, 9);
         assert!(cosine_similarity_batch(&m, &n, Perforation::NONE).is_err());
-        assert!(hamming_distance_batch_dense(&m, &n, Perforation::NONE).is_err());
+        assert!(score_all(&m, &n, SimilarityMetric::Hamming, Perforation::NONE).is_err());
     }
 
     #[test]
@@ -891,13 +835,13 @@ mod tests {
     }
 
     #[test]
-    fn score_epoch_matches_per_sample_reference() {
+    fn whole_range_scores_match_per_sample_reference() {
         let mut rng = HdcRng::seed_from_u64(0xE90C);
         let train: HyperMatrix<f64> = random::gaussian_hypermatrix(9, 130, &mut rng);
         let classes: HyperMatrix<f64> = random::gaussian_hypermatrix(5, 130, &mut rng);
         for perf in perforations(130) {
-            let cos = score_epoch(&train, &classes, SimilarityMetric::Cosine, perf).unwrap();
-            let ham = score_epoch(&train, &classes, SimilarityMetric::Hamming, perf).unwrap();
+            let cos = score_all(&train, &classes, SimilarityMetric::Cosine, perf).unwrap();
+            let ham = score_all(&train, &classes, SimilarityMetric::Hamming, perf).unwrap();
             for r in 0..9 {
                 let q = train.row_vector(r).unwrap();
                 let expect_cos = cosine_similarity_matrix(&q, &classes, perf).unwrap();
@@ -941,13 +885,13 @@ mod tests {
     }
 
     #[test]
-    fn score_rows_is_a_row_block_of_score_epoch() {
+    fn score_rows_is_a_row_block_of_the_whole_range() {
         let mut rng = HdcRng::seed_from_u64(0xB10C);
         let train: HyperMatrix<f64> = random::gaussian_hypermatrix(21, 130, &mut rng);
         let classes: HyperMatrix<f64> = random::gaussian_hypermatrix(9, 130, &mut rng);
         for metric in [SimilarityMetric::Cosine, SimilarityMetric::Hamming] {
             for perf in perforations(130) {
-                let whole = score_epoch(&train, &classes, metric, perf).unwrap();
+                let whole = score_all(&train, &classes, metric, perf).unwrap();
                 for shards in [1, 2, 3] {
                     let plan = ShardPlan::split(9, shards);
                     for rows in [0..21, 3..4, 5..18, 20..21, 7..7] {
@@ -991,7 +935,7 @@ mod tests {
         for perf in perforations(130) {
             let norms: Vec<f64> = live.iter_rows().map(|r| perforated_norm(r, perf)).collect();
             for metric in [SimilarityMetric::Cosine, SimilarityMetric::Hamming] {
-                let mut scores = score_epoch(&queries, &frozen_classes, metric, perf).unwrap();
+                let mut scores = score_all(&queries, &frozen_classes, metric, perf).unwrap();
                 for (r, row) in scores.as_mut_slice().chunks_mut(7).enumerate() {
                     let q = queries.row(r).unwrap();
                     rescore_columns(row, q, &live, &norms, &dirty, metric, perf).unwrap();
@@ -1066,13 +1010,14 @@ mod tests {
                 let cos = cosine_similarity_batch(&qg, &cg, perf).unwrap();
                 let cos_sharded = cosine_similarity_batch_sharded(&qg, &cg, perf, &plan).unwrap();
                 assert_eq!(cos.as_slice(), cos_sharded.as_slice(), "cosine {shards}");
-                let ham = hamming_distance_batch_dense(&q, &c, perf).unwrap();
-                let ham_sharded =
-                    hamming_distance_batch_dense_sharded(&q, &c, perf, &plan).unwrap();
+                let hamming = SimilarityMetric::Hamming;
+                let ham = score_all(&q, &c, hamming, perf).unwrap();
+                let ham_sharded = score_rows_sharded(&q, 0..5, &c, hamming, perf, &plan).unwrap();
                 assert_eq!(ham.as_slice(), ham_sharded.as_slice(), "dense {shards}");
-                for metric in [SimilarityMetric::Cosine, SimilarityMetric::Hamming] {
-                    let epoch = score_epoch(&qg, &cg, metric, perf).unwrap();
-                    let epoch_sharded = score_epoch_sharded(&qg, &cg, metric, perf, &plan).unwrap();
+                for metric in [SimilarityMetric::Cosine, hamming] {
+                    let epoch = score_all(&qg, &cg, metric, perf).unwrap();
+                    let epoch_sharded =
+                        score_rows_sharded(&qg, 0..5, &cg, metric, perf, &plan).unwrap();
                     assert_eq!(epoch.as_slice(), epoch_sharded.as_slice(), "epoch {shards}");
                 }
             }
@@ -1118,7 +1063,8 @@ mod tests {
         assert!(hamming_distance_batch_sharded(&qb, &cb, Perforation::NONE, &wrong).is_err());
         let m = HyperMatrix::<f64>::zeros(2, 8);
         assert!(cosine_similarity_batch_sharded(&m, &m, Perforation::NONE, &wrong).is_err());
-        assert!(hamming_distance_batch_dense_sharded(&m, &m, Perforation::NONE, &wrong).is_err());
+        let hamming = SimilarityMetric::Hamming;
+        assert!(score_rows_sharded(&m, 0..2, &m, hamming, Perforation::NONE, &wrong).is_err());
         assert!(arg_top_k_batch_sharded(&m, 1, &wrong).is_err());
     }
 

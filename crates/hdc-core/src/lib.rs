@@ -61,8 +61,7 @@ pub mod similarity;
 
 pub use batch::{
     arg_top_k_batch, arg_top_k_batch_sharded, cosine_similarity_batch,
-    cosine_similarity_batch_sharded, hamming_distance_batch, hamming_distance_batch_dense,
-    hamming_distance_batch_dense_sharded, hamming_distance_batch_sharded,
+    cosine_similarity_batch_sharded, hamming_distance_batch, hamming_distance_batch_sharded,
 };
 pub use binary::{BitMatrix, BitVector};
 pub use element::Element;
@@ -76,10 +75,7 @@ pub use simd::KernelBackend;
 
 /// Commonly used items, for glob import in examples and applications.
 pub mod prelude {
-    pub use crate::batch::{
-        arg_top_k_batch, cosine_similarity_batch, hamming_distance_batch,
-        hamming_distance_batch_dense,
-    };
+    pub use crate::batch::{arg_top_k_batch, cosine_similarity_batch, hamming_distance_batch};
     pub use crate::binary::{BitMatrix, BitVector};
     pub use crate::element::Element;
     pub use crate::encoding::{

@@ -11,14 +11,12 @@
 //! `HDC_KERNEL_BACKEND=scalar` regression re-runs itself in a child process
 //! so the environment override is exercised on a fresh backend cache.
 
-use hdc_core::batch::accumulate_by_segment_bits;
+use hdc_core::batch::{accumulate_by_segment_bits, score_rows_sharded, SimilarityMetric};
 use hdc_core::prelude::*;
 use hdc_core::random::{bipolar_hypermatrix, random_hypermatrix};
+use hdc_core::shard::ShardPlan;
 use hdc_core::simd::{self, KernelBackend};
-use hdc_core::{
-    cosine_similarity_batch_sharded, hamming_distance_batch_dense_sharded,
-    hamming_distance_batch_sharded,
-};
+use hdc_core::{cosine_similarity_batch_sharded, hamming_distance_batch_sharded};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that mutate the process-global backend selection.
@@ -204,24 +202,25 @@ fn perforated_cosine_matches_per_sample_on_every_backend() {
 }
 
 #[test]
-fn score_epoch_matches_scalar_across_backends() {
-    use hdc_core::batch::score_epoch;
+fn whole_range_scores_match_scalar_across_backends() {
     for &dim in &[64usize, 130, 333] {
         let queries = dense_matrix(6, dim, 0x9A9 ^ dim as u64);
         let classes = dense_matrix(5, dim, 0x7C7 ^ dim as u64);
         let (scalar, simd_out) = on_both_backends(|| {
-            score_epoch(
+            score_rows_sharded(
                 &queries,
+                0..6,
                 &classes,
-                hdc_core::batch::SimilarityMetric::Cosine,
+                SimilarityMetric::Cosine,
                 Perforation::NONE,
+                &ShardPlan::single(5),
             )
             .unwrap()
         });
         assert_eq!(
             scalar.as_slice(),
             simd_out.as_slice(),
-            "score_epoch dim={dim}"
+            "score_rows_sharded dim={dim}"
         );
     }
 }
@@ -323,8 +322,9 @@ const FUZZ_SHARDS: &[usize] = &[1, 2, 3, 7, 16];
 
 #[test]
 fn sharded_kernels_match_unsharded_across_backends() {
-    use hdc_core::batch::{score_epoch_sharded, SimilarityMetric};
-    use hdc_core::shard::ShardPlan;
+    let score = |metric, dq: &HyperMatrix<f64>, dc: &HyperMatrix<f64>, perf, plan: &ShardPlan| {
+        score_rows_sharded(dq, 0..dq.rows(), dc, metric, perf, plan).unwrap()
+    };
     for &dim in &[1usize, 63, 65, 130, 193, 333] {
         let bq = bit_matrix(5, dim, 0x5AAD ^ dim as u64);
         let bc = bit_matrix(11, dim, 0xC1A5 ^ dim as u64);
@@ -337,9 +337,8 @@ fn sharded_kernels_match_unsharded_across_backends() {
                     (
                         hamming_distance_batch_sharded(&bq, &bc, perf, &plan).unwrap(),
                         cosine_similarity_batch_sharded(&dq, &dc, perf, &plan).unwrap(),
-                        hamming_distance_batch_dense_sharded(&dq, &dc, perf, &plan).unwrap(),
-                        score_epoch_sharded(&dq, &dc, SimilarityMetric::Cosine, perf, &plan)
-                            .unwrap(),
+                        score(SimilarityMetric::Hamming, &dq, &dc, perf, &plan),
+                        score(SimilarityMetric::Cosine, &dq, &dc, perf, &plan),
                     )
                 });
                 // Bit-identical across backends...
@@ -362,17 +361,14 @@ fn sharded_kernels_match_unsharded_across_backends() {
                     simd_out.1.as_slice(),
                     cosine_similarity_batch(&dq, &dc, perf).unwrap().as_slice()
                 );
+                let single = ShardPlan::single(11);
                 assert_eq!(
                     simd_out.2.as_slice(),
-                    hamming_distance_batch_dense(&dq, &dc, perf)
-                        .unwrap()
-                        .as_slice()
+                    score(SimilarityMetric::Hamming, &dq, &dc, perf, &single).as_slice()
                 );
                 assert_eq!(
                     simd_out.3.as_slice(),
-                    hdc_core::batch::score_epoch(&dq, &dc, SimilarityMetric::Cosine, perf)
-                        .unwrap()
-                        .as_slice()
+                    score(SimilarityMetric::Cosine, &dq, &dc, perf, &single).as_slice()
                 );
             }
         }
@@ -382,9 +378,7 @@ fn sharded_kernels_match_unsharded_across_backends() {
 #[test]
 fn sharded_selection_merges_match_global_ops_on_edge_cases() {
     use hdc_core::ops::{arg_max, arg_min, arg_top_k};
-    use hdc_core::shard::{
-        row_arg_max_sharded, row_arg_min_sharded, row_arg_top_k_sharded, ShardPlan,
-    };
+    use hdc_core::shard::{row_arg_max_sharded, row_arg_min_sharded, row_arg_top_k_sharded};
     // Score rows engineered so every shard boundary can split a tie, a NaN
     // run, or a -0.0/0.0 pair: the merge tree must reproduce the global
     // skip-NaN, total-order, first-occurrence semantics exactly.
@@ -451,7 +445,6 @@ fn sharded_selection_merges_match_global_ops_on_edge_cases() {
 /// results bit-identical to unsharded.
 #[test]
 fn num_threads_env_override_controls_pool_width() {
-    use hdc_core::shard::ShardPlan;
     if std::env::var("HDC_KE_THREADS_CHILD").is_ok() {
         assert_eq!(rayon::current_num_threads(), 3);
         let queries = bit_matrix(6, 300, 11);

@@ -42,30 +42,26 @@
 //!   from the predicted row. A binarized class matrix is unpacked for the
 //!   duration of the stage and re-binarized by sign at stage exit. In
 //!   batched mode, a recognized training body runs on the **blocked
-//!   re-freeze schedule**: each epoch is walked in fixed-length row blocks;
-//!   a block is scored against the class matrix as it stands at the top of
-//!   the block by the epoch kernel
-//!   ([`hdc_core::batch::score_rows_sharded`], reading the train rows in
-//!   place; all blocks of an epoch count once in
-//!   [`ExecStats::epoch_kernel_ops`]), and the perceptron updates are then
-//!   replayed in sample order. A misprediction marks its two class rows
-//!   dirty; for the later samples of the block only those columns of the
-//!   frozen score row are patched with the per-pair reference reduction
-//!   ([`hdc_core::batch::rescore_columns`], counted per sample in
-//!   [`ExecStats::rescored_samples`] and per patched score in
-//!   [`ExecStats::rescored_rows`]), and the next block re-freezes. Every
-//!   score a selection reads is therefore the one the per-sample kernel
-//!   would compute, so the trained matrix stays bit-identical to the
-//!   sequential oracle. The clustering accumulate-by-assignment
+//!   re-freeze schedule** of [`crate::training`], one
+//!   [`replay_epoch`] call per epoch (all blocks of an epoch count once
+//!   in [`ExecStats::epoch_kernel_ops`]; patched samples and scores are
+//!   counted in [`ExecStats::rescored_samples`] and
+//!   [`ExecStats::rescored_rows`]). Every score a selection reads is the
+//!   one the per-sample kernel would compute, so the trained matrix stays
+//!   bit-identical to the sequential oracle. The clustering
+//!   accumulate-by-assignment
 //!   `ParallelFor` gets the same frozen-assignment treatment: the
 //!   assignment vector is already frozen by the preceding assign stage, so
 //!   the whole update collapses into one segmented reduction
 //!   ([`hdc_core::batch::accumulate_by_segment`]).
 
 use crate::error::{Result, RuntimeError};
+use crate::training::{replay_epoch, update_row_in_place};
 use crate::value::Value;
+use hdc_core::batch::SimilarityMetric as Metric;
 use hdc_core::element::ElementKind;
 use hdc_core::ops::ElementwiseOp;
+use hdc_core::shard::Merged;
 use hdc_core::similarity::{
     cosine_similarity, cosine_similarity_all_pairs, cosine_similarity_matrix, hamming_distance,
     hamming_distance_all_pairs, hamming_distance_matrix,
@@ -377,10 +373,7 @@ impl<'p> Executor<'p> {
     /// override if set, else one shard per worker thread with at least
     /// [`hdc_core::shard::MIN_ROWS_PER_SHARD`] rows each.
     fn shard_plan(&self, class_rows: usize) -> hdc_core::ShardPlan {
-        let shards = self.class_shard_override.unwrap_or_else(|| {
-            hdc_core::default_shard_count(class_rows, rayon::current_num_threads())
-        });
-        hdc_core::ShardPlan::split(class_rows, shards)
+        shard_plan(self.class_shard_override, class_rows)
     }
 
     /// Enable or disable batched execution (default: enabled). Disabling
@@ -1130,19 +1123,23 @@ impl<'p> Executor<'p> {
                         }
                     }
                 }
-                // Conform the trained matrix back to the declared kind: one
-                // conversion, shared with the aliased output slot.
                 let trained = self.value(classes_id)?.clone();
-                let declared = &self.program.value(classes_id).ty;
-                let (conformed, copied) = trained.conform_to_counted(declared);
-                self.note_copy(copied);
-                self.set_raw(classes_id, conformed.clone());
-                if stage.interface.output != classes_id {
-                    self.set(stage.interface.output, conformed);
-                }
+                self.store_trained(stage, classes_id, trained);
             }
         }
         Ok(false)
+    }
+
+    /// Conform a trained dense class matrix back to the declared kind of
+    /// its slot: one conversion, shared with the aliased output slot.
+    fn store_trained(&mut self, stage: &StageNode, classes_id: ValueId, trained: Value) {
+        let declared = self.program.value(classes_id).ty;
+        let (conformed, copied) = trained.conform_to_counted(&declared);
+        self.note_copy(copied);
+        self.set_raw(classes_id, conformed.clone());
+        if stage.interface.output != classes_id {
+            self.set(stage.interface.output, conformed);
+        }
     }
 
     /// Recognize a stage body the batched kernels can execute in one call.
@@ -1159,32 +1156,38 @@ impl<'p> Executor<'p> {
                 _ => false,
             }
         };
+        // A body that is one similarity reduction of the sample against
+        // some other value: that value, the metric and the perforation.
+        let scored_against = || -> Option<(ValueId, Metric, Perforation)> {
+            let [instr] = stage.body.as_slice() else {
+                return None;
+            };
+            let metric = similarity_metric(&instr.op)?;
+            if instr.result != Some(stage.body_result) || !float_or(stage.body_result, false) {
+                return None;
+            }
+            let a = instr.operands.first().and_then(Operand::as_value)?;
+            let b = instr.operands.get(1).and_then(Operand::as_value)?;
+            let other = if a == stage.body_query && b != stage.body_query {
+                b
+            } else if b == stage.body_query && a != stage.body_query {
+                a
+            } else {
+                return None;
+            };
+            Some((
+                other,
+                metric,
+                instr.perforation.unwrap_or(Perforation::NONE),
+            ))
+        };
         match stage.kind {
             StageKind::Inference => {
-                let [instr] = stage.body.as_slice() else {
-                    return None;
-                };
-                let metric = match instr.op {
-                    HdcOp::CosineSimilarity => Metric::Cosine,
-                    HdcOp::HammingDistance => Metric::Hamming,
-                    _ => return None,
-                };
-                if instr.result != Some(stage.body_result) || !float_or(stage.body_result, false) {
-                    return None;
-                }
-                let a = instr.operands.first().and_then(Operand::as_value)?;
-                let b = instr.operands.get(1).and_then(Operand::as_value)?;
-                let classes = if a == stage.body_query && b != stage.body_query {
-                    b
-                } else if b == stage.body_query && a != stage.body_query {
-                    a
-                } else {
-                    return None;
-                };
+                let (classes, metric, perf) = scored_against()?;
                 Some(StagePlan::Inference {
                     classes,
                     metric,
-                    perf: instr.perforation.unwrap_or(Perforation::NONE),
+                    perf,
                 })
             }
             StageKind::Encoding => {
@@ -1230,55 +1233,19 @@ impl<'p> Executor<'p> {
                 })
             }
             StageKind::Training { epochs } => {
-                let [instr] = stage.body.as_slice() else {
-                    return None;
-                };
-                let metric = match instr.op {
-                    HdcOp::CosineSimilarity => Metric::Cosine,
-                    HdcOp::HammingDistance => Metric::Hamming,
-                    _ => return None,
-                };
-                if instr.result != Some(stage.body_result) || !float_or(stage.body_result, false) {
-                    return None;
-                }
-                let classes = stage.interface.classes?;
+                let (classes, metric, perf) = scored_against()?;
                 stage.interface.labels?;
-                let a = instr.operands.first().and_then(Operand::as_value)?;
-                let b = instr.operands.get(1).and_then(Operand::as_value)?;
-                let scored = (a == stage.body_query && b == classes)
-                    || (b == stage.body_query && a == classes);
-                if !scored || classes == stage.body_query {
+                if stage.interface.classes != Some(classes) {
                     return None;
                 }
                 Some(StagePlan::Training {
                     classes,
                     epochs,
                     metric,
-                    perf: instr.perforation.unwrap_or(Perforation::NONE),
+                    perf,
                 })
             }
         }
-    }
-
-    /// Per-row winner selection: through per-shard partials and the
-    /// reduction-tree merge when the plan is sharded (bit-identical to the
-    /// direct selection — global lowest-index tie-break and NaN skipping
-    /// are preserved across shard boundaries), directly otherwise.
-    fn select_sharded(
-        &mut self,
-        polarity: ScorePolarity,
-        row: &[f64],
-        plan: &hdc_core::ShardPlan,
-    ) -> Option<usize> {
-        if plan.shard_count() <= 1 {
-            return polarity.select(row);
-        }
-        let merged = match polarity {
-            ScorePolarity::Similarity => hdc_core::shard::row_arg_max_sharded(row, plan),
-            ScorePolarity::Distance => hdc_core::shard::row_arg_min_sharded(row, plan),
-        };
-        self.stats.shard_merge_ops += merged.merge_ops;
-        merged.value
     }
 
     /// Try to execute a stage as one batched kernel call. Returns `false`
@@ -1296,46 +1263,26 @@ impl<'p> Executor<'p> {
             } => {
                 let queries = self.value(stage.interface.queries)?.clone();
                 let classes_val = self.value(classes)?.clone();
-                let class_rows = match &classes_val {
-                    Value::BitMatrix(c) => c.rows(),
-                    Value::Matrix(c) => c.rows(),
-                    _ => return Ok(false),
+                let Some(class_rows) = matrix_rows(&classes_val) else {
+                    return Ok(false);
                 };
                 let plan = self.shard_plan(class_rows);
-                let scores: HyperMatrix<f64> = match (&queries, &classes_val) {
-                    (Value::BitMatrix(q), Value::BitMatrix(c)) => {
-                        let h = hdc_core::batch::hamming_distance_batch_sharded(q, c, perf, &plan)?;
-                        self.stats.bit_kernel_ops += q.rows();
-                        match metric {
-                            Metric::Hamming => h,
-                            Metric::Cosine => {
-                                let visited = perf.visited_count(q.cols());
-                                h.map(|d| bipolar_cosine(d, visited))
-                            }
-                        }
-                    }
-                    (Value::Matrix(q), Value::Matrix(c)) => match metric {
-                        Metric::Cosine => hdc_core::batch::cosine_similarity_batch_sharded(
-                            q.as_ref(),
-                            c.as_ref(),
-                            perf,
-                            &plan,
-                        )?,
-                        Metric::Hamming => hdc_core::batch::hamming_distance_batch_dense_sharded(
-                            q.as_ref(),
-                            c.as_ref(),
-                            perf,
-                            &plan,
-                        )?,
-                    },
-                    // Mixed packed/dense operands: sequential oracle.
-                    _ => return Ok(false),
+                // Mixed packed/dense operands: sequential oracle.
+                let Some(scores) = score_all_pairs(&queries, &classes_val, metric, perf, &plan)?
+                else {
+                    return Ok(false);
                 };
                 let rows = scores.rows();
+                if queries.is_packed() {
+                    self.stats.bit_kernel_ops += rows;
+                }
                 let labels: Vec<usize> = scores
                     .iter_rows()
                     .map(|row| {
-                        self.select_sharded(stage.polarity, row, &plan)
+                        let picked = select_sharded(stage.polarity, row, &plan);
+                        self.stats.shard_merge_ops += picked.merge_ops;
+                        picked
+                            .value
                             .ok_or(RuntimeError::Core(hdc_core::HdcError::EmptyInput(
                                 "stage scores",
                             )))
@@ -1384,16 +1331,10 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// The blocked re-freeze training schedule. Each epoch is walked in
-    /// blocks of [`TRAIN_BLOCK_ROWS`] samples: the block is scored against
-    /// the class matrix as it stands (the epoch kernel, reading the train
-    /// rows in place), then replayed in sample order. A misprediction
-    /// updates two class rows and marks them dirty; every later sample of
-    /// the block has exactly those columns of its frozen score row patched
-    /// with the per-pair reference reduction before it selects. Each score
-    /// read is thus the per-sample reference kernel's value against the
-    /// live matrix, so the trained matrix — and every prediction along the
-    /// way — exactly matches the sequential oracle.
+    /// The batched `training_loop`: one [`replay_epoch`] call (the blocked
+    /// re-freeze schedule) per epoch over a dense working copy of
+    /// the class matrix, which conforms back to the declared kind at stage
+    /// exit — the role the sequential oracle's dense shadow plays.
     fn exec_training_batched(
         &mut self,
         stage: &StageNode,
@@ -1410,96 +1351,32 @@ impl<'p> Executor<'p> {
         let (queries, q_copied) = self
             .value(stage.interface.queries)?
             .dense_matrix("stage queries")?;
-        // The dense working copy plays the role of the sequential oracle's
-        // dense shadow: perceptron updates accumulate in full precision and
-        // the result conforms back to the declared kind at stage exit.
         let mut classes_m: HyperMatrix<f64> = self
             .value(classes_id)?
             .to_dense_matrix("training classes")?;
         self.note_copy(q_copied + classes_m.rows() * classes_m.cols() * 8);
-        let batch_metric = match metric {
-            Metric::Cosine => hdc_core::batch::SimilarityMetric::Cosine,
-            Metric::Hamming => hdc_core::batch::SimilarityMetric::Hamming,
-        };
-        // One cached norm per class row, refreshed whenever the row is
-        // updated; only cosine patches read them.
-        let mut class_norms: Vec<f64> = match metric {
-            Metric::Cosine => classes_m
-                .iter_rows()
-                .map(|row| hdc_core::batch::perforated_norm(row, perf))
-                .collect(),
-            Metric::Hamming => Vec::new(),
-        };
-        let n = queries.rows().min(truth.len());
-        let class_count = classes_m.rows();
-        let plan = self.shard_plan(class_count);
-        let mut dirty: Vec<usize> = Vec::new();
         for _epoch in 0..epochs {
+            let counts = replay_epoch(
+                &queries,
+                &truth,
+                &mut classes_m,
+                metric,
+                stage.polarity,
+                perf,
+                self.class_shard_override,
+            )?;
             self.stats.epoch_kernel_ops += 1;
             self.stats.batched_kernel_ops += 1;
-            if plan.shard_count() > 1 {
-                self.stats.class_shards += plan.shard_count();
+            if counts.class_shards > 1 {
+                self.stats.class_shards += counts.class_shards;
             }
-            for start in (0..n).step_by(TRAIN_BLOCK_ROWS) {
-                let end = (start + TRAIN_BLOCK_ROWS).min(n);
-                let mut frozen = hdc_core::batch::score_rows_sharded(
-                    queries.as_ref(),
-                    start..end,
-                    &classes_m,
-                    batch_metric,
-                    perf,
-                    &plan,
-                )?;
-                dirty.clear();
-                for (r, &label) in truth.iter().enumerate().take(end).skip(start) {
-                    let first = (r - start) * class_count;
-                    let scores = &mut frozen.as_mut_slice()[first..first + class_count];
-                    let sample = queries.row(r)?;
-                    let pred = if dirty.is_empty() {
-                        self.select_sharded(stage.polarity, scores, &plan)
-                    } else {
-                        // Patched rows select directly, like the oracle.
-                        hdc_core::batch::rescore_columns(
-                            scores,
-                            sample,
-                            &classes_m,
-                            &class_norms,
-                            &dirty,
-                            batch_metric,
-                            perf,
-                        )?;
-                        self.stats.rescored_samples += 1;
-                        self.stats.rescored_rows += dirty.len();
-                        stage.polarity.select(scores)
-                    }
-                    .ok_or(RuntimeError::Core(
-                        hdc_core::HdcError::EmptyInput("stage scores"),
-                    ))?;
-                    self.stats.stage_samples += 1;
-                    self.stats.instructions_executed += 1;
-                    if pred != label {
-                        update_row_in_place(&mut classes_m, label, sample, 1.0)?;
-                        update_row_in_place(&mut classes_m, pred, sample, -1.0)?;
-                        for c in [label, pred] {
-                            if metric == Metric::Cosine {
-                                class_norms[c] =
-                                    hdc_core::batch::perforated_norm(classes_m.row(c)?, perf);
-                            }
-                            if !dirty.contains(&c) {
-                                dirty.push(c);
-                            }
-                        }
-                    }
-                }
-            }
+            self.stats.shard_merge_ops += counts.shard_merge_ops;
+            self.stats.rescored_samples += counts.rescored_samples;
+            self.stats.rescored_rows += counts.rescored_rows;
+            self.stats.stage_samples += counts.samples;
+            self.stats.instructions_executed += counts.samples;
         }
-        let declared = self.program.value(classes_id).ty;
-        let (conformed, copied) = Value::matrix(classes_m).conform_to_counted(&declared);
-        self.note_copy(copied);
-        self.set_raw(classes_id, conformed.clone());
-        if stage.interface.output != classes_id {
-            self.set(stage.interface.output, conformed);
-        }
+        self.store_trained(stage, classes_id, Value::matrix(classes_m));
         Ok(true)
     }
 
@@ -2013,82 +1890,58 @@ impl<'p> Executor<'p> {
                     }
                 })
             }
-            // All-pairs bit reduction: one batched XOR/popcount kernel. In
-            // sequential mode this falls through to the dense reference
-            // path below, so the oracle stays genuinely per-element (the
-            // two produce identical score *orderings*: bipolar rows all
-            // share the same norm, so dense cosine is a positive rescaling
-            // of the popcount form).
-            (Value::BitMatrix(a), Value::BitMatrix(b)) if self.batch_stages => {
-                self.stats.bit_kernel_ops += 1;
-                self.stats.batched_kernel_ops += 1;
-                let plan = self.shard_plan(b.rows());
-                if plan.shard_count() > 1 {
-                    self.stats.class_shards += plan.shard_count();
-                }
-                let h = hdc_core::batch::hamming_distance_batch_sharded(a, b, perf, &plan)?;
-                Value::matrix(match metric {
-                    Metric::Hamming => h,
-                    Metric::Cosine => {
-                        let visited = perf.visited_count(a.cols());
-                        h.map(|d| bipolar_cosine(d, visited))
-                    }
-                })
-            }
-            // Dense all-pairs reduction (also mixed packed/dense operands,
-            // unpacked first; the pure-bit combinations were all consumed
-            // above): one batched kernel call, like the bit-packed arm. In
-            // sequential mode the single-chain reference `*_all_pairs`
-            // runs instead, so the oracle stays per-pair.
-            (Value::Matrix(_) | Value::BitMatrix(_), Value::Matrix(_) | Value::BitMatrix(_)) => {
+            // All-pairs reduction, sequential mode: the single-chain
+            // reference `*_all_pairs` over the dense forms, so the oracle
+            // stays genuinely per-element (for packed operands it produces
+            // the same score *orderings* as the popcount form below: bipolar
+            // rows all share one norm, so dense cosine is a positive
+            // rescaling of it).
+            (Value::Matrix(_) | Value::BitMatrix(_), Value::Matrix(_) | Value::BitMatrix(_))
+                if !self.batch_stages =>
+            {
                 let (a, ca) = lhs.dense_matrix("similarity")?;
                 let (b, cb) = rhs.dense_matrix("similarity")?;
                 self.note_copy(ca + cb);
-                Value::matrix(if self.batch_stages {
-                    self.stats.batched_kernel_ops += 1;
-                    let plan = self.shard_plan(b.rows());
-                    if plan.shard_count() > 1 {
-                        self.stats.class_shards += plan.shard_count();
-                    }
-                    match metric {
-                        Metric::Cosine => hdc_core::batch::cosine_similarity_batch_sharded(
-                            a.as_ref(),
-                            b.as_ref(),
-                            perf,
-                            &plan,
-                        )?,
-                        Metric::Hamming => hdc_core::batch::hamming_distance_batch_dense_sharded(
-                            a.as_ref(),
-                            b.as_ref(),
-                            perf,
-                            &plan,
-                        )?,
-                    }
+                Value::matrix(match metric {
+                    Metric::Cosine => cosine_similarity_all_pairs(&a, &b, perf)?,
+                    Metric::Hamming => hamming_distance_all_pairs(&a, &b, perf)?,
+                })
+            }
+            // All-pairs reduction, batched mode: one kernel call. Two packed
+            // operands stay packed; any other pair is unpacked first.
+            (Value::Matrix(_) | Value::BitMatrix(_), Value::Matrix(_) | Value::BitMatrix(_)) => {
+                let (a, b) = if lhs.is_packed() && rhs.is_packed() {
+                    self.stats.bit_kernel_ops += 1;
+                    (lhs.clone(), rhs.clone())
                 } else {
-                    match metric {
-                        Metric::Cosine => cosine_similarity_all_pairs(&a, &b, perf)?,
-                        Metric::Hamming => hamming_distance_all_pairs(&a, &b, perf)?,
-                    }
-                })
+                    let (a, ca) = lhs.dense_matrix("similarity")?;
+                    let (b, cb) = rhs.dense_matrix("similarity")?;
+                    self.note_copy(ca + cb);
+                    (Value::Matrix(a), Value::Matrix(b))
+                };
+                self.stats.batched_kernel_ops += 1;
+                let plan = self.shard_plan(matrix_rows(&b).expect("matched as a matrix"));
+                if plan.shard_count() > 1 {
+                    self.stats.class_shards += plan.shard_count();
+                }
+                let scores = score_all_pairs(&a, &b, metric, perf, &plan)?;
+                Value::matrix(scores.expect("both packed or both dense by construction"))
             }
-            (Value::Matrix(_) | Value::BitMatrix(_), _) => {
-                let (a, ca) = lhs.dense_matrix("similarity")?;
-                let (q, cq) = rhs.dense_vector("similarity")?;
-                self.note_copy(ca + cq);
+            // A matrix against one vector, in either operand order: the
+            // per-sample reference kernel.
+            (Value::Matrix(_) | Value::BitMatrix(_), _)
+            | (_, Value::Matrix(_) | Value::BitMatrix(_)) => {
+                let (m, q) = match matrix_rows(&lhs) {
+                    Some(_) => (&lhs, &rhs),
+                    None => (&rhs, &lhs),
+                };
+                let (m, cm) = m.dense_matrix("similarity")?;
+                let (q, cq) = q.dense_vector("similarity")?;
+                self.note_copy(cm + cq);
                 self.note_reference_kernel();
                 Value::vector(match metric {
-                    Metric::Cosine => cosine_similarity_matrix(&q, &a, perf)?,
-                    Metric::Hamming => hamming_distance_matrix(&q, &a, perf)?,
-                })
-            }
-            (_, Value::Matrix(_) | Value::BitMatrix(_)) => {
-                let (q, cq) = lhs.dense_vector("similarity")?;
-                let (b, cb) = rhs.dense_matrix("similarity")?;
-                self.note_copy(cq + cb);
-                self.note_reference_kernel();
-                Value::vector(match metric {
-                    Metric::Cosine => cosine_similarity_matrix(&q, &b, perf)?,
-                    Metric::Hamming => hamming_distance_matrix(&q, &b, perf)?,
+                    Metric::Cosine => cosine_similarity_matrix(&q, &m, perf)?,
+                    Metric::Hamming => hamming_distance_matrix(&q, &m, perf)?,
                 })
             }
             _ => {
@@ -2111,60 +1964,84 @@ enum RandomKind {
     Bipolar,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Metric {
-    Cosine,
-    Hamming,
+/// The metric of a similarity intrinsic; `None` for any other op.
+fn similarity_metric(op: &HdcOp) -> Option<Metric> {
+    match op {
+        HdcOp::CosineSimilarity => Some(Metric::Cosine),
+        HdcOp::HammingDistance => Some(Metric::Hamming),
+        _ => None,
+    }
 }
 
-/// Samples per block of the blocked re-freeze training schedule: the epoch
-/// kernel re-freezes the scores every this many samples, so a patched
-/// sample never carries more than one block's worth of dirty class rows.
-/// Chosen by measurement on the ISOLET-shaped retraining workload (26
-/// classes, 2048 dimensions): shorter blocks pay the per-call panel packing
-/// and thread hand-off more often, longer ones patch more columns per
-/// sample.
-const TRAIN_BLOCK_ROWS: usize = 64;
+/// Row count of a dense or bit-packed matrix value.
+fn matrix_rows(value: &Value) -> Option<usize> {
+    match value {
+        Value::BitMatrix(m) => Some(m.rows()),
+        Value::Matrix(m) => Some(m.rows()),
+        _ => None,
+    }
+}
 
-/// `matrix[row] += sign * sample`, in place, with bounds checking — the
-/// perceptron update of `training_loop`, run once per misprediction.
-///
-/// Public so out-of-crate trainers (the online-adaptation path in
-/// `hdc-serve`) apply the *same* update kernel the offline executor uses:
-/// bit-identity between an online replay and the offline training schedule
-/// hinges on the two paths sharing this accumulation, not re-implementing
-/// it.
-///
-/// # Errors
-///
-/// Returns an index error if `row` is out of bounds, or a
-/// dimension-mismatch error if the sample length differs from the matrix
-/// column count.
-pub fn update_row_in_place(
-    matrix: &mut HyperMatrix<f64>,
-    row: usize,
-    sample: &[f64],
-    sign: f64,
-) -> Result<()> {
-    let (rows, cols) = (matrix.rows(), matrix.cols());
-    if row >= rows {
-        return Err(RuntimeError::Core(hdc_core::HdcError::IndexOutOfBounds {
-            index: row,
-            len: rows,
-        }));
+/// The shard plan for a class memory of `class_rows` rows: the override if
+/// set, else one shard per worker thread with at least
+/// [`hdc_core::shard::MIN_ROWS_PER_SHARD`] rows each.
+pub(crate) fn shard_plan(class_shards: Option<usize>, class_rows: usize) -> hdc_core::ShardPlan {
+    let shards = class_shards
+        .unwrap_or_else(|| hdc_core::default_shard_count(class_rows, rayon::current_num_threads()));
+    hdc_core::ShardPlan::split(class_rows, shards)
+}
+
+/// Per-row winner selection, with the pairwise merges it took: through
+/// per-shard partials and the reduction-tree merge when the plan is sharded
+/// (bit-identical to the direct selection — global lowest-index tie-break
+/// and NaN skipping are preserved across shard boundaries), directly
+/// otherwise.
+pub(crate) fn select_sharded(
+    polarity: ScorePolarity,
+    row: &[f64],
+    plan: &hdc_core::ShardPlan,
+) -> Merged<Option<usize>> {
+    if plan.shard_count() <= 1 {
+        return Merged {
+            value: polarity.select(row),
+            merge_ops: 0,
+        };
     }
-    if sample.len() != cols {
-        return Err(RuntimeError::Core(hdc_core::HdcError::DimensionMismatch {
-            expected: cols,
-            actual: sample.len(),
-            context: "training row update",
-        }));
+    match polarity {
+        ScorePolarity::Similarity => hdc_core::shard::row_arg_max_sharded(row, plan),
+        ScorePolarity::Distance => hdc_core::shard::row_arg_min_sharded(row, plan),
     }
-    let slice = &mut matrix.as_mut_slice()[row * cols..(row + 1) * cols];
-    for (slot, &x) in slice.iter_mut().zip(sample) {
-        *slot += sign * x;
-    }
-    Ok(())
+}
+
+/// The one all-pairs scorer of batched mode: every row of `a` against every
+/// row of `b` (the side `plan` shards), as an `a.rows() x b.rows()` score
+/// matrix. Two bit-packed matrices take the sharded XOR/popcount kernel
+/// (mapped through [`bipolar_cosine`] for cosine), two dense ones the
+/// sharded dense kernel of `metric`. `None` for any other operand pair;
+/// callers unpack or fall back, and keep their own accounting.
+fn score_all_pairs(
+    a: &Value,
+    b: &Value,
+    metric: Metric,
+    perf: Perforation,
+    plan: &hdc_core::ShardPlan,
+) -> Result<Option<HyperMatrix<f64>>> {
+    Ok(Some(match (a, b) {
+        (Value::BitMatrix(a), Value::BitMatrix(b)) => {
+            let h = hdc_core::batch::hamming_distance_batch_sharded(a, b, perf, plan)?;
+            match metric {
+                Metric::Hamming => h,
+                Metric::Cosine => {
+                    let visited = perf.visited_count(a.cols());
+                    h.map(|d| bipolar_cosine(d, visited))
+                }
+            }
+        }
+        (Value::Matrix(a), Value::Matrix(b)) => {
+            hdc_core::batch::score_rows_sharded(a, 0..a.rows(), b, metric, perf, plan)?
+        }
+        _ => return Ok(None),
+    }))
 }
 
 /// [`hdc_core::ops::arg_top_k`] with the same result contract as the

@@ -52,9 +52,11 @@
 //!   assert both paths produce identical outputs so any future kernel
 //!   change that breaks equivalence is caught immediately.
 //!
-//! Training loops always run sequentially — perceptron updates are
-//! order-dependent, so there is no batched schedule that preserves the
-//! reference semantics.
+//! A batched `training_loop` runs on the blocked re-freeze schedule of
+//! [`training`]: perceptron updates are order-dependent, so each block of
+//! an epoch is scored by one kernel call and replayed in sample order with
+//! the stale scores patched. [`replay_epoch`] is that schedule's one
+//! implementation, shared with the online trainer in `hdc-serve`.
 //!
 //! # Example
 //!
@@ -95,10 +97,12 @@
 
 pub mod error;
 pub mod executor;
+pub mod training;
 pub mod value;
 
 pub use error::{Result, RuntimeError};
-pub use executor::{update_row_in_place, ExecStats, Executor, Outputs, StageTraceEntry};
+pub use executor::{ExecStats, Executor, Outputs, StageTraceEntry};
+pub use training::{replay_epoch, EpochCounts, TRAIN_BLOCK_ROWS};
 pub use value::Value;
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //!   queue, unit-testable with a [`MockClock`].
 //! * [`service`] — [`Service`]: the dispatcher thread gathering requests
 //!   into windows, executing each window through the batched executor, and
-//!   scattering per-row results back through oneshot channels; plus
+//!   scattering per-row results back over one-shot `std::sync::mpsc`
+//!   channels ([`ResponseFuture`] is the blocking ticket for one); plus
 //!   health/stats snapshots backed by
 //!   [`ExecStats`](hdc_runtime::ExecStats) and an optional HTTP façade
 //!   for them.
@@ -27,10 +28,11 @@
 //! * [`online`] — [`OnlineTrainer`]: labeled-feedback perceptron updates
 //!   against a *shadow* class memory, re-frozen through the pass pipeline
 //!   and atomically published via [`ModelRegistry::swap`] under a
-//!   [`SwapPolicy`] (every N updates / every T elapsed / rescore-rate
-//!   threshold). Readers never see a partial update; the
-//!   `online_equivalence` suite pins the online replay bit-identical to
-//!   the offline batched trainer.
+//!   [`SwapPolicy`] (every N updates / every T elapsed). The replay is
+//!   `hdc_runtime::replay_epoch`, the offline trainer's own schedule;
+//!   readers never see a partial update, and the `online_equivalence`
+//!   suite pins the online replay bit-identical to the offline batched
+//!   trainer.
 //!
 //! The serving discipline mirrors the rest of the repo: every coalesced
 //! window must be **bit-identical** to serving each of its requests alone

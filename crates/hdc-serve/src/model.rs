@@ -410,19 +410,7 @@ impl ServableModel {
     /// [`ServeError::EmptyQuery`], [`ServeError::WrongDimension`], or
     /// [`ServeError::NonFinitePayload`].
     pub fn validate_query(&self, row: &[f64]) -> Result<()> {
-        if row.is_empty() {
-            return Err(ServeError::EmptyQuery);
-        }
-        if row.len() != self.features {
-            return Err(ServeError::WrongDimension {
-                expected: self.features,
-                got: row.len(),
-            });
-        }
-        if let Some(index) = row.iter().position(|x| !x.is_finite()) {
-            return Err(ServeError::NonFinitePayload { index });
-        }
-        Ok(())
+        validate_row(self.features, row)
     }
 
     /// The compiled program instantiated for a batch of `rows` queries
@@ -482,12 +470,7 @@ impl ServableModel {
             self.validate_query(row)?;
         }
         let program = self.program_for(rows.len())?;
-        let mut flat = Vec::with_capacity(rows.len() * self.features);
-        for row in rows {
-            flat.extend_from_slice(row);
-        }
-        let queries = HyperMatrix::from_flat(rows.len(), self.features, flat)
-            .map_err(|e| ServeError::Execution(e.to_string()))?;
+        let queries = stack_rows(self.features, rows)?;
         let mut exec = Executor::new(&program).map_err(exec_err)?;
         exec.set_batched_stages(batched);
         exec.set_parallel_loops(batched);
@@ -559,13 +542,41 @@ enum ScoreOp {
     Cosine,
 }
 
-fn exec_err(e: impl std::fmt::Display) -> ServeError {
+pub(crate) fn exec_err(e: impl std::fmt::Display) -> ServeError {
     ServeError::Execution(e.to_string())
 }
 
-/// Compile a serving template with the binarization configuration matching
-/// the harvested artifacts.
-fn compile_template(program: &mut Program, binarized: bool) -> Result<()> {
+/// Stack validated request rows into one `rows.len() x features` matrix.
+pub(crate) fn stack_rows(features: usize, rows: &[Vec<f64>]) -> Result<HyperMatrix<f64>> {
+    let mut flat = Vec::with_capacity(rows.len() * features);
+    for row in rows {
+        flat.extend_from_slice(row);
+    }
+    HyperMatrix::from_flat(rows.len(), features, flat).map_err(exec_err)
+}
+
+/// The one payload check of the serving layer, shared by query submission
+/// and online feedback: a row of exactly `features` finite values.
+pub(crate) fn validate_row(features: usize, row: &[f64]) -> Result<()> {
+    if row.is_empty() {
+        return Err(ServeError::EmptyQuery);
+    }
+    if row.len() != features {
+        return Err(ServeError::WrongDimension {
+            expected: features,
+            got: row.len(),
+        });
+    }
+    if let Some(index) = row.iter().position(|x| !x.is_finite()) {
+        return Err(ServeError::NonFinitePayload { index });
+    }
+    Ok(())
+}
+
+/// Compile a serving-layer program (inference template, feedback encode,
+/// re-freeze) with the binarization configuration matching the harvested
+/// artifacts.
+pub(crate) fn compile_template(program: &mut Program, binarized: bool) -> Result<()> {
     let options = if binarized {
         CompileOptions::default()
     } else {
@@ -577,7 +588,7 @@ fn compile_template(program: &mut Program, binarized: bool) -> Result<()> {
 }
 
 /// Shape of a dense or bit-packed matrix value.
-fn matrix_shape(value: &Value, what: &str) -> Result<(usize, usize)> {
+pub(crate) fn matrix_shape(value: &Value, what: &str) -> Result<(usize, usize)> {
     match value {
         Value::Matrix(m) => Ok((m.rows(), m.cols())),
         Value::BitMatrix(b) => Ok((b.rows(), b.cols())),
@@ -586,6 +597,16 @@ fn matrix_shape(value: &Value, what: &str) -> Result<(usize, usize)> {
             other.kind_name()
         ))),
     }
+}
+
+/// Build an executor for `program` (default, batched schedule), bind
+/// `binds` — `Arc` payloads, so refcount bumps — and run it once.
+pub(crate) fn run_once(program: &Program, binds: &[(&str, Value)]) -> hdc_runtime::Result<Outputs> {
+    let mut exec = Executor::new(program)?;
+    for (name, value) in binds {
+        exec.bind(name, value.clone())?;
+    }
+    exec.run()
 }
 
 /// Run a compiled app program once with the named values flipped to
@@ -607,14 +628,7 @@ fn harvest(program: &Program, binds: &[(&str, Value)], names: &[&str]) -> Result
     for &id in &ids {
         p.value_mut(id).role = ValueRole::Output;
     }
-    let mut exec = Executor::new(&p).map_err(|e| ServeError::ModelBuild(e.to_string()))?;
-    for (name, value) in binds {
-        exec.bind(name, value.clone())
-            .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
-    }
-    let out = exec
-        .run()
-        .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
+    let out = run_once(&p, binds).map_err(|e| ServeError::ModelBuild(e.to_string()))?;
     Ok(ids
         .iter()
         .map(|&id| {

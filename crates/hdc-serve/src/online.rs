@@ -18,15 +18,11 @@
 //!
 //! * **Encoding** runs the same `encoding_loop` (batched `matmul` +
 //!   `sign`) the app's program uses, compiled through the same pass
-//!   pipeline, executed on a [`fork`](Executor::fork) of a bound executor
-//!   — so feedback rows encode bit-identically to offline training rows.
-//! * **Replay** mirrors the executor's batched training schedule exactly:
-//!   scores for the whole mini-batch are frozen with one
-//!   [`score_epoch_sharded`] call, samples replay in submission order, and
-//!   the first class-memory update flips the remainder of the batch to
-//!   live per-sample rescoring with the public reference kernel — the
-//!   same stale-flag protocol `hdc-runtime` uses, with the same
-//!   [`update_row_in_place`] accumulation.
+//!   pipeline — so feedback rows encode bit-identically to offline
+//!   training rows.
+//! * **Replay** *is* the executor's batched training schedule: each feed
+//!   is one [`replay_epoch`] call over the encoded mini-batch — the blocked
+//!   re-freeze walk the offline `training_loop` stage runs once per epoch.
 //! * **Freezing** re-runs `sign` over the shadow through the compiled
 //!   pass pipeline (binarized or dense baseline, matching the live
 //!   model), producing the same artifact representation the offline
@@ -37,18 +33,18 @@
 //! memory bit-identical to the offline batched trainer's.
 
 use crate::clock::{Clock, SystemClock};
-use crate::model::ServableModel;
+use crate::model::{
+    compile_template, exec_err, matrix_shape, run_once, stack_rows, validate_row, ServableModel,
+};
 use crate::registry::ModelRegistry;
 use crate::{Result, ServeError};
-use hdc_core::batch::{score_epoch_sharded, SimilarityMetric};
+use hdc_core::batch::SimilarityMetric;
 use hdc_core::element::ElementKind;
-use hdc_core::similarity::cosine_similarity_matrix;
-use hdc_core::{default_shard_count, HyperMatrix, Perforation, ShardPlan};
+use hdc_core::{HyperMatrix, Perforation};
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::Program;
 use hdc_ir::stage::ScorePolarity;
-use hdc_passes::{compile, CompileOptions};
-use hdc_runtime::{update_row_in_place, Executor, Value};
+use hdc_runtime::{replay_epoch, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,13 +60,6 @@ pub struct SwapPolicy {
     pub every_updates: Option<u64>,
     /// Publish once this much time has passed since the last publish.
     pub every_elapsed: Option<Duration>,
-    /// Publish when the live-rescore rate since the last publish exceeds
-    /// this fraction. The rescore rate is PR 5's staleness machinery: the
-    /// share of replayed samples that could not use the frozen epoch
-    /// scores because an earlier update invalidated them. A high rate
-    /// means the shadow is diverging quickly from what it was scoring
-    /// with — i.e. from what the live model is still serving.
-    pub rescore_rate_above: Option<f64>,
 }
 
 impl SwapPolicy {
@@ -103,8 +92,8 @@ pub struct OnlineTrainerConfig {
     /// When to publish the shadow as a new generation.
     pub policy: SwapPolicy,
     /// Class-memory shard count override for the frozen-score selection,
-    /// exactly like [`Executor::set_class_shards`]; `None` derives the
-    /// count from the class rows and worker threads.
+    /// exactly like [`hdc_runtime::Executor::set_class_shards`]; `None`
+    /// derives the count from the class rows and worker threads.
     pub class_shards: Option<usize>,
 }
 
@@ -117,21 +106,22 @@ pub struct OnlineStats {
     pub samples: u64,
     /// Perceptron updates applied (mispredicted samples).
     pub updates: u64,
-    /// Samples re-scored live because an earlier update in their batch
-    /// invalidated the frozen scores.
+    /// Samples whose frozen score row was patched: visited after an
+    /// earlier update within the same row block of their feed.
     pub rescored: u64,
     /// Generations published through the registry.
     pub publishes: u64,
 }
 
 /// The outcome of one [`OnlineTrainer::feed`] call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FeedOutcome {
     /// Samples replayed from this batch.
     pub processed: usize,
     /// Perceptron updates this batch applied to the shadow.
     pub updates: u64,
-    /// Samples this batch re-scored live against the updated shadow.
+    /// Samples of this batch whose frozen score row was patched against
+    /// the updated shadow.
     pub rescored: u64,
     /// The new generation, if the swap policy fired on this batch.
     pub published: Option<Arc<ServableModel>>,
@@ -167,8 +157,6 @@ pub struct OnlineTrainer {
     clock: Arc<dyn Clock>,
     last_publish_at: Instant,
     updates_since_publish: u64,
-    samples_since_publish: u64,
-    rescored_since_publish: u64,
     generation: u64,
     stats: OnlineStats,
 }
@@ -227,15 +215,7 @@ impl OnlineTrainer {
             .to_dense_matrix("train state")
             .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
         let rp = model.projection().clone();
-        let dim = match &rp {
-            Value::Matrix(m) => m.rows(),
-            other => {
-                return Err(ServeError::ModelBuild(format!(
-                    "projection must be a dense matrix, got {}",
-                    other.kind_name()
-                )))
-            }
-        };
+        let (dim, _) = matrix_shape(&rp, "rp_matrix")?;
         if shadow.cols() != dim {
             return Err(ServeError::ModelBuild(format!(
                 "train state cols {} != projection dim {dim}",
@@ -260,8 +240,6 @@ impl OnlineTrainer {
             clock,
             last_publish_at: now,
             updates_since_publish: 0,
-            samples_since_publish: 0,
-            rescored_since_publish: 0,
             generation: 0,
             stats: OnlineStats::default(),
         })
@@ -319,7 +297,23 @@ impl OnlineTrainer {
     ///
     /// [`ServeError::ModelBuild`] if compiling the encode program fails.
     pub fn encoding_program(&mut self, rows: usize) -> Result<Arc<Program>> {
-        self.encode_program(rows)
+        if let Some(p) = self.encode_programs.get(&rows) {
+            return Ok(Arc::clone(p));
+        }
+        let mut b = ProgramBuilder::new(format!("online_encode_{}", self.key));
+        let queries = b.input_matrix("queries", ElementKind::F64, rows, self.features);
+        let rp_in = b.input_matrix("rp_matrix", ElementKind::F64, self.dim, self.features);
+        let enc = b.encoding_loop("encode", queries, self.dim, |b, q| {
+            let e = b.matmul(q, rp_in);
+            b.sign(e)
+        });
+        b.name_value(enc, "encoded");
+        b.mark_output(enc);
+        let mut program = b.finish();
+        compile_template(&mut program, self.binarized)?;
+        let arc = Arc::new(program);
+        self.encode_programs.insert(rows, Arc::clone(&arc));
+        Ok(arc)
     }
 
     /// Process one mini-batch of labeled feedback: encode the rows, replay
@@ -344,7 +338,7 @@ impl OnlineTrainer {
             )));
         }
         for row in rows {
-            self.validate_row(row)?;
+            validate_row(self.features, row)?;
         }
         let classes = self.classes();
         for &label in labels {
@@ -353,22 +347,25 @@ impl OnlineTrainer {
             }
         }
         if rows.is_empty() {
-            return Ok(FeedOutcome {
-                processed: 0,
-                updates: 0,
-                rescored: 0,
-                published: None,
-            });
+            return Ok(FeedOutcome::default());
         }
         let encoded = self.encode(rows)?;
-        let (updates, rescored) = self.replay(&encoded, labels)?;
+        let counts = replay_epoch(
+            &encoded,
+            labels,
+            &mut self.shadow,
+            SimilarityMetric::Cosine,
+            ScorePolarity::Similarity,
+            Perforation::NONE,
+            self.class_shards,
+        )
+        .map_err(exec_err)?;
+        let (updates, rescored) = (counts.updates as u64, counts.rescored_samples as u64);
         self.stats.feeds += 1;
         self.stats.samples += rows.len() as u64;
         self.stats.updates += updates;
         self.stats.rescored += rescored;
-        self.samples_since_publish += rows.len() as u64;
         self.updates_since_publish += updates;
-        self.rescored_since_publish += rescored;
         let published = if self.should_publish() {
             Some(self.publish()?)
         } else {
@@ -422,27 +419,8 @@ impl OnlineTrainer {
         self.generation += 1;
         self.stats.publishes += 1;
         self.updates_since_publish = 0;
-        self.samples_since_publish = 0;
-        self.rescored_since_publish = 0;
         self.last_publish_at = self.clock.now();
         Ok(model)
-    }
-
-    /// Validate a feedback row exactly like query submission does.
-    fn validate_row(&self, row: &[f64]) -> Result<()> {
-        if row.is_empty() {
-            return Err(ServeError::EmptyQuery);
-        }
-        if row.len() != self.features {
-            return Err(ServeError::WrongDimension {
-                expected: self.features,
-                got: row.len(),
-            });
-        }
-        if let Some(index) = row.iter().position(|x| !x.is_finite()) {
-            return Err(ServeError::NonFinitePayload { index });
-        }
-        Ok(())
     }
 
     fn should_publish(&self) -> bool {
@@ -459,13 +437,6 @@ impl OnlineTrainer {
                 return true;
             }
         }
-        if let Some(rate) = self.policy.rescore_rate_above {
-            if self.samples_since_publish > 0
-                && self.rescored_since_publish as f64 / self.samples_since_publish as f64 > rate
-            {
-                return true;
-            }
-        }
         false
     }
 
@@ -475,128 +446,27 @@ impl OnlineTrainer {
     /// bit-packed encode output reproduces the dense `sign` exactly:
     /// both map `0.0` to `+1`).
     fn encode(&mut self, rows: &[Vec<f64>]) -> Result<HyperMatrix<f64>> {
-        let program = self.encode_program(rows.len())?;
-        let mut flat = Vec::with_capacity(rows.len() * self.features);
-        for row in rows {
-            flat.extend_from_slice(row);
-        }
-        let queries = HyperMatrix::from_flat(rows.len(), self.features, flat).map_err(exec_err)?;
-        let mut base = Executor::new(&program).map_err(exec_err)?;
-        base.set_batched_stages(true);
-        base.set_parallel_loops(true);
-        base.bind("rp_matrix", self.rp.clone()).map_err(exec_err)?;
-        base.bind("queries", Value::matrix(queries))
-            .map_err(exec_err)?;
-        // Shadow execution: run on a fork so the bound base store is never
-        // mutated in place — the same isolation discipline serving windows
-        // get from re-binding per window, at refcount-bump cost.
-        let mut shadow_exec = base.fork();
-        let out = shadow_exec.run().map_err(exec_err)?;
+        let program = self.encoding_program(rows.len())?;
+        let queries = stack_rows(self.features, rows)?;
+        let binds = [
+            ("rp_matrix", self.rp.clone()),
+            ("queries", Value::matrix(queries)),
+        ];
+        let out = run_once(&program, &binds).map_err(exec_err)?;
         out.by_name("encoded")
             .ok_or_else(|| ServeError::Execution("encode output missing".to_string()))?
             .to_dense_matrix("encoded feedback")
             .map_err(exec_err)
     }
 
-    /// Replay one encoded mini-batch against the shadow, mirroring the
-    /// executor's batched training schedule: freeze the whole batch's
-    /// scores with one sharded epoch kernel, replay in order, and fall
-    /// back to live per-sample rescoring once an update makes the frozen
-    /// scores stale. Returns `(updates, rescored)`.
-    fn replay(&mut self, queries: &HyperMatrix<f64>, labels: &[usize]) -> Result<(u64, u64)> {
-        let plan = self.shard_plan();
-        let frozen = score_epoch_sharded(
-            queries,
-            &self.shadow,
-            SimilarityMetric::Cosine,
-            Perforation::NONE,
-            &plan,
-        )
-        .map_err(exec_err)?;
-        let mut stale = false;
-        let mut updates = 0u64;
-        let mut rescored = 0u64;
-        for (r, &label) in labels.iter().enumerate() {
-            let pred = if stale {
-                let sample = queries.row_vector(r).map_err(exec_err)?;
-                let scores = cosine_similarity_matrix(&sample, &self.shadow, Perforation::NONE)
-                    .map_err(exec_err)?;
-                rescored += 1;
-                ScorePolarity::Similarity.select(scores.as_slice())
-            } else {
-                select_sharded(frozen.row(r).map_err(exec_err)?, &plan)
-            }
-            .ok_or_else(|| ServeError::Execution("empty score row".to_string()))?;
-            if pred != label {
-                let sample = queries.row(r).map_err(exec_err)?;
-                update_row_in_place(&mut self.shadow, label, sample, 1.0).map_err(exec_err)?;
-                update_row_in_place(&mut self.shadow, pred, sample, -1.0).map_err(exec_err)?;
-                stale = true;
-                updates += 1;
-            }
-        }
-        Ok((updates, rescored))
-    }
-
     /// Re-freeze the shadow: `sign(class_hvs)` through the compiled pass
     /// pipeline, bit-packed under the binarized configuration.
     fn freeze(&self) -> Result<Value> {
-        let mut base = Executor::new(&self.freeze_program).map_err(exec_err)?;
-        base.bind("class_hvs", Value::matrix(self.shadow.clone()))
-            .map_err(exec_err)?;
-        let mut shadow_exec = base.fork();
-        let out = shadow_exec.run().map_err(exec_err)?;
+        let binds = [("class_hvs", Value::matrix(self.shadow.clone()))];
+        let out = run_once(&self.freeze_program, &binds).map_err(exec_err)?;
         out.by_name("class_bits")
             .cloned()
             .ok_or_else(|| ServeError::Execution("freeze output missing".to_string()))
-    }
-
-    fn encode_program(&mut self, rows: usize) -> Result<Arc<Program>> {
-        if let Some(p) = self.encode_programs.get(&rows) {
-            return Ok(Arc::clone(p));
-        }
-        let mut b = ProgramBuilder::new(format!("online_encode_{}", self.key));
-        let queries = b.input_matrix("queries", ElementKind::F64, rows, self.features);
-        let rp_in = b.input_matrix("rp_matrix", ElementKind::F64, self.dim, self.features);
-        let enc = b.encoding_loop("encode", queries, self.dim, |b, q| {
-            let e = b.matmul(q, rp_in);
-            b.sign(e)
-        });
-        b.name_value(enc, "encoded");
-        b.mark_output(enc);
-        let mut program = b.finish();
-        compile(&mut program, &self.compile_options())
-            .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
-        let arc = Arc::new(program);
-        self.encode_programs.insert(rows, Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    fn compile_options(&self) -> CompileOptions {
-        if self.binarized {
-            CompileOptions::default()
-        } else {
-            CompileOptions::baseline()
-        }
-    }
-
-    fn shard_plan(&self) -> ShardPlan {
-        let rows = self.shadow.rows();
-        let shards = self
-            .class_shards
-            .unwrap_or_else(|| default_shard_count(rows, rayon::current_num_threads()));
-        ShardPlan::split(rows, shards)
-    }
-}
-
-/// The frozen-score selection of the batched training schedule: plain
-/// first-occurrence arg-max for a single shard, the sharded merge (global
-/// lowest-index tie-break) otherwise.
-fn select_sharded(row: &[f64], plan: &ShardPlan) -> Option<usize> {
-    if plan.shard_count() <= 1 {
-        ScorePolarity::Similarity.select(row)
-    } else {
-        hdc_core::shard::row_arg_max_sharded(row, plan).value
     }
 }
 
@@ -607,15 +477,6 @@ fn build_freeze_program(key: &str, classes: usize, dim: usize, binarized: bool) 
     b.name_value(bits, "class_bits");
     b.mark_output(bits);
     let mut program = b.finish();
-    let options = if binarized {
-        CompileOptions::default()
-    } else {
-        CompileOptions::baseline()
-    };
-    compile(&mut program, &options).map_err(|e| ServeError::ModelBuild(e.to_string()))?;
+    compile_template(&mut program, binarized)?;
     Ok(program)
-}
-
-fn exec_err(e: impl std::fmt::Display) -> ServeError {
-    ServeError::Execution(e.to_string())
 }

@@ -7,14 +7,16 @@
 //! payload (typed [`ServeError`]s for wrong-dimension / empty / non-finite
 //! queries — a bad request is rejected *before* it can join a window, so
 //! it can never poison co-batched traffic), and pushes the request into
-//! the model's [`Coalescer`]. The returned [`ResponseFuture`] resolves
-//! when the dispatcher thread executes the window the request landed in.
+//! the model's [`Coalescer`]. The returned [`ResponseFuture`] is a blocking
+//! ticket: [`ResponseFuture::wait`] returns once the dispatcher thread has
+//! executed the window the request landed in.
 //!
 //! The dispatcher gathers flushed windows (size-full flushes happen on
 //! the submitting thread; deadline flushes on the dispatcher's timer),
 //! stacks each window's rows into one query matrix, runs it through the
 //! batched executor via [`ServableModel::infer_window`], and scatters the
-//! per-row predictions back through oneshot channels.
+//! per-row predictions back through one-shot [`std::sync::mpsc`] channels,
+//! one per request.
 //!
 //! # Model swaps mid-flight
 //!
@@ -41,13 +43,9 @@ use crate::registry::ModelRegistry;
 use crate::{Result, ServeError};
 use hdc_runtime::StageTraceEntry;
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tokio::sync::oneshot;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +75,10 @@ impl Default for ServiceConfig {
 struct PendingRequest {
     model: Arc<ServableModel>,
     row: Vec<f64>,
-    reply: oneshot::Sender<Result<Prediction>>,
+    /// Sent to exactly once. If the dispatcher ever drops a request
+    /// unanswered (only possible on teardown), the hang-up itself resolves
+    /// the waiter — see [`ResponseFuture::wait`].
+    reply: mpsc::Sender<Result<Prediction>>,
 }
 
 /// Counter set behind the stats endpoint. All counters are cumulative
@@ -186,45 +187,19 @@ impl std::fmt::Debug for Service {
     }
 }
 
-/// Future resolving to a request's prediction (or typed error).
+/// A blocking ticket for one request's prediction (or typed error). The
+/// name is historical: nothing polls or awaits it; redeem it with
+/// [`ResponseFuture::wait`] from any thread.
 pub struct ResponseFuture {
-    state: ResponseState,
-}
-
-enum ResponseState {
-    /// Rejected before entering a window.
-    Immediate(Option<ServeError>),
-    /// Waiting on the window's scatter.
-    Waiting(oneshot::Receiver<Result<Prediction>>),
-}
-
-impl Future for ResponseFuture {
-    type Output = Result<Prediction>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match &mut this.state {
-            ResponseState::Immediate(err) => {
-                Poll::Ready(Err(err.take().expect("response polled after completion")))
-            }
-            ResponseState::Waiting(rx) => match Pin::new(rx).poll(cx) {
-                Poll::Ready(Ok(result)) => Poll::Ready(result),
-                // The dispatcher dropped the reply channel without
-                // answering: only possible on teardown.
-                Poll::Ready(Err(_)) => Poll::Ready(Err(ServeError::ShuttingDown)),
-                Poll::Pending => Poll::Pending,
-            },
-        }
-    }
+    answer: mpsc::Receiver<Result<Prediction>>,
 }
 
 impl ResponseFuture {
-    /// Block the calling thread until the response arrives (for
-    /// synchronous callers like the load generator's submitter lanes).
+    /// Block the calling thread until the response arrives. A request
+    /// rejected at submission carries its error already; one the dispatcher
+    /// drops unanswered (teardown) resolves to [`ServeError::ShuttingDown`].
     pub fn wait(self) -> Result<Prediction> {
-        tokio::runtime::Runtime::new()
-            .expect("compat runtime is infallible")
-            .block_on(self)
+        self.answer.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 }
 
@@ -275,24 +250,18 @@ impl Service {
     }
 
     /// Submit one query against the named model. Resolution and validation
-    /// happen synchronously; the returned future resolves when the window
-    /// containing the request has executed.
+    /// happen synchronously; the returned ticket's `wait()` returns when the
+    /// window containing the request has executed.
     pub fn submit(&self, model_name: &str, row: Vec<f64>) -> ResponseFuture {
-        match self.try_enqueue(model_name, row) {
-            Ok(rx) => ResponseFuture {
-                state: ResponseState::Waiting(rx),
-            },
-            Err(err) => ResponseFuture {
-                state: ResponseState::Immediate(Some(err)),
-            },
-        }
+        self.try_enqueue(model_name, row).unwrap_or_else(|err| {
+            // Rejected before entering a window: the ticket is born answered.
+            let (reply, answer) = mpsc::channel();
+            let _ = reply.send(Err(err));
+            ResponseFuture { answer }
+        })
     }
 
-    fn try_enqueue(
-        &self,
-        model_name: &str,
-        row: Vec<f64>,
-    ) -> Result<oneshot::Receiver<Result<Prediction>>> {
+    fn try_enqueue(&self, model_name: &str, row: Vec<f64>) -> Result<ResponseFuture> {
         let inner = &self.inner;
         if inner.stopping.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
@@ -309,12 +278,8 @@ impl Service {
                 return Err(err);
             }
         };
-        let (tx, rx) = oneshot::channel();
-        let request = PendingRequest {
-            model,
-            row,
-            reply: tx,
-        };
+        let (reply, answer) = mpsc::channel();
+        let request = PendingRequest { model, row, reply };
         let now = inner.clock.now();
         let mut state = inner.state.lock().unwrap();
         if inner.stopping.load(Ordering::SeqCst) {
@@ -333,7 +298,7 @@ impl Service {
         // Wake the dispatcher: either a window is ready or a new deadline
         // needs arming.
         inner.wake.notify_all();
-        Ok(rx)
+        Ok(ResponseFuture { answer })
     }
 
     /// Attach an online trainer for its registry key. Replaces any trainer
@@ -584,8 +549,11 @@ fn execute_window(inner: &Arc<Inner>, batch: Vec<PendingRequest>) {
     if groups.len() > 1 {
         inner.state.lock().unwrap().stats.partitioned_windows += 1;
     }
-    for (model, members) in groups {
-        let rows: Vec<Vec<f64>> = members.iter().map(|r| r.row.clone()).collect();
+    for (model, mut members) in groups {
+        let rows: Vec<Vec<f64>> = members
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.row))
+            .collect();
         let outcome = model.infer_window(&rows, inner.config.batched, inner.config.class_shards);
         let mut state = inner.state.lock().unwrap();
         state.stats.windows += 1;
@@ -725,6 +693,35 @@ mod tests {
     }
 
     #[test]
+    fn reply_sent_before_wait_is_delivered() {
+        let (reply, answer) = mpsc::channel();
+        reply.send(Ok(Prediction::Label(3))).unwrap();
+        drop(reply);
+        assert_eq!(ResponseFuture { answer }.wait(), Ok(Prediction::Label(3)));
+    }
+
+    #[test]
+    fn reply_crosses_threads() {
+        let (reply, answer) = mpsc::channel();
+        let (about_to_wait, waiting) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            about_to_wait.send(()).unwrap();
+            ResponseFuture { answer }.wait()
+        });
+        waiting.recv().unwrap();
+        reply.send(Err(ServeError::EmptyQuery)).unwrap();
+        assert_eq!(waiter.join().unwrap(), Err(ServeError::EmptyQuery));
+    }
+
+    #[test]
+    fn dropped_sender_resolves_the_waiter_with_shutting_down() {
+        let (reply, answer) = mpsc::channel::<Result<Prediction>>();
+        let waiter = std::thread::spawn(move || ResponseFuture { answer }.wait());
+        drop(reply);
+        assert_eq!(waiter.join().unwrap(), Err(ServeError::ShuttingDown));
+    }
+
+    #[test]
     fn submit_and_complete_roundtrip() {
         let (service, rows) = small_service(WindowConfig {
             max_batch: 4,
@@ -750,7 +747,9 @@ mod tests {
         let (service, rows) = small_service(WindowConfig::default());
         let err = service.submit("nope", rows[0].clone()).wait().unwrap_err();
         assert_eq!(err, ServeError::UnknownModel("nope".to_string()));
-        assert_eq!(service.stats().rejected, 1);
+        // Answered at submission: it never entered a window.
+        let stats = service.stats();
+        assert_eq!((stats.rejected, stats.submitted, stats.windows), (1, 0, 0));
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //! to be a second trainer. Feeding the offline training set through
 //! [`OnlineTrainer::feed`] in epoch order and publishing once must produce
 //! a class memory **bit-identical** to the offline batched trainer's — for
-//! the binarized pipeline and the dense baseline, and for sharded and
-//! unsharded frozen-score selection. Run by CI under
+//! the binarized pipeline and the dense baseline, for sharded and unsharded
+//! frozen-score selection, and for feeds shorter and longer than one
+//! re-freeze block. Run by CI under
 //! `HDC_NUM_THREADS={1,4}`.
 
 use hdc_apps::ClassificationApp;
 use hdc_core::{BitMatrix, HyperMatrix};
 use hdc_datasets::synthetic::{isolet_like, IsoletParams};
 use hdc_passes::CompileOptions;
-use hdc_runtime::Value;
+use hdc_runtime::{Value, TRAIN_BLOCK_ROWS};
 use hdc_serve::service::{Service, ServiceConfig};
-use hdc_serve::{ModelRegistry, OnlineTrainer, OnlineTrainerConfig, ServableModel, SwapPolicy};
+use hdc_serve::{
+    MockClock, ModelRegistry, OnlineTrainer, OnlineTrainerConfig, ServableModel, SwapPolicy,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
 const FEATURES: usize = 24;
 const DIM: usize = 128;
@@ -21,10 +25,14 @@ const CLASSES: usize = 4;
 const EPOCHS: usize = 3;
 
 fn dataset() -> hdc_datasets::Dataset {
+    dataset_of(6)
+}
+
+fn dataset_of(train_per_class: usize) -> hdc_datasets::Dataset {
     isolet_like(&IsoletParams {
         classes: CLASSES,
         features: FEATURES,
-        train_per_class: 6,
+        train_per_class,
         test_per_class: 3,
         noise: 1.2,
         seed: 0x0e11,
@@ -33,14 +41,10 @@ fn dataset() -> hdc_datasets::Dataset {
 
 /// Register an untrained model — zero dense accumulator, frozen memory =
 /// `sign(0)` (all `+1`: clear bits when packed) — built from the offline
-/// app's own projection matrix, and attach a trainer. Starting from the
-/// zero accumulator makes the trainer's replay start exactly where the
-/// offline trainer's epoch loop starts.
-fn seed_trainer(
-    rp: Value,
-    binarized: bool,
-    class_shards: Option<usize>,
-) -> (Arc<ModelRegistry>, OnlineTrainer) {
+/// app's own projection matrix. Starting from the zero accumulator makes a
+/// trainer's replay start exactly where the offline trainer's epoch loop
+/// starts.
+fn seed_registry(rp: Value, binarized: bool) -> Arc<ModelRegistry> {
     let frozen = if binarized {
         Value::bit_matrix(BitMatrix::zeros(CLASSES, DIM))
     } else {
@@ -51,6 +55,16 @@ fn seed_trainer(
         ServableModel::classifier_from_artifacts("m", FEATURES, rp, frozen, Some(zeros)).unwrap();
     let registry = Arc::new(ModelRegistry::new());
     registry.register("m", Arc::new(model));
+    registry
+}
+
+/// [`seed_registry`] with a manually published trainer attached.
+fn seed_trainer(
+    rp: Value,
+    binarized: bool,
+    class_shards: Option<usize>,
+) -> (Arc<ModelRegistry>, OnlineTrainer) {
+    let registry = seed_registry(rp, binarized);
     let trainer = OnlineTrainer::attach(
         Arc::clone(&registry),
         "m",
@@ -118,8 +132,8 @@ fn epoch_order_feeds_reproduce_offline_training_bit_for_bit() {
 }
 
 /// One epoch of per-sample feeds (mini-batch size 1) equals one offline
-/// epoch: the stale-flag replay protocol makes batch boundaries invisible
-/// to the trained result.
+/// epoch: every score a selection reads is current, so batch boundaries
+/// are invisible to the trained result.
 #[test]
 fn per_sample_feeds_match_offline_single_epoch() {
     let options = CompileOptions::default();
@@ -133,6 +147,88 @@ fn per_sample_feeds_match_offline_single_epoch() {
     let published = trainer.publish().unwrap();
     assert_eq!(published.class_memory().unwrap(), &harvested.class_bits);
     assert_eq!(Value::matrix(trainer.shadow().clone()), harvested.class_hvs,);
+}
+
+/// A single feed longer than one [`TRAIN_BLOCK_ROWS`] block crosses
+/// re-freeze boundaries inside the trainer exactly as an offline epoch
+/// does: the shadow equals one offline epoch over the same rows bit for
+/// bit, and no block's first sample is ever patched.
+#[test]
+fn one_feed_across_block_boundaries_matches_offline_single_epoch() {
+    for (options, binarized) in [
+        (CompileOptions::default(), true),
+        (CompileOptions::baseline(), false),
+    ] {
+        let offline = ClassificationApp::with_options(dataset_of(40), DIM, 1, &options).unwrap();
+        let harvested = offline.harvest_artifacts().unwrap();
+        let (rows, labels) = train_rows(offline.dataset());
+        let blocks = rows.len().div_ceil(TRAIN_BLOCK_ROWS);
+        assert!(blocks >= 3, "the feed must span several blocks");
+        for shards in [Some(1), Some(2), None] {
+            let (_registry, mut trainer) =
+                seed_trainer(harvested.rp_matrix.clone(), binarized, shards);
+            let out = trainer.feed(&rows, &labels).unwrap();
+            assert_eq!(out.processed, rows.len());
+            assert!(out.updates > 0 && out.rescored > 0);
+            assert!(out.rescored as usize <= rows.len() - blocks);
+            assert_eq!(
+                Value::matrix(trainer.shadow().clone()),
+                harvested.class_hvs,
+                "binarized={binarized} shards={shards:?}: shadow diverged from offline epoch",
+            );
+            let published = trainer.publish().unwrap();
+            assert_eq!(published.class_memory().unwrap(), &harvested.class_bits);
+        }
+    }
+}
+
+/// `SwapPolicy::every_elapsed` against an injected clock: the trigger needs
+/// both unpublished updates and the elapsed interval, and every publish
+/// restarts the interval.
+#[test]
+fn elapsed_policy_publishes_on_the_injected_clock() {
+    let offline =
+        ClassificationApp::with_options(dataset(), DIM, 1, &CompileOptions::default()).unwrap();
+    let harvested = offline.harvest_artifacts().unwrap();
+    let registry = seed_registry(harvested.rp_matrix.clone(), true);
+    let clock = Arc::new(MockClock::new());
+    let mut trainer = OnlineTrainer::attach_with_clock(
+        Arc::clone(&registry),
+        "m",
+        OnlineTrainerConfig {
+            policy: SwapPolicy::every_elapsed(Duration::from_secs(10)),
+            class_shards: None,
+        },
+        Arc::clone(&clock) as Arc<dyn hdc_serve::Clock>,
+    )
+    .unwrap();
+    let (rows, labels) = train_rows(offline.dataset());
+    let row_of = |label: usize| &rows[labels.iter().position(|&l| l == label).unwrap()];
+
+    // Against the all-zero shadow every score ties at 0 and class 0 wins:
+    // a class-0 sample applies no update, so no amount of elapsed time
+    // publishes.
+    clock.advance(Duration::from_secs(3600));
+    let out = trainer.feed_one(row_of(0), 0).unwrap();
+    assert_eq!((out.updates, out.published.is_some()), (0, false));
+    // A class-1 sample is mispredicted as 0; the interval has long passed.
+    let out = trainer.feed_one(row_of(1), 1).unwrap();
+    assert_eq!(out.updates, 1);
+    let first = out.published.expect("update pending and interval elapsed");
+    assert!(Arc::ptr_eq(&registry.get("m").unwrap(), &first));
+    assert_eq!(trainer.generation(), 1);
+    // The publish restarted the interval. Class 2's row is still zero, so
+    // its sample is mispredicted too — but 9.999 s is not yet 10 s.
+    let out = trainer.feed_one(row_of(2), 2).unwrap();
+    assert_eq!((out.updates, out.published.is_some()), (1, false));
+    clock.advance(Duration::from_millis(9_999));
+    let out = trainer.feed_one(row_of(0), 0).unwrap();
+    assert!(out.published.is_none());
+    assert!(trainer.pending_updates() >= 1);
+    clock.advance(Duration::from_millis(1));
+    let out = trainer.feed_one(row_of(0), 0).unwrap();
+    assert!(out.published.is_some());
+    assert_eq!((trainer.generation(), trainer.pending_updates()), (2, 0));
 }
 
 /// Publishing with zero unpublished updates is a no-op: the registry entry
