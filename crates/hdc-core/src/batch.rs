@@ -13,9 +13,10 @@
 //!   class-row norms precomputed once per batch and reused for every query
 //!   row (the per-sample form recomputes them per query). Query rows are
 //!   packed eight at a time into a column-major panel and the class rows
-//!   stream against it in place; a perforated reduction packs and streams
-//!   only the visited columns, so it runs on the same SIMD panels as the
-//!   dense one and costs its visited fraction.
+//!   stream against it in place, several per pass of the dispatched panel
+//!   kernel; a perforated reduction packs and streams only the visited
+//!   columns, so it runs on the same SIMD panels as the dense one and costs
+//!   its visited fraction.
 //! * [`score_rows_sharded`] — a row block of dense queries × dense classes
 //!   under either metric: the cosine kernel above, or the dense reference
 //!   form of the Hamming batch for unbinarized configurations.
@@ -38,9 +39,10 @@ use crate::hypervector::HyperVector;
 use crate::ops::TotalOrd;
 use crate::perforation::Perforation;
 use crate::shard::ShardPlan;
-use crate::simd::dot_panel_dense;
+use crate::simd::{dot_panel_kernel, PANEL_LANES};
 use crate::similarity::{dot_perforated, hamming_count_perforated, norm_sq_perforated};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::ops::Range;
 
 const WORD_BITS: usize = 64;
@@ -66,11 +68,12 @@ fn perforation_mask(dimension: usize, perforation: Perforation) -> Vec<u64> {
     mask
 }
 
-/// Query rows per work item of a score kernel, and the widest query panel
-/// of the cosine kernel: eight rows keep two 4-lane accumulator chains busy
-/// where one would serialize on add latency, and their panel (128 KiB at
-/// 2048 dimensions) stays cache-resident while the class rows stream by.
-const SCORE_TILE_ROWS: usize = 8;
+/// Query rows per work item of a score kernel: one cosine query panel.
+/// Latency does not set this width — the panel kernel keeps the chains of
+/// several class rows in flight at once; one panel per work item keeps it
+/// (128 KiB at 2048 dimensions) cache-resident while the class rows stream
+/// by.
+const SCORE_TILE_ROWS: usize = PANEL_LANES;
 
 /// Allocate the `rows x plan.rows()` score matrix once and let every
 /// `(query row block, class shard)` pair fill its own tile of it:
@@ -136,25 +139,75 @@ pub fn hamming_distance_batch(
     hamming_distance_batch_sharded(queries, classes, perforation, &plan)
 }
 
-/// Pack the columns of `rows` that `perforation` visits (of the first
-/// `cols`) into a column-major `f64` panel: `panel[v * rows.len() + k]`
-/// holds row `k`'s `v`-th visited element, so a walk down the element axis
-/// reads one contiguous lane group per element. This is the micro-kernel
-/// layout of the panel dot kernels: the blocked cosine batch here and the
-/// blocked [`crate::matmul::matmul_batch`] (which packs every column).
+/// Pack the columns of at most [`PANEL_LANES`] `rows` that `perforation`
+/// visits (of the first `cols`) into a column-major `f64` panel:
+/// `panel[v * PANEL_LANES + k]` holds row `k`'s `v`-th visited element, so
+/// a walk down the element axis reads one contiguous lane group per
+/// element. Lanes past `rows.len()` are zero. This is the layout the
+/// dispatched panel kernel ([`dot_panel_kernel`]) takes, under the blocked
+/// cosine batch here and the blocked [`crate::matmul::matmul_batch`].
 pub(crate) fn pack_panel<T: Element>(
     rows: &[&[T]],
     cols: usize,
     perforation: Perforation,
 ) -> Vec<f64> {
-    let rs: Vec<&[T]> = rows.iter().map(|r| &r[..cols]).collect();
-    let mut panel = Vec::with_capacity(perforation.visited_count(cols) * rs.len());
-    for c in perforation.indices(cols) {
-        for row in &rs {
-            panel.push(row[c].to_f64());
+    assert!(
+        rows.len() <= PANEL_LANES,
+        "a panel holds {PANEL_LANES} rows"
+    );
+    let mut panel = vec![0.0; perforation.visited_count(cols) * PANEL_LANES];
+    for (lanes, c) in panel
+        .chunks_exact_mut(PANEL_LANES)
+        .zip(perforation.indices(cols))
+    {
+        for (lane, row) in lanes.iter_mut().zip(rows) {
+            *lane = row[c].to_f64();
         }
     }
     panel
+}
+
+/// The rows of a matrix as the panel kernel streams them against a
+/// [`pack_panel`] of the same perforation: `f64`, with the visited columns
+/// of each row at every `stride`-th element of its [`StreamedRows::rows`]
+/// slice.
+pub(crate) struct StreamedRows<'a> {
+    /// The matrix, row-major: borrowed when it already holds `f64`,
+    /// converted once per call otherwise.
+    data: Cow<'a, [f64]>,
+    rows: usize,
+    cols: usize,
+    /// Where in a row the streamed span starts and ends.
+    span: Range<usize>,
+    /// The reduction's stride, as the panel kernel takes it.
+    pub(crate) stride: usize,
+}
+
+impl<'a> StreamedRows<'a> {
+    pub(crate) fn new<T: Element>(matrix: &'a HyperMatrix<T>, perforation: Perforation) -> Self {
+        let (rows, cols) = (matrix.rows(), matrix.cols());
+        let flat = matrix.as_slice();
+        StreamedRows {
+            data: match T::as_f64_slice(flat) {
+                Some(in_place) => in_place.into(),
+                None => flat.iter().map(|x| x.to_f64()).collect::<Vec<_>>().into(),
+            },
+            rows,
+            cols,
+            span: perforation.begin.min(cols)..perforation.end_clamped(cols),
+            stride: perforation.stride,
+        }
+    }
+
+    /// Every row's streamed span, in row order.
+    pub(crate) fn rows(&self) -> Vec<&[f64]> {
+        (0..self.rows)
+            .map(|r| {
+                let start = r * self.cols;
+                &self.data[start + self.span.start..start + self.span.end]
+            })
+            .collect()
+    }
 }
 
 /// Cosine similarity between every row of `queries` and every row of
@@ -404,47 +457,13 @@ pub fn cosine_similarity_batch_sharded<T: Element>(
     cosine_rows(queries, 0..queries.rows(), classes, perforation, plan)
 }
 
-/// The class rows of one cosine call as the panel kernel streams them:
-/// `f64`, the visited columns of row `c` at every `stride`-th element of
-/// [`StreamedClasses::row`]`(c)`.
-struct StreamedClasses<'a> {
-    /// The class matrix, row-major: borrowed when it already holds `f64`,
-    /// converted once per call otherwise.
-    data: std::borrow::Cow<'a, [f64]>,
-    cols: usize,
-    /// Where in a row the streamed span starts and ends.
-    span: Range<usize>,
-    stride: usize,
-    /// [`perforated_norm`] of every class row.
-    norms: Vec<f64>,
-}
-
-impl<'a> StreamedClasses<'a> {
-    fn new<T: Element>(classes: &'a HyperMatrix<T>, perforation: Perforation) -> Result<Self> {
-        let cols = classes.cols();
-        let flat = classes.as_slice();
-        Ok(StreamedClasses {
-            data: match T::as_f64_slice(flat) {
-                Some(in_place) => in_place.into(),
-                None => flat.iter().map(|x| x.to_f64()).collect::<Vec<_>>().into(),
-            },
-            cols,
-            span: perforation.begin.min(cols)..perforation.end_clamped(cols),
-            stride: perforation.stride,
-            norms: row_block(classes, 0..classes.rows())?
-                .iter()
-                .map(|row| perforated_norm(row, perforation))
-                .collect(),
-        })
-    }
-
-    fn row(&self, c: usize) -> &[f64] {
-        let start = c * self.cols;
-        &self.data[start + self.span.start..start + self.span.end]
-    }
-}
-
-/// The cosine kernel over the row block `rows` of `queries`.
+/// The cosine kernel over the row block `rows` of `queries`: each tile's
+/// query rows are packed into one panel ([`pack_panel`]) and the tile's
+/// class rows stream against it through the dispatched panel kernel, at
+/// the reduction's stride. Every (query, class) pair sums its products in
+/// ascending visited order (a product does not depend on which factor is
+/// streamed), so every score is bit-identical to the per-sample kernel, and
+/// a perforated reduction costs its visited fraction of the dense one.
 fn cosine_rows<T: Element>(
     queries: &HyperMatrix<T>,
     rows: Range<usize>,
@@ -455,62 +474,41 @@ fn cosine_rows<T: Element>(
     check_shard_plan(plan, classes.rows())?;
     check_cols(queries.cols(), classes.cols(), "cosine similarity batch")?;
     perforation.validate(queries.cols())?;
-    let streamed = StreamedClasses::new(classes, perforation)?;
+    let streamed = StreamedRows::new(classes, perforation);
+    let class_rows = streamed.rows();
+    let class_norms: Vec<f64> = row_block(classes, 0..classes.rows())?
+        .iter()
+        .map(|row| perforated_norm(row, perforation))
+        .collect();
     let query_rows = row_block(queries, rows)?;
+    let kernel = dot_panel_kernel();
     Ok(fill_scores(query_rows.len(), plan, |block, si, tile| {
-        let (block, class_range) = (&query_rows[block], plan.ranges()[si].clone());
-        // Decompose a short block into power-of-two sub-blocks so the
-        // unrolled panel kernels cover every width.
-        let mut off = 0;
-        for width in [8usize, 4, 2, 1] {
-            while block.len() - off >= width {
-                let (q, out) = (&block[off..off + width], &mut tile[off..off + width]);
-                match width {
-                    8 => cosine_tile::<T, 8>(q, perforation, &streamed, class_range.clone(), out),
-                    4 => cosine_tile::<T, 4>(q, perforation, &streamed, class_range.clone(), out),
-                    2 => cosine_tile::<T, 2>(q, perforation, &streamed, class_range.clone(), out),
-                    _ => cosine_tile::<T, 1>(q, perforation, &streamed, class_range.clone(), out),
-                }
-                off += width;
+        let class_range = plan.ranges()[si].clone();
+        let panel = pack_panel(&query_rows[block], queries.cols(), perforation);
+        let query_norms = panel_norms(&panel);
+        let mut dots = vec![[0.0; PANEL_LANES]; class_range.len()];
+        kernel(
+            &class_rows[class_range.clone()],
+            streamed.stride,
+            &panel,
+            &mut dots,
+        );
+        for (k, out) in tile.iter_mut().enumerate() {
+            for ((slot, lanes), c) in out.iter_mut().zip(&dots).zip(class_range.clone()) {
+                *slot = cosine_from_parts(lanes[k], query_norms[k], class_norms[c]);
             }
         }
     }))
 }
 
-/// `B` query rows against the class rows `class_range`: the queries'
-/// visited columns are packed into one column-major panel
-/// ([`pack_panel`]) and every class row takes one dispatched panel pass
-/// over it, streamed at the reduction's stride. Each of the `B` chains per
-/// class row sums that pair's products in ascending visited order (a
-/// product does not depend on which factor is streamed), so every score is
-/// bit-identical to the per-sample kernel, and a perforated reduction costs
-/// its visited fraction of the dense one.
-fn cosine_tile<T: Element, const B: usize>(
-    query_rows: &[&[T]],
-    perforation: Perforation,
-    classes: &StreamedClasses<'_>,
-    class_range: Range<usize>,
-    out: &mut [&mut [f64]],
-) {
-    let cols = query_rows[0].len();
-    let panel = pack_panel(query_rows, cols, perforation);
-    let query_norms = panel_norms::<B>(&panel);
-    for (j, c) in class_range.enumerate() {
-        let dots = dot_panel_dense::<B>(classes.row(c), classes.stride, &panel);
-        for k in 0..B {
-            out[k][j] = cosine_from_parts(dots[k], query_norms[k], classes.norms[c]);
-        }
-    }
-}
-
-/// [`perforated_norm`] of each of the `B` rows packed in `panel`: every lane
-/// sums its squares in ascending element order, and the `B` chains overlap
-/// where one norm per row would serialize on add latency — a tile's query
-/// norms cost one more panel pass, not `B` of them.
-fn panel_norms<const B: usize>(panel: &[f64]) -> [f64; B] {
-    let mut acc = [0.0f64; B];
-    for lanes in panel.chunks_exact(B) {
-        for k in 0..B {
+/// [`perforated_norm`] of each row packed in `panel`: every lane sums its
+/// squares in ascending element order, and the lanes' chains overlap where
+/// one norm per row would serialize on add latency — a tile's query norms
+/// cost one more panel pass, not one per row.
+fn panel_norms(panel: &[f64]) -> [f64; PANEL_LANES] {
+    let mut acc = [0.0f64; PANEL_LANES];
+    for lanes in panel.chunks_exact(PANEL_LANES) {
+        for k in 0..PANEL_LANES {
             acc[k] += lanes[k] * lanes[k];
         }
     }
@@ -854,7 +852,7 @@ mod tests {
 
     #[test]
     fn every_query_block_width_matches_per_sample() {
-        // 1..=19 query rows walk every [8, 4, 2, 1] decomposition of a tile,
+        // 1..=19 query rows leave every count of zero-padded panel lanes,
         // with and without a second tile behind it.
         let mut rng = HdcRng::seed_from_u64(0x71E5);
         let c: HyperMatrix<f64> = random::gaussian_hypermatrix(5, 97, &mut rng);

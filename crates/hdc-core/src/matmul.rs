@@ -7,11 +7,13 @@
 //! (unlike the similarity metrics), because their absolute magnitude matters
 //! to downstream operations.
 
+use crate::batch::{pack_panel, StreamedRows};
 use crate::element::Element;
 use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
 use crate::perforation::Perforation;
+use crate::simd::{dot_panel_kernel, PANEL_LANES};
 use rayon::prelude::*;
 
 fn check(expected: usize, actual: usize, context: &'static str) -> Result<()> {
@@ -74,79 +76,23 @@ pub fn matvec<T: Element>(
     Ok(HyperVector::from_vec(out))
 }
 
-/// Query rows processed together by one [`matmul_batch`] block: each keeps
-/// its own `f64` accumulator, so the inner loop runs `MATMUL_QUERY_BLOCK`
-/// independent multiply-add chains (instruction-level parallelism a single
-/// dependent chain cannot reach) and streams every projection row once per
-/// block instead of once per query.
-const MATMUL_QUERY_BLOCK: usize = 8;
+/// Query panels ([`pack_panel`]) one [`matmul_batch`] work item encodes at
+/// most: each tile of projection rows is read from memory once per work
+/// item and scored against all of its panels while it is cache-resident.
+const MAX_ITEM_PANELS: usize = 8;
 
-/// Dot products of one streamed row against a block packed by
-/// [`crate::batch::pack_panel`] over every column, walking the element axis
-/// once — the micro-kernel of the blocked [`matmul_batch`]. `B` is a
-/// compile-time width so the lane loop unrolls into SIMD-friendly
-/// contiguous reads; each accumulator sums in ascending element order,
-/// bit-identical to the per-sample kernel on that pair.
-fn dot_panel<T: Element, const B: usize>(
-    q: &[T],
-    panel: &[f64],
-    dense: bool,
-    perforation: Perforation,
-) -> [f64; B] {
-    let mut acc = [0.0f64; B];
-    if dense {
-        // `f64` rows go straight to the dispatched panel kernel (SIMD when
-        // selected); the generic path below is the same loop with a
-        // per-element `to_f64`. Both keep `B` independent accumulator
-        // chains in ascending element order, so outputs are bit-identical.
-        if let Some(qf) = T::as_f64_slice(q) {
-            return crate::simd::dot_panel_dense::<B>(qf, 1, panel);
-        }
-        for (lanes, x) in panel.chunks_exact(B).zip(q.iter()) {
-            let qv = x.to_f64();
-            for k in 0..B {
-                acc[k] += qv * lanes[k];
-            }
-        }
-    } else {
-        for i in perforation.indices(q.len()) {
-            let qv = q[i].to_f64();
-            let lanes = &panel[i * B..i * B + B];
-            for k in 0..B {
-                acc[k] += qv * lanes[k];
-            }
-        }
-    }
-    acc
-}
+/// Projection rows streamed against a work item's panels per tile.
+const ROW_TILE: usize = 8;
 
-/// One block of query rows against the whole projection matrix. `B` is a
-/// compile-time block width: the block is packed into a column-major `f64`
-/// panel ([`crate::batch::pack_panel`]) and each projection row takes one
-/// [`dot_panel`] pass over it — the GEMM micro-kernel layout
-/// the vectorizer turns into SIMD lanes. Each accumulator still sums the
-/// feature axis in ascending order, which keeps every output element
-/// bit-identical to the per-sample [`matvec`].
-fn matmul_block<T: Element, const B: usize>(
-    qrows: &[&[T]],
-    matrix: &HyperMatrix<T>,
-    dense: bool,
-    scale: f64,
-    perforation: Perforation,
-) -> Vec<Vec<T>> {
-    debug_assert_eq!(qrows.len(), B);
-    let d = matrix.rows();
-    let cols = matrix.cols();
-    let panel = crate::batch::pack_panel(qrows, cols, Perforation::NONE);
-    let mut out: Vec<Vec<T>> = (0..B).map(|_| Vec::with_capacity(d)).collect();
-    for r in 0..d {
-        let row = &matrix.row(r).expect("projection row in range")[..cols];
-        let acc = dot_panel::<T, B>(row, &panel, dense, perforation);
-        for k in 0..B {
-            out[k].push(T::from_f64(acc[k] * scale));
-        }
-    }
-    out
+/// Query rows per [`matmul_batch`] work item: [`MAX_ITEM_PANELS`] panels,
+/// or fewer when that would leave a worker thread without an item (a
+/// 64-row serve window still splits across the pool).
+fn item_rows(queries: usize) -> usize {
+    let panels = queries.div_ceil(PANEL_LANES);
+    let per_item = panels
+        .div_ceil(rayon::current_num_threads())
+        .clamp(1, MAX_ITEM_PANELS);
+    per_item * PANEL_LANES
 }
 
 /// Multiply a batch of row vectors by the transpose of a projection matrix:
@@ -154,11 +100,13 @@ fn matmul_block<T: Element, const B: usize>(
 ///
 /// This is the batched form used by `encoding_loop`: a `N x F` query matrix
 /// and a `D x F` projection matrix produce an `N x D` encoded matrix.
-/// Queries are processed in blocks of `MATMUL_QUERY_BLOCK` (independent
-/// accumulator chains, one projection pass per block) and blocks run
-/// through the rayon compat layer; every accumulation still walks the
-/// feature axis in ascending order, so each output row is bit-identical to
-/// [`matvec`] on that query.
+/// Queries are packed eight at a time into column-major panels, a few
+/// panels per work item of the rayon compat layer, and the projection rows
+/// stream against them through the dispatched panel kernel, a tile at a
+/// time, at the reduction's stride. Each work item writes its own rows of
+/// one preallocated output. Every output element sums its visited features
+/// in ascending order, so each output row is bit-identical to [`matvec`]
+/// on that query.
 ///
 /// # Errors
 ///
@@ -175,40 +123,43 @@ pub fn matmul_batch<T: Element>(
     // `acc * 1.0` is exact, so one unconditional multiply keeps the dense
     // path bit-identical to the unscaled form.
     let scale = if dense { 1.0 } else { raw_scale };
-    let n = queries.rows();
-    let starts: Vec<usize> = (0..n).step_by(MATMUL_QUERY_BLOCK).collect();
-    let blocks: Vec<Vec<Vec<T>>> = starts
-        .into_par_iter()
-        .map(|start| {
-            let end = (start + MATMUL_QUERY_BLOCK).min(n);
-            let qrows: Vec<&[T]> = (start..end)
-                .map(|i| queries.row(i).expect("query row in range"))
-                .collect();
-            // Decompose a short tail block into power-of-two sub-blocks so
-            // the unrolled kernels cover every width.
-            let mut out: Vec<Vec<T>> = Vec::with_capacity(qrows.len());
-            let mut off = 0;
-            for width in [8usize, 4, 2, 1] {
-                while qrows.len() - off >= width {
-                    let sub = &qrows[off..off + width];
-                    out.extend(match width {
-                        8 => matmul_block::<T, 8>(sub, matrix, dense, scale, perforation),
-                        4 => matmul_block::<T, 4>(sub, matrix, dense, scale, perforation),
-                        2 => matmul_block::<T, 2>(sub, matrix, dense, scale, perforation),
-                        _ => matmul_block::<T, 1>(sub, matrix, dense, scale, perforation),
-                    });
-                    off += width;
+    let (n, d) = (queries.rows(), matrix.rows());
+    let streamed = StreamedRows::new(matrix, perforation);
+    let projection = streamed.rows();
+    let kernel = dot_panel_kernel();
+    let rows_per_item = item_rows(n);
+    let mut data = vec![T::from_f64(0.0); n * d];
+    if d > 0 {
+        let items: Vec<(usize, &mut [T])> =
+            data.chunks_mut(rows_per_item * d).enumerate().collect();
+        items
+            .into_par_iter()
+            .map(|(item, out)| {
+                let first = item * rows_per_item;
+                let qrows: Vec<&[T]> = (first..first + out.len() / d)
+                    .map(|i| queries.row(i).expect("query row in range"))
+                    .collect();
+                let panels: Vec<Vec<f64>> = qrows
+                    .chunks(PANEL_LANES)
+                    .map(|block| pack_panel(block, matrix.cols(), perforation))
+                    .collect();
+                let mut dots = [[0.0; PANEL_LANES]; ROW_TILE];
+                for (t, tile) in projection.chunks(ROW_TILE).enumerate() {
+                    let dots = &mut dots[..tile.len()];
+                    for (panel, panel_out) in panels.iter().zip(out.chunks_mut(PANEL_LANES * d)) {
+                        kernel(tile, streamed.stride, panel, dots);
+                        for (k, out_row) in panel_out.chunks_mut(d).enumerate() {
+                            let slots = &mut out_row[t * ROW_TILE..];
+                            for (slot, lanes) in slots.iter_mut().zip(dots.iter()) {
+                                *slot = T::from_f64(lanes[k] * scale);
+                            }
+                        }
+                    }
                 }
-            }
-            out
-        })
-        .collect();
-    let rows: Vec<HyperVector<T>> = blocks
-        .into_iter()
-        .flatten()
-        .map(HyperVector::from_vec)
-        .collect();
-    HyperMatrix::from_rows(rows)
+            })
+            .collect::<()>();
+    }
+    HyperMatrix::from_flat(n, d, data)
 }
 
 /// Perforated L2 norm of a hypervector, rescaled by the visited fraction as
@@ -268,6 +219,16 @@ mod tests {
             for j in 0..8 {
                 assert!((batch.get(i, j).unwrap() - single.get(j).unwrap()).abs() < 1e-4);
             }
+        }
+    }
+
+    #[test]
+    fn zero_query_batch_keeps_the_projection_width() {
+        let m = HyperMatrix::<f64>::from_fn(5, 6, |r, c| (r * 6 + c) as f64);
+        let empty = HyperMatrix::<f64>::zeros(0, 6);
+        for perf in [Perforation::NONE, Perforation::strided(1, 6, 2)] {
+            let out = matmul_batch(&empty, &m, perf).unwrap();
+            assert_eq!((out.rows(), out.cols()), (0, m.rows()), "perf {perf}");
         }
     }
 

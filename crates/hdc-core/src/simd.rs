@@ -14,13 +14,13 @@
 //!   is_x86_feature_detected! ──► selected(): KernelBackend   (once, atomic)
 //!   is_aarch64_feature_detected!      │
 //!                                     ▼
-//!        batch kernel call ──► bit_kernels() / dot_panel_dense::<B>()
+//!        batch kernel call ──► bit_kernels() / dot_panel_kernel()
 //!                                     │
 //!         ┌───────────────┬───────────┴───────────┬───────────────┐
 //!         ▼               ▼                       ▼               ▼
 //!   Scalar (oracle)      Avx2                  Avx512            Neon
 //!   lane-blocked u64   pshufb popcount    vpopcntq __m512i   vcntq_u8 pop
-//!   ascending f64      mul+add __m256d    (panels on Avx2)   mul+add f64x2
+//!   one row per pass   4 rows × 2 __m256d 8 rows × __m512d   (scalar panel)
 //! ```
 //!
 //! **Equivalence contract.** Every SIMD variant is bit-identical to the
@@ -28,11 +28,14 @@
 //!
 //! * popcounts are exact integers, so any correct popcount implementation
 //!   produces the same count;
-//! * the `f64` panel kernels keep one independent accumulator chain per
-//!   output lane and sum the element axis in ascending order with separate
-//!   multiply and add (**no FMA** — fused rounding would diverge from the
-//!   scalar chain), so every partial sum is the same IEEE value the scalar
-//!   kernel computes.
+//! * the `f64` panel kernel keeps one independent accumulator chain per
+//!   output (streamed row × panel lane) and sums the element axis in
+//!   ascending order with separate multiply and add (**no FMA** — fused
+//!   rounding would diverge from the scalar chain), so every partial sum is
+//!   the same IEEE value the scalar kernel computes. The contract fixes each
+//!   output's chain, not how many outputs are in flight: the SIMD legs run
+//!   the chains of several streamed rows side by side, which is where their
+//!   speed comes from.
 //!
 //! The `kernel_equivalence` integration suite fuzzes dims/classes/
 //! perforation across backends to pin this. Because outputs are
@@ -56,8 +59,8 @@ pub enum KernelBackend {
     Avx2,
     /// `std::arch` AVX-512 kernels (`x86_64` with `avx512f` +
     /// `avx512vpopcntdq`, runtime-detected): native 64-bit-lane popcount
-    /// over 512-bit registers for the XOR/popcount family; the `f64`
-    /// panels stay on the AVX2 kernels (panel widths are ≤ 4 lanes).
+    /// over 512-bit registers for the XOR/popcount family, and an `f64`
+    /// panel kernel holding a whole 8-lane panel row in one register.
     Avx512,
     /// `std::arch` NEON kernels (`aarch64`, runtime-detected).
     Neon,
@@ -148,8 +151,8 @@ pub fn supported(backend: KernelBackend) -> bool {
         }
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx512 => {
-            // The f64 panels and `add_signs` dispatch to the AVX2 kernels,
-            // so the AVX-512 backend requires the AVX2 features as well.
+            // `add_signs` dispatches to the AVX2 kernel, so the AVX-512
+            // backend requires the AVX2 features as well.
             supported(KernelBackend::Avx2)
                 && std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
@@ -353,44 +356,81 @@ pub(crate) fn bit_kernels() -> BitKernels {
     }
 }
 
-/// Dot products of one streamed `f64` row against a column-major packed
-/// panel ([`crate::batch::pack_panel`]): element `i` of the panel meets
-/// `q[i * stride]`, so a strided reduction streams its row in place
-/// (`stride` 1 is the dense walk). `B` independent accumulator chains,
-/// ascending element order — dispatched to the selected backend.
-/// Bit-identical to [`scalar::dot_panel_dense`] on every backend.
+/// Query rows packed side by side in one `f64` panel
+/// ([`crate::batch::pack_panel`]): a panel element is one 512-bit register,
+/// or two 256-bit ones. A block of fewer rows is zero-padded to this width
+/// and its padding lanes are never read back.
+pub(crate) const PANEL_LANES: usize = 8;
+
+/// The `f64` panel kernel: `kernel(rows, stride, panel, out)` sets
+/// `out[j][k]` to the dot product of streamed row `rows[j]` with lane `k`
+/// of the column-major `panel`, where panel element `i` meets
+/// `rows[j][i * stride]` — a strided reduction streams its rows in place
+/// (`stride` 1 is the dense walk) — over the first
+/// `min(row.len().div_ceil(stride), panel.len() / PANEL_LANES)` elements.
+/// Every output is its own chain: starting from `0.0`, each product is
+/// multiplied and then added separately, in ascending element order.
 ///
 /// # Panics
 ///
-/// Panics if `stride` is zero.
-pub(crate) fn dot_panel_dense<const B: usize>(q: &[f64], stride: usize, panel: &[f64]) -> [f64; B] {
-    assert!(stride > 0, "a streamed row needs a non-zero stride");
+/// Panics if `rows` and `out` differ in length or `stride` is zero.
+pub(crate) type DotPanel = fn(&[&[f64]], usize, &[f64], &mut [[f64; PANEL_LANES]]);
+
+/// The [`DotPanel`] kernel of the selected backend, fetched once per
+/// batched kernel call. Bit-identical to the scalar oracle on every
+/// backend.
+pub(crate) fn dot_panel_kernel() -> DotPanel {
     match selected() {
-        // Avx512 uses the AVX2 panels: widths are ≤ 4 f64 lanes (256 bits),
-        // and the accumulation-order contract is already satisfied there.
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 | KernelBackend::Avx512 => {
-            if let Some(out) = avx2::dot_panel::<B>(q, stride, panel) {
-                note_simd_dispatch();
-                return out;
-            }
-            scalar::dot_panel_dense::<B>(q, stride, panel)
+        KernelBackend::Avx2 => {
+            note_simd_dispatch();
+            avx2::dot_panel
         }
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => {
-            if let Some(out) = neon::dot_panel::<B>(q, stride, panel) {
-                note_simd_dispatch();
-                return out;
-            }
-            scalar::dot_panel_dense::<B>(q, stride, panel)
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            note_simd_dispatch();
+            avx512::dot_panel
         }
-        _ => scalar::dot_panel_dense::<B>(q, stride, panel),
+        // NEON keeps the scalar panel: its 2-lane registers are what the
+        // compiler already vectorizes the oracle's lane loop into.
+        _ => scalar::dot_panel,
     }
+}
+
+/// Walk `rows` `R` at a time through `tile`, which returns the dot products
+/// of its `R` rows; a short last tile repeats its last row, and the repeats'
+/// dot products are dropped. Shared by the SIMD legs, whose `R` is sized to
+/// their register file.
+#[cfg(target_arch = "x86_64")]
+fn for_each_tile<const R: usize>(
+    rows: &[&[f64]],
+    stride: usize,
+    out: &mut [[f64; PANEL_LANES]],
+    mut tile: impl FnMut(&[&[f64]; R]) -> [[f64; PANEL_LANES]; R],
+) {
+    assert_eq!(rows.len(), out.len(), "one output per streamed row");
+    assert!(stride > 0, "a streamed row needs a non-zero stride");
+    for (chunk, dots) in rows.chunks(R).zip(out.chunks_mut(R)) {
+        let mut full = [chunk[chunk.len() - 1]; R];
+        full[..chunk.len()].copy_from_slice(chunk);
+        dots.copy_from_slice(&tile(&full)[..chunk.len()]);
+    }
+}
+
+/// How many panel elements a tile of streamed rows meets: every row of the
+/// tile stays in bounds at its last streamed index, and so does the panel.
+#[cfg(target_arch = "x86_64")]
+fn tile_len(rows: &[&[f64]], stride: usize, panel: &[f64]) -> usize {
+    rows.iter()
+        .map(|row| row.len().div_ceil(stride))
+        .fold(panel.len() / PANEL_LANES, usize::min)
 }
 
 /// The scalar reference kernels — the PR-5 inner loops kept verbatim. Every
 /// SIMD variant in this module is fuzzed bit-identical against these.
 pub(crate) mod scalar {
+    use super::PANEL_LANES;
+
     /// Inner-loop block width (in 64-bit words) for the XOR/popcount
     /// kernels. Accumulating into independent lanes keeps the popcounts
     /// flowing even on a single core.
@@ -441,25 +481,29 @@ pub(crate) mod scalar {
         }
     }
 
-    /// `f64` dot-panel over every `stride`-th element of `q`: `B`
-    /// independent accumulator chains, ascending element order, separate
-    /// multiply and add.
-    pub(crate) fn dot_panel_dense<const B: usize>(
-        q: &[f64],
+    /// The [`super::DotPanel`] oracle: one streamed row per pass, its
+    /// `PANEL_LANES` chains side by side, ascending element order,
+    /// separate multiply and add.
+    pub(crate) fn dot_panel(
+        rows: &[&[f64]],
         stride: usize,
         panel: &[f64],
-    ) -> [f64; B] {
-        let mut acc = [0.0f64; B];
-        // Every `stride`-th element is the head of a `stride`-long chunk.
-        // (A `step_by` or indexed walk here made the one-lane tail — every
-        // single-row call — 3.7x slower on its one dependent add chain.)
-        for (lanes, chunk) in panel.chunks_exact(B).zip(q.chunks(stride)) {
-            let qv = chunk[0];
-            for k in 0..B {
-                acc[k] += qv * lanes[k];
+        out: &mut [[f64; PANEL_LANES]],
+    ) {
+        assert_eq!(rows.len(), out.len(), "one output per streamed row");
+        assert!(stride > 0, "a streamed row needs a non-zero stride");
+        for (row, dots) in rows.iter().zip(out.iter_mut()) {
+            let mut acc = [0.0f64; PANEL_LANES];
+            // Every `stride`-th element is the head of a `stride`-long
+            // chunk (an indexed `step_by` walk vectorizes worse).
+            for (lanes, chunk) in panel.chunks_exact(PANEL_LANES).zip(row.chunks(stride)) {
+                let qv = chunk[0];
+                for k in 0..PANEL_LANES {
+                    acc[k] += qv * lanes[k];
+                }
             }
+            *dots = acc;
         }
-        acc
     }
 }
 
@@ -469,8 +513,13 @@ pub(crate) mod scalar {
 /// when [`detected`] confirmed the features at runtime.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::SIGN_LUT4;
+    use super::{for_each_tile, tile_len, PANEL_LANES, SIGN_LUT4};
     use std::arch::x86_64::*;
+
+    /// Streamed rows per panel pass: each holds its 8 lanes in two 256-bit
+    /// accumulators, so 4 rows keep 8 add chains in flight and leave room
+    /// in the 16 registers for the panel element and the broadcast.
+    const ROWS: usize = 4;
 
     #[allow(unsafe_code)]
     pub(super) fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
@@ -491,22 +540,16 @@ mod avx2 {
     }
 
     #[allow(unsafe_code)]
-    pub(super) fn dot_panel<const B: usize>(
-        q: &[f64],
+    pub(super) fn dot_panel(
+        rows: &[&[f64]],
         stride: usize,
         panel: &[f64],
-    ) -> Option<[f64; B]> {
-        let mut out = [0.0f64; B];
-        // SAFETY: only dispatched on hosts where avx2+popcnt are detected.
-        unsafe {
-            match B {
-                8 => out.copy_from_slice(&dot8_impl(q, stride, panel)),
-                4 => out.copy_from_slice(&dot4_impl(q, stride, panel)),
-                2 => out.copy_from_slice(&dot2_impl(q, stride, panel)),
-                _ => return None,
-            }
-        }
-        Some(out)
+        out: &mut [[f64; PANEL_LANES]],
+    ) {
+        for_each_tile::<ROWS>(rows, stride, out, |tile| {
+            // SAFETY: only dispatched on hosts where avx2+popcnt are detected.
+            unsafe { dot_tile_impl(tile, stride, panel) }
+        });
     }
 
     /// Popcount of each byte of `v` via the classic nibble-LUT `pshufb`
@@ -619,85 +662,62 @@ mod avx2 {
         }
     }
 
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `avx2`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
+    /// `ROWS` streamed rows against one panel: per panel element, the two
+    /// lane halves are loaded once and every row's element is broadcast
+    /// into both of its chains.
+    // SAFETY: `unsafe` is solely the `target_feature` contract — `avx2` was
+    // confirmed by runtime detection before `dot_panel` (the only caller)
+    // was dispatched. Pointer arithmetic stays within the argument slices:
+    // `i < n` keeps the panel read below `panel.len()` and, as `tile_len`
+    // bounds `n` by `row.len().div_ceil(stride)` for every row of the
+    // tile, each streamed index `i * stride` below its row's length.
     #[allow(unsafe_code)]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot8_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 8] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 8);
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
+    unsafe fn dot_tile_impl(
+        rows: &[&[f64]; ROWS],
+        stride: usize,
+        panel: &[f64],
+    ) -> [[f64; PANEL_LANES]; ROWS] {
+        let n = tile_len(rows, stride, panel);
+        let heads = rows.map(<[f64]>::as_ptr);
+        let mut acc = [[_mm256_setzero_pd(); 2]; ROWS];
         for i in 0..n {
-            let qv = _mm256_set1_pd(*q.get_unchecked(i * stride));
-            let base = panel.as_ptr().add(i * 8);
-            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(qv, _mm256_loadu_pd(base)));
-            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(qv, _mm256_loadu_pd(base.add(4))));
+            let lanes = panel.as_ptr().add(i * PANEL_LANES);
+            let (lo, hi) = (_mm256_loadu_pd(lanes), _mm256_loadu_pd(lanes.add(4)));
+            for (chains, head) in acc.iter_mut().zip(heads) {
+                let qv = _mm256_set1_pd(*head.add(i * stride));
+                chains[0] = _mm256_add_pd(chains[0], _mm256_mul_pd(qv, lo));
+                chains[1] = _mm256_add_pd(chains[1], _mm256_mul_pd(qv, hi));
+            }
         }
-        let mut out = [0.0f64; 8];
-        _mm256_storeu_pd(out.as_mut_ptr(), acc0);
-        _mm256_storeu_pd(out.as_mut_ptr().add(4), acc1);
-        out
-    }
-
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `avx2`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 4] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 4);
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..n {
-            let qv = _mm256_set1_pd(*q.get_unchecked(i * stride));
-            let lanes = _mm256_loadu_pd(panel.as_ptr().add(i * 4));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(qv, lanes));
+        let mut out = [[0.0f64; PANEL_LANES]; ROWS];
+        for (dots, chains) in out.iter_mut().zip(acc) {
+            _mm256_storeu_pd(dots.as_mut_ptr(), chains[0]);
+            _mm256_storeu_pd(dots.as_mut_ptr().add(4), chains[1]);
         }
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), acc);
-        out
-    }
-
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `avx2`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot2_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 2] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 2);
-        let mut acc = _mm_setzero_pd();
-        for i in 0..n {
-            let qv = _mm_set1_pd(*q.get_unchecked(i * stride));
-            let lanes = _mm_loadu_pd(panel.as_ptr().add(i * 2));
-            acc = _mm_add_pd(acc, _mm_mul_pd(qv, lanes));
-        }
-        let mut out = [0.0f64; 2];
-        _mm_storeu_pd(out.as_mut_ptr(), acc);
         out
     }
 }
 
-/// AVX-512 kernels for the XOR/popcount family: 512-bit lanes with the
+/// AVX-512 kernels: the XOR/popcount family on 512-bit lanes with the
 /// native per-64-bit-lane popcount of `avx512vpopcntdq`, replacing the
-/// AVX2 `pshufb` nibble LUT. Popcounts are exact integers, so the counts
-/// are trivially bit-identical to the scalar oracle. Same safety argument
-/// as `avx2`: reachable only through the dispatch tables after runtime
-/// detection confirmed `avx512f` + `avx512vpopcntdq`. The `f64` panels and
-/// `add_signs` intentionally stay on the AVX2 kernels — panel widths are
-/// at most 4 `f64` lanes (256 bits), so wider registers buy nothing and
-/// the accumulation-order contract is already satisfied there.
+/// AVX2 `pshufb` nibble LUT, and the `f64` panel kernel with one 8-lane
+/// panel element per register. Popcounts are exact integers, so the counts
+/// are trivially bit-identical to the scalar oracle; the panel keeps one
+/// ascending chain per output, and the 32 registers hold the chains of
+/// more streamed rows at once than AVX2's 16 can. Same safety argument as
+/// `avx2`: reachable only through the dispatch tables after runtime
+/// detection confirmed `avx512f` + `avx512vpopcntdq`. `add_signs` stays on
+/// the AVX2 kernel: its 4-lane sign lookup gains nothing from 512 bits.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use super::{for_each_tile, tile_len, PANEL_LANES};
     use std::arch::x86_64::*;
+
+    /// Streamed rows per panel pass: one 512-bit accumulator each, so 8
+    /// rows keep 8 add chains in flight beside the panel element and the
+    /// broadcast.
+    const ROWS: usize = 8;
 
     #[allow(unsafe_code)]
     pub(super) fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
@@ -711,6 +731,51 @@ mod avx512 {
         // SAFETY: only dispatched on hosts where avx512f+avx512vpopcntdq
         // are detected.
         unsafe { xor_popcount_masked_impl(a, b, mask) }
+    }
+
+    #[allow(unsafe_code)]
+    pub(super) fn dot_panel(
+        rows: &[&[f64]],
+        stride: usize,
+        panel: &[f64],
+        out: &mut [[f64; PANEL_LANES]],
+    ) {
+        for_each_tile::<ROWS>(rows, stride, out, |tile| {
+            // SAFETY: only dispatched on hosts where avx512f is detected.
+            unsafe { dot_tile_impl(tile, stride, panel) }
+        });
+    }
+
+    /// `ROWS` streamed rows against one panel: per panel element, the lanes
+    /// are loaded once and every row's element is broadcast into its chain.
+    // SAFETY: `unsafe` is solely the `target_feature` contract — `avx512f`
+    // was confirmed by runtime detection before `dot_panel` (the only
+    // caller) was dispatched. Pointer arithmetic stays within the argument
+    // slices: `i < n` keeps the panel read below `panel.len()` and, as
+    // `tile_len` bounds `n` by `row.len().div_ceil(stride)` for every row
+    // of the tile, each streamed index `i * stride` below its row's length.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dot_tile_impl(
+        rows: &[&[f64]; ROWS],
+        stride: usize,
+        panel: &[f64],
+    ) -> [[f64; PANEL_LANES]; ROWS] {
+        let n = tile_len(rows, stride, panel);
+        let heads = rows.map(<[f64]>::as_ptr);
+        let mut acc = [_mm512_setzero_pd(); ROWS];
+        for i in 0..n {
+            let lanes = _mm512_loadu_pd(panel.as_ptr().add(i * PANEL_LANES));
+            for (chain, head) in acc.iter_mut().zip(heads) {
+                let qv = _mm512_set1_pd(*head.add(i * stride));
+                *chain = _mm512_add_pd(*chain, _mm512_mul_pd(qv, lanes));
+            }
+        }
+        let mut out = [[0.0f64; PANEL_LANES]; ROWS];
+        for (dots, chain) in out.iter_mut().zip(acc) {
+            _mm512_storeu_pd(dots.as_mut_ptr(), chain);
+        }
+        out
     }
 
     /// Same `target_feature` obligation as the AVX2 helpers: without it a
@@ -774,8 +839,9 @@ mod avx512 {
     }
 }
 
-/// NEON kernels, mirroring the AVX2 set. Same safety argument: reachable
-/// only through the dispatch tables after runtime detection.
+/// NEON kernels for the XOR/popcount family and `add_signs` (the `f64`
+/// panel runs the scalar oracle). Same safety argument as `avx2`:
+/// reachable only through the dispatch tables after runtime detection.
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::SIGN_LUT4;
@@ -797,25 +863,6 @@ mod neon {
     pub(super) fn add_signs(acc: &mut [f64], words: &[u64]) {
         // SAFETY: only dispatched on hosts where neon is detected.
         unsafe { add_signs_impl(acc, words) }
-    }
-
-    #[allow(unsafe_code)]
-    pub(super) fn dot_panel<const B: usize>(
-        q: &[f64],
-        stride: usize,
-        panel: &[f64],
-    ) -> Option<[f64; B]> {
-        let mut out = [0.0f64; B];
-        // SAFETY: only dispatched on hosts where neon is detected.
-        unsafe {
-            match B {
-                8 => out.copy_from_slice(&dot8_impl(q, stride, panel)),
-                4 => out.copy_from_slice(&dot4_impl(q, stride, panel)),
-                2 => out.copy_from_slice(&dot2_impl(q, stride, panel)),
-                _ => return None,
-            }
-        }
-        Some(out)
     }
 
     // SAFETY: `unsafe` is solely the `target_feature` contract — callers
@@ -887,75 +934,6 @@ mod neon {
             acc[c] += 1.0 - 2.0 * bit as f64;
         }
     }
-
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `neon`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "neon")]
-    unsafe fn dot8_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 8] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 8);
-        let mut acc = [vdupq_n_f64(0.0); 4];
-        for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
-            let base = panel.as_ptr().add(i * 8);
-            for (k, lane) in acc.iter_mut().enumerate() {
-                *lane = vaddq_f64(*lane, vmulq_f64(qv, vld1q_f64(base.add(k * 2))));
-            }
-        }
-        let mut out = [0.0f64; 8];
-        for (k, lane) in acc.iter().enumerate() {
-            vst1q_f64(out.as_mut_ptr().add(k * 2), *lane);
-        }
-        out
-    }
-
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `neon`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "neon")]
-    unsafe fn dot4_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 4] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 4);
-        let mut acc0 = vdupq_n_f64(0.0);
-        let mut acc1 = vdupq_n_f64(0.0);
-        for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
-            let base = panel.as_ptr().add(i * 4);
-            acc0 = vaddq_f64(acc0, vmulq_f64(qv, vld1q_f64(base)));
-            acc1 = vaddq_f64(acc1, vmulq_f64(qv, vld1q_f64(base.add(2))));
-        }
-        let mut out = [0.0f64; 4];
-        vst1q_f64(out.as_mut_ptr(), acc0);
-        vst1q_f64(out.as_mut_ptr().add(2), acc1);
-        out
-    }
-
-    // SAFETY: `unsafe` is solely the `target_feature` contract — callers
-    // must reach this only after runtime detection confirmed `neon`
-    // (the dispatch tables above are the only callers). All pointer
-    // arithmetic stays within the argument slices: `i < n` keeps the panel
-    // read below `panel.len()` and, as `n <= q.len().div_ceil(stride)`,
-    // the streamed index `i * stride` below `q.len()`.
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "neon")]
-    unsafe fn dot2_impl(q: &[f64], stride: usize, panel: &[f64]) -> [f64; 2] {
-        let n = q.len().div_ceil(stride).min(panel.len() / 2);
-        let mut acc = vdupq_n_f64(0.0);
-        for i in 0..n {
-            let qv = vdupq_n_f64(*q.get_unchecked(i * stride));
-            acc = vaddq_f64(acc, vmulq_f64(qv, vld1q_f64(panel.as_ptr().add(i * 2))));
-        }
-        let mut out = [0.0f64; 2];
-        vst1q_f64(out.as_mut_ptr(), acc);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1003,8 +981,8 @@ mod tests {
 
     #[test]
     fn avx512_support_implies_avx2_support() {
-        // The AVX-512 backend delegates panels and add_signs to AVX2, so
-        // the feature lattice must be monotone.
+        // The AVX-512 backend delegates add_signs to AVX2, so the feature
+        // lattice must be monotone.
         if supported(KernelBackend::Avx512) {
             assert!(supported(KernelBackend::Avx2));
             assert_eq!(detected(), KernelBackend::Avx512);

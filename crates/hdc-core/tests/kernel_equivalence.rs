@@ -12,8 +12,9 @@
 //! so the environment override is exercised on a fresh backend cache.
 
 use hdc_core::batch::{accumulate_by_segment_bits, score_rows_sharded, SimilarityMetric};
+use hdc_core::matmul::{matmul_batch, matvec};
 use hdc_core::prelude::*;
-use hdc_core::random::{bipolar_hypermatrix, random_hypermatrix};
+use hdc_core::random::{bipolar_hypermatrix, gaussian_hypermatrix, random_hypermatrix};
 use hdc_core::shard::ShardPlan;
 use hdc_core::simd::{self, KernelBackend};
 use hdc_core::{cosine_similarity_batch_sharded, hamming_distance_batch_sharded};
@@ -27,17 +28,44 @@ fn lock_backend() -> MutexGuard<'static, ()> {
     BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run `body` once under the scalar backend and once under the detected
-/// backend, returning both results. On a host without SIMD support the two
-/// runs both use scalar and the comparison is trivially true (the fuzz
-/// suite still exercises the dispatch plumbing).
-fn on_both_backends<R>(mut body: impl FnMut() -> R) -> (R, R) {
+/// Every backend this host can run, scalar first.
+fn supported_backends() -> Vec<KernelBackend> {
+    [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+        KernelBackend::Neon,
+    ]
+    .into_iter()
+    .filter(|&b| simd::supported(b))
+    .collect()
+}
+
+/// Run `body` once under the scalar backend and once under every SIMD
+/// backend this host supports (so an AVX-512 host runs its AVX2 leg too),
+/// returning the scalar result and each SIMD result with its backend. On a
+/// host without SIMD support the list is empty.
+fn on_every_backend<R>(mut body: impl FnMut() -> R) -> (R, Vec<(KernelBackend, R)>) {
     let _guard = lock_backend();
     simd::set_backend(KernelBackend::Scalar).unwrap();
     let scalar = body();
+    let simd_results = supported_backends()
+        .into_iter()
+        .filter(|b| b.is_simd())
+        .map(|backend| {
+            simd::set_backend(backend).unwrap();
+            (backend, body())
+        })
+        .collect();
     simd::set_backend(simd::detected()).unwrap();
-    let simd_result = body();
-    (scalar, simd_result)
+    (scalar, simd_results)
+}
+
+/// Exact equality of the `f64` bits (`assert_eq!` on floats would let
+/// `-0.0 == 0.0` through).
+fn assert_bits_eq(actual: &[f64], expected: &[f64], context: &str) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(actual), bits(expected), "{context}");
 }
 
 fn bit_matrix(rows: usize, cols: usize, seed: u64) -> BitMatrix {
@@ -51,7 +79,7 @@ fn dense_matrix(rows: usize, cols: usize, seed: u64) -> HyperMatrix<f64> {
 }
 
 /// Dims chosen to hit every tail case: below one word, exact word/block
-/// multiples, one past them, odd primes, and panel widths 8/4/2/1.
+/// multiples, one past them, and odd primes.
 const FUZZ_DIMS: &[usize] = &[
     1, 7, 63, 64, 65, 127, 128, 129, 130, 191, 193, 256, 333, 1027,
 ];
@@ -75,13 +103,15 @@ fn hamming_batch_matches_scalar_across_backends() {
         let queries = bit_matrix(5, dim, 0xA11CE ^ dim as u64);
         let classes = bit_matrix(9, dim, 0xB0B ^ dim as u64);
         for perf in fuzz_perforations(dim) {
-            let (scalar, simd_out) =
-                on_both_backends(|| hamming_distance_batch(&queries, &classes, perf).unwrap());
-            assert_eq!(
-                scalar.as_slice(),
-                simd_out.as_slice(),
-                "hamming dim={dim} perf={perf:?}"
-            );
+            let (scalar, simd_outs) =
+                on_every_backend(|| hamming_distance_batch(&queries, &classes, perf).unwrap());
+            for (backend, simd_out) in simd_outs {
+                assert_eq!(
+                    scalar.as_slice(),
+                    simd_out.as_slice(),
+                    "hamming {backend} dim={dim} perf={perf:?}"
+                );
+            }
         }
     }
 }
@@ -92,15 +122,14 @@ fn cosine_batch_matches_scalar_across_backends() {
         let queries = dense_matrix(5, dim, 0xC051 ^ dim as u64);
         let classes = dense_matrix(9, dim, 0x51AB ^ dim as u64);
         for perf in fuzz_perforations(dim) {
-            let (scalar, simd_out) =
-                on_both_backends(|| cosine_similarity_batch(&queries, &classes, perf).unwrap());
+            let (scalar, simd_outs) =
+                on_every_backend(|| cosine_similarity_batch(&queries, &classes, perf).unwrap());
             // Exact bit equality, not approximate: the SIMD panels must
             // reproduce the scalar accumulation chains.
-            assert_eq!(
-                scalar.as_slice(),
-                simd_out.as_slice(),
-                "cosine dim={dim} perf={perf:?}"
-            );
+            for (backend, simd_out) in simd_outs {
+                let context = format!("cosine {backend} dim={dim} perf={perf:?}");
+                assert_bits_eq(simd_out.as_slice(), scalar.as_slice(), &context);
+            }
         }
     }
 }
@@ -111,15 +140,108 @@ fn matmul_batch_matches_scalar_across_backends() {
         let queries = dense_matrix(11, dim, 0x44AA ^ dim as u64);
         let proj = dense_matrix(17, dim, 0x77EE ^ dim as u64);
         for perf in fuzz_perforations(dim) {
-            let (scalar, simd_out) =
-                on_both_backends(|| hdc_core::matmul::matmul_batch(&queries, &proj, perf).unwrap());
-            assert_eq!(
-                scalar.as_slice(),
-                simd_out.as_slice(),
-                "matmul dim={dim} perf={perf:?}"
-            );
+            let (scalar, simd_outs) =
+                on_every_backend(|| matmul_batch(&queries, &proj, perf).unwrap());
+            for (backend, simd_out) in simd_outs {
+                let context = format!("matmul {backend} dim={dim} perf={perf:?}");
+                assert_bits_eq(simd_out.as_slice(), scalar.as_slice(), &context);
+            }
         }
     }
+}
+
+/// Query counts around the 8-row panel and the 64-row work item.
+const PANEL_QUERY_ROWS: &[usize] = &[0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 129];
+
+/// Streamed-row counts around the 4- and 8-row tiles of the SIMD legs.
+const PANEL_STREAMED_ROWS: &[usize] = &[1, 7, 8, 9, 17, 65];
+
+/// Feature dims for the panel suites: tails below and past a register,
+/// and the 617 features of the ISOLET-shaped workloads.
+const PANEL_DIMS: &[usize] = &[1, 7, 65, 130, 617];
+
+/// A ±1 and a Gaussian matrix of `rows` streamed rows: the kernel may not
+/// lean on ±1 entries to stay bit-identical.
+fn streamed_matrices(rows: usize, dim: usize, seed: u64) -> [(&'static str, HyperMatrix<f64>); 2] {
+    let mut rng = HdcRng::seed_from_u64(seed);
+    [
+        ("bipolar", bipolar_hypermatrix(rows, dim, &mut rng)),
+        ("gaussian", gaussian_hypermatrix(rows, dim, &mut rng)),
+    ]
+}
+
+/// `reference(streamed, perf, query)` is the per-sample output for one
+/// query row; `batch(queries, streamed, perf)` over a query matrix must
+/// reproduce it row by row, bit for bit, on every backend. Query counts
+/// sweep [`PANEL_QUERY_ROWS`] against 17 streamed rows (two 8-row tiles and
+/// one row over), and streamed counts sweep [`PANEL_STREAMED_ROWS`] against
+/// 9 query rows (one panel and one row over) — each sweep straddles its own
+/// blocking while the other axis straddles too.
+fn panel_suite(
+    name: &str,
+    reference: impl Fn(&HyperMatrix<f64>, Perforation, &HyperVector<f64>) -> Vec<f64>,
+    batch: impl Fn(&HyperMatrix<f64>, &HyperMatrix<f64>, Perforation) -> HyperMatrix<f64>,
+) {
+    let _guard = lock_backend();
+    let shapes = PANEL_QUERY_ROWS
+        .iter()
+        .map(|&rows| (rows, 17))
+        .chain(PANEL_STREAMED_ROWS.iter().map(|&streamed| (9, streamed)));
+    for (rows, streamed_rows) in shapes {
+        for &dim in PANEL_DIMS {
+            let seed = (dim * 131 + rows * 17 + streamed_rows) as u64;
+            let mut rng = HdcRng::seed_from_u64(seed);
+            let queries: HyperMatrix<f64> = gaussian_hypermatrix(rows, dim, &mut rng);
+            for (kind, streamed) in streamed_matrices(streamed_rows, dim, seed) {
+                for perf in fuzz_perforations(dim) {
+                    let expected: Vec<Vec<f64>> = (0..rows)
+                        .map(|r| reference(&streamed, perf, &queries.row_vector(r).unwrap()))
+                        .collect();
+                    for backend in supported_backends() {
+                        simd::set_backend(backend).unwrap();
+                        let out = batch(&queries, &streamed, perf);
+                        assert_eq!((out.rows(), out.cols()), (rows, streamed_rows));
+                        for (r, expect) in expected.iter().enumerate() {
+                            let context = format!(
+                                "{name} {backend} dim={dim} {kind} streamed={streamed_rows} \
+                                 rows={rows} row={r} perf={perf:?}"
+                            );
+                            assert_bits_eq(out.row(r).unwrap(), expect, &context);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    simd::set_backend(simd::detected()).unwrap();
+}
+
+/// `matmul_batch` (projection rows streamed against query panels) equals
+/// the per-sample `matvec` row by row, exactly, on every backend.
+#[test]
+fn matmul_batch_matches_matvec_on_every_backend() {
+    panel_suite(
+        "matmul",
+        |projection, perf, query| matvec(projection, query, perf).unwrap().as_slice().to_vec(),
+        |queries, projection, perf| matmul_batch(queries, projection, perf).unwrap(),
+    );
+}
+
+/// The dense cosine batch (class rows streamed against query panels)
+/// equals the per-sample `cosine_similarity_matrix` row by row, exactly,
+/// on every backend.
+#[test]
+fn dense_cosine_batch_matches_per_sample_on_every_backend() {
+    panel_suite(
+        "cosine",
+        |classes, perf, query| {
+            cosine_similarity_matrix(query, classes, perf)
+                .unwrap()
+                .as_slice()
+                .to_vec()
+        },
+        |queries, classes, perf| cosine_similarity_batch(queries, classes, perf).unwrap(),
+    );
 }
 
 #[test]
@@ -128,9 +250,12 @@ fn segment_accumulation_matches_scalar_across_backends() {
         let rows = bit_matrix(13, dim, 0x5E6 ^ dim as u64);
         let segments: Vec<usize> = (0..13).map(|i| i % 3).collect();
         let init = dense_matrix(3, dim, 0x111 ^ dim as u64);
-        let (scalar, simd_out) =
-            on_both_backends(|| accumulate_by_segment_bits(&rows, &segments, &init).unwrap());
-        assert_eq!(scalar.as_slice(), simd_out.as_slice(), "segments dim={dim}");
+        let (scalar, simd_outs) =
+            on_every_backend(|| accumulate_by_segment_bits(&rows, &segments, &init).unwrap());
+        for (backend, simd_out) in simd_outs {
+            let context = format!("segments {backend} dim={dim}");
+            assert_bits_eq(simd_out.as_slice(), scalar.as_slice(), &context);
+        }
     }
 }
 
@@ -161,18 +286,12 @@ fn batched_matches_sequential_oracle_on_simd_backend() {
 /// kernel. Every row must equal the per-sample reference
 /// (`cosine_similarity_matrix`, which walks `perforation.indices()` one pair
 /// at a time) exactly, on the scalar backend and on every SIMD backend this
-/// host supports, for query counts that leave 8/4/2/1-wide panel tails and
+/// host supports, for query counts that leave zero-padded panel lanes and
 /// spans whose length the stride does not divide.
 #[test]
 fn perforated_cosine_matches_per_sample_on_every_backend() {
     let _guard = lock_backend();
-    let backends = [
-        KernelBackend::Scalar,
-        KernelBackend::Avx2,
-        KernelBackend::Avx512,
-        KernelBackend::Neon,
-    ];
-    for backend in backends.into_iter().filter(|&b| simd::supported(b)) {
+    for backend in supported_backends() {
         simd::set_backend(backend).unwrap();
         for &dim in &[7usize, 64, 65, 130, 333, 1027] {
             let classes = dense_matrix(9, dim, 0x51AB ^ dim as u64);
@@ -206,7 +325,7 @@ fn whole_range_scores_match_scalar_across_backends() {
     for &dim in &[64usize, 130, 333] {
         let queries = dense_matrix(6, dim, 0x9A9 ^ dim as u64);
         let classes = dense_matrix(5, dim, 0x7C7 ^ dim as u64);
-        let (scalar, simd_out) = on_both_backends(|| {
+        let (scalar, simd_outs) = on_every_backend(|| {
             score_rows_sharded(
                 &queries,
                 0..6,
@@ -217,11 +336,10 @@ fn whole_range_scores_match_scalar_across_backends() {
             )
             .unwrap()
         });
-        assert_eq!(
-            scalar.as_slice(),
-            simd_out.as_slice(),
-            "score_rows_sharded dim={dim}"
-        );
+        for (backend, simd_out) in simd_outs {
+            let context = format!("score_rows_sharded {backend} dim={dim}");
+            assert_bits_eq(simd_out.as_slice(), scalar.as_slice(), &context);
+        }
     }
 }
 
@@ -333,7 +451,7 @@ fn sharded_kernels_match_unsharded_across_backends() {
         for perf in fuzz_perforations(dim) {
             for &shards in FUZZ_SHARDS {
                 let plan = ShardPlan::split(11, shards);
-                let (scalar, simd_out) = on_both_backends(|| {
+                let (scalar, simd_outs) = on_every_backend(|| {
                     (
                         hamming_distance_batch_sharded(&bq, &bc, perf, &plan).unwrap(),
                         cosine_similarity_batch_sharded(&dq, &dc, perf, &plan).unwrap(),
@@ -342,32 +460,34 @@ fn sharded_kernels_match_unsharded_across_backends() {
                     )
                 });
                 // Bit-identical across backends...
-                assert_eq!(
-                    scalar.0.as_slice(),
-                    simd_out.0.as_slice(),
-                    "sharded hamming dim={dim} shards={shards} perf={perf:?}"
-                );
-                assert_eq!(scalar.1.as_slice(), simd_out.1.as_slice());
-                assert_eq!(scalar.2.as_slice(), simd_out.2.as_slice());
-                assert_eq!(scalar.3.as_slice(), simd_out.3.as_slice());
+                for (backend, simd_out) in &simd_outs {
+                    assert_eq!(
+                        scalar.0.as_slice(),
+                        simd_out.0.as_slice(),
+                        "sharded hamming {backend} dim={dim} shards={shards} perf={perf:?}"
+                    );
+                    assert_eq!(scalar.1.as_slice(), simd_out.1.as_slice());
+                    assert_eq!(scalar.2.as_slice(), simd_out.2.as_slice());
+                    assert_eq!(scalar.3.as_slice(), simd_out.3.as_slice());
+                }
                 // ...and to the unsharded kernels on the current backend.
                 let _guard = lock_backend();
                 assert_eq!(
-                    simd_out.0.as_slice(),
+                    scalar.0.as_slice(),
                     hamming_distance_batch(&bq, &bc, perf).unwrap().as_slice(),
                     "sharded vs unsharded hamming dim={dim} shards={shards}"
                 );
                 assert_eq!(
-                    simd_out.1.as_slice(),
+                    scalar.1.as_slice(),
                     cosine_similarity_batch(&dq, &dc, perf).unwrap().as_slice()
                 );
                 let single = ShardPlan::single(11);
                 assert_eq!(
-                    simd_out.2.as_slice(),
+                    scalar.2.as_slice(),
                     score(SimilarityMetric::Hamming, &dq, &dc, perf, &single).as_slice()
                 );
                 assert_eq!(
-                    simd_out.3.as_slice(),
+                    scalar.3.as_slice(),
                     score(SimilarityMetric::Cosine, &dq, &dc, perf, &single).as_slice()
                 );
             }
