@@ -1,9 +1,9 @@
 //! Per-host CPU calibration for the accelerator cost model.
 //!
-//! `perf_json --calibrate` times the *selected* kernel backend on the
-//! running host and derives the [`CpuParams`] roofline the `hdc-accel`
-//! model compares against, so modeled accelerator speedups are relative to
-//! this machine rather than a documented reference container:
+//! [`calibrate`] times the *selected* kernel backend on the running host
+//! and derives the [`CpuParams`] roofline the accelerator model compares
+//! against, so modeled accelerator speedups are relative to this machine
+//! rather than a documented reference container:
 //!
 //! * **popcount throughput** — a timed [`hamming_distance_batch`] over a
 //!   10240-dim binarized grid, reported as bits reduced per second;
@@ -18,12 +18,12 @@
 //!
 //! The roofline consumed by the model is
 //! `CpuParams { flops_per_sec, bytes_per_sec }`; popcount throughput and
-//! the per-cycle figures are recorded in the perf report's `cpu` section
-//! for trajectory tracking. [`CpuParams::calibrated`] guards against
+//! the per-cycle figures are reported alongside it in [`CpuCalibration`].
+//! [`CpuParams::calibrated`] guards against
 //! degenerate measurements by falling back to the documented defaults
 //! field-wise.
 
-use hdc_accel::CpuParams;
+use crate::CpuParams;
 use hdc_core::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -92,11 +92,19 @@ fn estimate_clock_hz(iters: u64) -> f64 {
     iters as f64 * CYCLES_PER_ITER / secs
 }
 
+/// A deterministic bit-packed bipolar matrix.
+fn bit_matrix(seed: u64, rows: usize, cols: usize) -> BitMatrix {
+    let mut rng = HdcRng::seed_from_u64(seed);
+    BitMatrix::from_dense(&hdc_core::random::bipolar_hypermatrix::<f32>(
+        rows, cols, &mut rng,
+    ))
+}
+
 /// Time the binarized Hamming grid and report operand bits reduced per
 /// second (`queries x classes x dim` XOR+popcount bits per call).
 fn measure_popcount_bits_per_sec(dim: usize, classes: usize, queries: usize, runs: usize) -> f64 {
-    let q = crate::bit_matrix(11, queries, dim);
-    let c = crate::bit_matrix(12, classes, dim);
+    let q = bit_matrix(11, queries, dim);
+    let c = bit_matrix(12, classes, dim);
     let secs = median_seconds(runs, || {
         black_box(hamming_distance_batch(&q, &c, Perforation::NONE).unwrap());
     });
@@ -133,7 +141,7 @@ fn measure_stream_bytes_per_sec(elems: usize, runs: usize) -> f64 {
 }
 
 /// Calibrate the selected kernel backend on this host. `quick` shrinks the
-/// problem sizes and run counts for CI smoke runs (well under a second);
+/// problem sizes and run counts (well under a second);
 /// the full pass sizes the grids to amortize timer noise.
 pub fn calibrate(quick: bool) -> CpuCalibration {
     let (dim, classes, queries, stream_elems, runs) = if quick {

@@ -244,12 +244,28 @@ mod tests {
     use hdc_ir::stage::ScorePolarity;
     use hdc_runtime::Value;
 
-    fn staged_inference(perforate: bool) -> Program {
+    /// Eight queries against four classes: XOR/popcount Hamming when
+    /// `binarized`, dense cosine otherwise.
+    fn staged_inference(perforate: bool, binarized: bool) -> Program {
+        let elem = if binarized {
+            ElementKind::Bit
+        } else {
+            ElementKind::F64
+        };
+        let polarity = if binarized {
+            ScorePolarity::Distance
+        } else {
+            ScorePolarity::Similarity
+        };
         let mut b = ProgramBuilder::new("exec_test");
-        let q = b.input_matrix("queries", ElementKind::Bit, 8, 256);
-        let c = b.input_matrix("classes", ElementKind::Bit, 4, 256);
-        let preds = b.inference_loop("infer", q, c, ScorePolarity::Distance, |b, s| {
-            let d = b.hamming_distance(s, c);
+        let q = b.input_matrix("queries", elem, 8, 256);
+        let c = b.input_matrix("classes", elem, 4, 256);
+        let preds = b.inference_loop("infer", q, c, polarity, |b, s| {
+            let d = if binarized {
+                b.hamming_distance(s, c)
+            } else {
+                b.cossim(s, c)
+            };
             if perforate {
                 b.red_perf(d, 0, 256, 2);
             }
@@ -259,7 +275,7 @@ mod tests {
         b.finish()
     }
 
-    fn bind_data(exec: &mut Executor) -> hdc_runtime::Result<()> {
+    fn bind_data(exec: &mut Executor, binarized: bool) -> hdc_runtime::Result<()> {
         let mut rng = HdcRng::seed_from_u64(3);
         let classes: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(4, 256, &mut rng);
         let queries: HyperMatrix<f64> = HyperMatrix::from_rows(
@@ -268,46 +284,57 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        exec.bind(
-            "queries",
-            Value::bit_matrix(BitMatrix::from_dense(&queries)),
-        )?;
-        exec.bind(
-            "classes",
-            Value::bit_matrix(BitMatrix::from_dense(&classes)),
-        )?;
+        if binarized {
+            exec.bind(
+                "queries",
+                Value::bit_matrix(BitMatrix::from_dense(&queries)),
+            )?;
+            exec.bind(
+                "classes",
+                Value::bit_matrix(BitMatrix::from_dense(&classes)),
+            )?;
+        } else {
+            exec.bind("queries", Value::matrix(queries))?;
+            exec.bind("classes", Value::matrix(classes))?;
+        }
         Ok(())
     }
 
     #[test]
     fn accelerated_outputs_match_oracle_and_account_samples() {
-        let p = staged_inference(false);
-        let ax = AcceleratedExecutor::new(&p, Target::DigitalAsic, AcceleratorModel::default());
-        let run = ax.run_with(bind_data).unwrap();
-        // Oracle: the same program executed sequentially on the CPU.
-        let mut oracle = Executor::new(&p).unwrap();
-        oracle.set_batched_stages(false).set_parallel_loops(false);
-        bind_data(&mut oracle).unwrap();
-        let expect = oracle.run().unwrap();
-        let preds = run.outputs.iter().next().unwrap().0;
-        assert_eq!(
-            run.outputs.get(preds).unwrap(),
-            expect.get(preds).unwrap(),
-            "accelerated path must be bit-identical to the oracle"
-        );
-        assert_eq!(run.stats.exec.accelerated_stage_samples, 8);
-        assert_eq!(run.stats.modeled.accelerated_stages(), 1);
-        assert_eq!(run.stats.modeled.stages[0].samples, 8);
-        assert!(run.stats.modeled.demoted.is_empty());
-        assert!(run.stats.modeled.energy_joules() > 0.0);
+        for binarized in [true, false] {
+            let p = staged_inference(false, binarized);
+            let bind = |exec: &mut Executor| bind_data(exec, binarized);
+            // Oracle: the same program executed sequentially on the CPU.
+            let mut oracle = Executor::new(&p).unwrap();
+            oracle.set_batched_stages(false).set_parallel_loops(false);
+            bind(&mut oracle).unwrap();
+            let expect = oracle.run().unwrap();
+            for target in [Target::DigitalAsic, Target::ReRamAccelerator] {
+                let ax = AcceleratedExecutor::new(&p, target, AcceleratorModel::default());
+                let run = ax.run_with(bind).unwrap();
+                let preds = run.outputs.iter().next().unwrap().0;
+                assert_eq!(
+                    run.outputs.get(preds).unwrap(),
+                    expect.get(preds).unwrap(),
+                    "{target} binarized={binarized}: accelerated path must be bit-identical \
+                     to the oracle"
+                );
+                assert_eq!(run.stats.exec.accelerated_stage_samples, 8);
+                assert_eq!(run.stats.modeled.accelerated_stages(), 1);
+                assert_eq!(run.stats.modeled.stages[0].samples, 8);
+                assert!(run.stats.modeled.demoted.is_empty());
+                assert!(run.stats.modeled.energy_joules() > 0.0);
+            }
+        }
     }
 
     #[test]
     fn perforated_stage_is_demoted_and_unmodeled() {
-        let p = staged_inference(true);
+        let p = staged_inference(true, true);
         let ax =
             AcceleratedExecutor::new(&p, Target::ReRamAccelerator, AcceleratorModel::default());
-        let run = ax.run_with(bind_data).unwrap();
+        let run = ax.run_with(|exec| bind_data(exec, true)).unwrap();
         assert_eq!(run.stats.modeled.accelerated_stages(), 0);
         assert_eq!(run.stats.exec.accelerated_stage_samples, 0);
         assert_eq!(run.stats.modeled.demoted.len(), 1);
@@ -321,7 +348,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires an HDC accelerator")]
     fn rejects_programmable_targets() {
-        let p = staged_inference(false);
+        let p = staged_inference(false, true);
         AcceleratedExecutor::new(&p, Target::Gpu, AcceleratorModel::default());
     }
 }

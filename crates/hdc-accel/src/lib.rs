@@ -15,8 +15,8 @@
 //!
 //! * **Functional execution** stays on the interpreter: an accelerated
 //!   stage computes bit-identical outputs to the sequential per-sample
-//!   oracle (asserted by the equivalence suite and by the `perf_json`
-//!   harness before it records anything).
+//!   oracle (asserted by the `accel_equivalence` and `listing1_accounting`
+//!   suites).
 //! * **Performance** comes from an analytical model
 //!   ([`AcceleratorModel`]): programming cost from the persistent values
 //!   hoisted by the data-movement pass, per-sample streaming cost from the
@@ -28,7 +28,8 @@
 //! The pieces:
 //!
 //! * [`AccelParams`] / [`CpuParams`] — every device number as a named,
-//!   swappable field.
+//!   swappable field; [`calibrate`] measures this host's [`CpuParams`]
+//!   roofline.
 //! * [`AcceleratorModel`] — [`AcceleratorModel::stage_cost`] turns one
 //!   accelerator-placed stage node plus a sample count into exact modeled
 //!   bits / cycles and derived seconds / energy ([`StageCost`]).
@@ -87,6 +88,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod calibrate;
 pub mod executor;
 pub mod model;
 pub mod params;

@@ -127,8 +127,8 @@ pub struct CpuParams {
 }
 
 impl CpuParams {
-    /// Calibrated parameters measured on the running host (see the
-    /// `hdc-bench` calibration pass, `perf_json --calibrate`): sustained
+    /// Calibrated parameters measured on the running host (see
+    /// [`calibrate`](crate::calibrate::calibrate)): sustained
     /// kernel throughput and streaming bandwidth of the *selected* kernel
     /// backend on *this* machine, replacing the documented defaults so
     /// modeled accelerator speedups are relative to the CPU the benchmarks

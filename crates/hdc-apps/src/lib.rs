@@ -29,8 +29,8 @@
 //! accelerator, outputs still bit-identical to the CPU modes, plus a
 //! modeled per-stage cost report ([`Accelerated`]). The
 //! `app_equivalence` integration suite pins the two modes to identical
-//! outputs for all three apps; `hdc-bench`'s `perf_json` harness times them
-//! against each other and records the speedups in `BENCH_results.json`.
+//! outputs for all three apps, and `accel_equivalence` pins the
+//! accelerated runs to the same outputs.
 //!
 //! Workload data comes from `hdc-datasets`: seeded synthetic ISOLET-like /
 //! EMG-like / HyperOMS-like generators, so every run is reproducible.

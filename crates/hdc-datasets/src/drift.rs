@@ -6,8 +6,7 @@
 //! changes at a configured onset. Replaying the tape prequentially
 //! (predict each sample, then reveal its label as feedback) measures how a
 //! static model degrades after the onset and how fast an adapting model
-//! recovers; [`windowed_accuracy`] turns the per-sample hit sequence into
-//! the accuracy-over-time curve committed to `BENCH_results.json`.
+//! recovers.
 //!
 //! Three drift shapes, mirroring the online-learning literature:
 //!
@@ -435,20 +434,6 @@ pub fn concept_drift(params: &ConceptDriftParams) -> DriftScenario {
     }
 }
 
-/// Accuracy over consecutive windows of `window` per-sample hits; the
-/// final window may be partial. This is the accuracy-over-time curve the
-/// `online` section of `BENCH_results.json` records.
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn windowed_accuracy(hits: &[bool], window: usize) -> Vec<f64> {
-    assert!(window > 0, "accuracy window must be positive");
-    hits.chunks(window)
-        .map(|chunk| chunk.iter().filter(|&&hit| hit).count() as f64 / chunk.len() as f64)
-        .collect()
-}
-
 fn cluster_centroids(classes: usize, features: usize, rng: &mut HdcRng) -> Vec<HyperVector<f64>> {
     (0..classes)
         .map(|_| HyperVector::from_fn(features, |_| StandardNormal.sample(rng)))
@@ -673,21 +658,5 @@ mod tests {
         let tape = label_shift(&small_shift()).tape;
         assert!(tape.samples.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
         assert_eq!(tape.onset_ms(), tape.samples[tape.onset].at_ms);
-    }
-
-    #[test]
-    fn windowed_accuracy_matches_hand_computed_tape() {
-        // Hand-computed toy tape: hits TTFF TTT, window 2.
-        let hits = [true, true, false, false, true, true, true];
-        assert_eq!(windowed_accuracy(&hits, 2), vec![1.0, 0.0, 1.0, 1.0]);
-        // Window larger than the tape: one partial window.
-        assert_eq!(windowed_accuracy(&hits, 10), vec![5.0 / 7.0]);
-        assert_eq!(windowed_accuracy(&[], 3), Vec::<f64>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "accuracy window must be positive")]
-    fn windowed_accuracy_rejects_zero_window() {
-        windowed_accuracy(&[true], 0);
     }
 }

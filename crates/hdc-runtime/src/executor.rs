@@ -501,36 +501,6 @@ impl<'p> Executor<'p> {
         Ok(Outputs { values })
     }
 
-    /// Fork an independent executor on the same program, carrying over the
-    /// current *bound inputs* (`Arc` refcount bumps, no tensor copies) and
-    /// scheduling configuration, but none of the run state: the fork gets
-    /// fresh counters, a fresh stage trace, and its own store, so two forks
-    /// running concurrently — or a fork running while the parent is mid-use
-    /// elsewhere — never observe each other's in-place stage mutations.
-    ///
-    /// This is the executor-sharing contract the serving registry builds
-    /// on: bind a model's artifacts once, then fork per request window.
-    /// If the parent has already run, the fork starts from the parent's
-    /// *baseline* store (the inputs as bound, not the last run's mutated
-    /// state), matching what a freshly bound executor would see.
-    pub fn fork(&self) -> Executor<'p> {
-        let store = match &self.baseline {
-            Some(baseline) => baseline.clone(),
-            None => self.store.clone(),
-        };
-        Executor {
-            program: self.program,
-            store,
-            stats: ExecStats::default(),
-            batch_stages: self.batch_stages,
-            parallel_loops: self.parallel_loops,
-            class_shard_override: self.class_shard_override,
-            row_log: None,
-            stage_trace: Vec::new(),
-            baseline: None,
-        }
-    }
-
     // ------------------------------------------------------------------
     // store access
     // ------------------------------------------------------------------

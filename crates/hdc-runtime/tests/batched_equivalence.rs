@@ -33,6 +33,15 @@ fn build_inference(
     metric: Metric,
     perf: Option<(usize, usize, usize)>,
 ) -> (Program, ValueId) {
+    build_inference_classes(CLASSES, binarized, metric, perf)
+}
+
+fn build_inference_classes(
+    class_rows: usize,
+    binarized: bool,
+    metric: Metric,
+    perf: Option<(usize, usize, usize)>,
+) -> (Program, ValueId) {
     let elem = if binarized {
         ElementKind::Bit
     } else {
@@ -40,7 +49,7 @@ fn build_inference(
     };
     let mut b = ProgramBuilder::new("equiv_infer");
     let q = b.input_matrix("queries", elem, QUERIES, DIM);
-    let c = b.input_matrix("classes", elem, CLASSES, DIM);
+    let c = b.input_matrix("classes", elem, class_rows, DIM);
     let polarity = match metric {
         Metric::Hamming => ScorePolarity::Distance,
         Metric::Cosine => ScorePolarity::Similarity,
@@ -60,9 +69,14 @@ fn build_inference(
 }
 
 fn inference_data(binarized: bool) -> (Value, Value) {
+    inference_data_classes(CLASSES, binarized)
+}
+
+fn inference_data_classes(class_rows: usize, binarized: bool) -> (Value, Value) {
     let mut rng = HdcRng::seed_from_u64(0xE9);
     let queries: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(QUERIES, DIM, &mut rng);
-    let classes: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(CLASSES, DIM, &mut rng);
+    let classes: HyperMatrix<f64> =
+        hdc_core::random::bipolar_hypermatrix(class_rows, DIM, &mut rng);
     if binarized {
         (
             Value::bit_matrix(BitMatrix::from_dense(&queries)),
@@ -976,6 +990,44 @@ fn sharded_inference_is_bit_identical_to_sequential_oracle() {
             }
         }
     }
+}
+
+/// The batched path under `rayon::set_num_threads` {1, 2, 4, 8} with the
+/// auto shard plan: labels bit-identical to the sequential oracle at every
+/// worker count, and `class_shards` exactly what the auto plan picks for
+/// that count. The override is process-global; no other test here depends
+/// on it, because their `CLASSES`-row class memories stay one shard at any
+/// worker count.
+#[test]
+fn thread_sweep_with_auto_shard_plan_matches_sequential_oracle() {
+    const SWEEP_CLASSES: usize = 8 * hdc_core::shard::MIN_ROWS_PER_SHARD;
+    for (binarized, metric) in [(false, Metric::Cosine), (true, Metric::Hamming)] {
+        for perf in perforations() {
+            let (program, preds) = build_inference_classes(SWEEP_CLASSES, binarized, metric, perf);
+            let (queries, classes) = inference_data_classes(SWEEP_CLASSES, binarized);
+            let (sequential, _) = run_inference(&program, preds, &queries, &classes, false);
+            for threads in [1, 2, 4, 8] {
+                rayon::set_num_threads(threads);
+                let case = format!("binarized={binarized} perf={perf:?} threads={threads}");
+                let mut exec = Executor::new(&program).unwrap();
+                exec.set_class_shards(None);
+                exec.bind("queries", queries.clone()).unwrap();
+                exec.bind("classes", classes.clone()).unwrap();
+                let out = exec.run().unwrap();
+                assert_eq!(out.indices(preds).unwrap(), sequential.as_slice(), "{case}");
+                let auto = hdc_core::default_shard_count(SWEEP_CLASSES, threads);
+                assert_eq!(auto, threads, "{case}: the sweep must reach every count");
+                let stats = exec.stats();
+                assert_eq!(
+                    stats.class_shards,
+                    if auto > 1 { auto } else { 0 },
+                    "{case}"
+                );
+                assert_eq!(stats.shard_merge_ops, QUERIES * (auto - 1), "{case}");
+            }
+        }
+    }
+    rayon::set_num_threads(0);
 }
 
 #[test]

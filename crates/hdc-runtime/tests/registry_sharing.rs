@@ -3,11 +3,11 @@
 //! many request executors) must never observe each other's run state.
 //!
 //! This extends the run-reset fix (repeated `run()`s on one executor are
-//! independent) across executors: [`Executor::fork`] hands out
-//! refcount-bump copies of the bound store, and the COW `Value` payloads
-//! guarantee a fork's in-place stage mutations (training loops update the
-//! class matrix in place) stay invisible to the parent and to sibling
-//! forks — even when the forks run concurrently on worker threads.
+//! independent) across executors: binding an artifact is a refcount bump,
+//! and the COW `Value` payloads guarantee one executor's in-place stage
+//! mutations (training loops update the class matrix in place) stay
+//! invisible to every other executor bound to the same artifacts — even
+//! when they run concurrently on worker threads.
 
 use hdc_core::element::ElementKind;
 use hdc_core::prelude::*;
@@ -74,112 +74,41 @@ fn bind_all(exec: &mut Executor<'_>, arts: &(Value, Value, Value, Value)) {
 }
 
 #[test]
-fn fork_does_not_observe_parent_run_state() {
-    let (program, preds) = build_train_infer();
-    let arts = artifacts(0x5A);
-    let mut parent = Executor::new(&program).unwrap();
-    bind_all(&mut parent, &arts);
-    // Fork BEFORE the parent runs: carries the bound inputs.
-    let mut pre_fork = parent.fork();
-    let parent_out = parent.run().unwrap();
-    // Fork AFTER the parent ran: must start from the bound inputs, not
-    // the class matrix the parent's training loop mutated in place.
-    let mut post_fork = parent.fork();
-    let pre_out = pre_fork.run().unwrap();
-    let post_out = post_fork.run().unwrap();
-    assert_eq!(
-        parent_out.indices(preds).unwrap(),
-        pre_out.indices(preds).unwrap()
-    );
-    assert_eq!(
-        parent_out.indices(preds).unwrap(),
-        post_out.indices(preds).unwrap()
-    );
-    assert_eq!(parent_out, pre_out, "pre-run fork diverged");
-    assert_eq!(
-        parent_out, post_out,
-        "post-run fork observed parent run state"
-    );
-    // And the parent re-runs unchanged (the original run-reset contract).
-    assert_eq!(parent.run().unwrap(), parent_out);
-}
-
-#[test]
 fn sibling_forks_are_isolated_and_concurrent_runs_identical() {
     let (program, _) = build_train_infer();
     let arts = artifacts(0x5B);
     let mut root = Executor::new(&program).unwrap();
     bind_all(&mut root, &arts);
     let reference = root.run().unwrap();
+    // Siblings: independent executors bound to the same `Arc` artifacts,
+    // each training the shared class matrix in place on its own thread.
     let outputs: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let mut fork = root.fork();
+                let (program, arts) = (&program, &arts);
                 scope.spawn(move || {
-                    let out = fork.run().unwrap();
-                    (out, fork.stats())
+                    let mut sibling = Executor::new(program).unwrap();
+                    bind_all(&mut sibling, arts);
+                    let out = sibling.run().unwrap();
+                    (out, sibling.stats())
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (i, (out, stats)) in outputs.iter().enumerate() {
-        assert_eq!(out, &reference, "fork {i} diverged from the root run");
+        assert_eq!(out, &reference, "sibling {i} diverged from the root run");
         assert_eq!(
             stats.instructions_executed,
             root.stats().instructions_executed,
-            "fork {i} counted different work"
+            "sibling {i} counted different work"
         );
     }
+    // The root re-runs unchanged after its siblings trained.
+    assert_eq!(root.run().unwrap(), reference);
     // The shared artifacts themselves are untouched: a fresh executor
     // bound from the same Arcs still reproduces the reference.
     let mut fresh = Executor::new(&program).unwrap();
     bind_all(&mut fresh, &arts);
     assert_eq!(fresh.run().unwrap(), reference);
-}
-
-#[test]
-fn fork_rebind_does_not_leak_into_parent_or_siblings() {
-    let (program, preds) = build_train_infer();
-    let arts = artifacts(0x5C);
-    let mut root = Executor::new(&program).unwrap();
-    bind_all(&mut root, &arts);
-    let reference = root.run().unwrap();
-    // A fork rebinds its query matrix (a different request); the parent
-    // and a sibling forked afterwards must be unaffected.
-    let mut rebound = root.fork();
-    let mut rng = HdcRng::seed_from_u64(0x5D);
-    let other: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(SAMPLES, DIM, &mut rng);
-    rebound.bind("queries", Value::matrix(other)).unwrap();
-    let rebound_out = rebound.run().unwrap();
-    assert_ne!(
-        rebound_out.indices(preds).unwrap(),
-        reference.indices(preds).unwrap(),
-        "rebound fork should score different queries (sanity)"
-    );
-    let mut sibling = root.fork();
-    assert_eq!(sibling.run().unwrap(), reference, "sibling saw the rebind");
-    assert_eq!(root.run().unwrap(), reference, "parent saw the rebind");
-}
-
-#[test]
-fn fork_inherits_scheduling_configuration() {
-    let (program, _) = build_train_infer();
-    let arts = artifacts(0x5E);
-    let mut root = Executor::new(&program).unwrap();
-    root.set_batched_stages(false)
-        .set_parallel_loops(false)
-        .set_class_shards(Some(2));
-    bind_all(&mut root, &arts);
-    let reference = root.run().unwrap();
-    let mut fork = root.fork();
-    let fork_out = fork.run().unwrap();
-    assert_eq!(fork_out, reference);
-    // Sequential mode performs zero batched kernel calls; the fork must
-    // have inherited that configuration rather than the defaults.
-    assert_eq!(fork.stats().batched_kernel_ops, 0);
-    assert_eq!(
-        fork.stats().instructions_executed,
-        root.stats().instructions_executed
-    );
 }

@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 pub struct WindowConfig {
     /// Maximum items per window; a `push` that reaches this count flushes
     /// immediately. Must be ≥ 1. `1` disables coalescing (every push
-    /// flushes — the batch-size-1 dispatch baseline the bench compares
-    /// against).
+    /// flushes — the batch-size-1 dispatch baseline `load_gen
+    /// --window-batch 1` measures).
     pub max_batch: usize,
     /// Maximum time a window may stay open once it holds an item.
     /// `Duration::ZERO` means a window never waits: the first `poll` (or

@@ -23,8 +23,8 @@
 //!   [`ExecStats`](hdc_runtime::ExecStats) and an optional HTTP façade
 //!   for them.
 //! * [`loadgen`] — open-loop load generator reporting p50/p99 latency and
-//!   QPS (the `load_gen` bin feeds the `serving` section of
-//!   `BENCH_results.json`).
+//!   QPS, every response checked against the sequential oracle (driven by
+//!   the `load_gen` bin).
 //! * [`online`] — [`OnlineTrainer`]: labeled-feedback perceptron updates
 //!   against a *shadow* class memory, re-frozen through the pass pipeline
 //!   and atomically published via [`ModelRegistry::swap`] under a

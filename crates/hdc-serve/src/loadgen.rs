@@ -13,8 +13,8 @@
 //! With [`LoadConfig::check`] enabled every response is compared against
 //! the model's per-request sequential oracle
 //! ([`ServableModel::oracle_infer`]); any divergence counts in
-//! [`LoadReport::mismatched`]. The committed bench numbers run with the
-//! check on and require zero.
+//! [`LoadReport::mismatched`]. The CI load runs keep the check on and
+//! require zero.
 
 use crate::model::{Prediction, ServableModel};
 use crate::service::Service;
@@ -77,8 +77,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Render the report as a JSON object (the `load_gen` bin's output and
-    /// the shape embedded in `BENCH_results.json`'s `serving` section).
+    /// Render the report as a JSON object (the `load_gen` bin's output).
     /// `indent` is prepended to every line after the opening brace.
     pub fn to_json(&self, indent: &str) -> String {
         format!(

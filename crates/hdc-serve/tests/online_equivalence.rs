@@ -4,17 +4,23 @@
 //! a class memory **bit-identical** to the offline batched trainer's — for
 //! the binarized pipeline and the dense baseline, for sharded and unsharded
 //! frozen-score selection, and for feeds shorter and longer than one
-//! re-freeze block. Run by CI under
-//! `HDC_NUM_THREADS={1,4}`.
+//! re-freeze block. The seeded drift tapes, replayed through an adapting
+//! service, must recover where the drift moves the class-conditional
+//! distributions. Run by CI under `HDC_NUM_THREADS={1,4}`.
 
 use hdc_apps::ClassificationApp;
 use hdc_core::{BitMatrix, HyperMatrix};
+use hdc_datasets::drift::{
+    concept_drift, incremental_classes, label_shift, ConceptDriftParams, DriftScenario,
+    IncrementalClassParams, LabelShiftParams,
+};
 use hdc_datasets::synthetic::{isolet_like, IsoletParams};
 use hdc_passes::CompileOptions;
 use hdc_runtime::{Value, TRAIN_BLOCK_ROWS};
 use hdc_serve::service::{Service, ServiceConfig};
 use hdc_serve::{
-    MockClock, ModelRegistry, OnlineTrainer, OnlineTrainerConfig, ServableModel, SwapPolicy,
+    MockClock, ModelRegistry, OnlineTrainer, OnlineTrainerConfig, Prediction, ServableModel,
+    SwapPolicy, WindowConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -327,4 +333,123 @@ fn service_answers_match_published_generation_oracle() {
         assert_eq!(got, expected);
     }
     service.shutdown();
+}
+
+/// The drift contract: each seeded tape replayed prequentially (predict,
+/// then learn) through one service holding a `static` and an `adapting`
+/// entry for the same base model. Every answer equals the live
+/// generation's oracle (feedback runs on this thread, so the generation a
+/// query resolves is known) and no feedback call errors. Where the drift
+/// moves the class-conditional distributions the swap policy publishes and
+/// the adapting model beats the static one after the onset by a clear
+/// margin. Label shift is the control: `P(x|y)` never moves, so it makes
+/// too few updates to publish and no recovery gap is expected there.
+#[test]
+fn drift_tapes_replay_cleanly_and_recover_after_onset() {
+    let tapes = [
+        (
+            label_shift(&LabelShiftParams {
+                pre_samples: 40,
+                post_samples: 40,
+                ..LabelShiftParams::default()
+            }),
+            false,
+        ),
+        (
+            incremental_classes(&IncrementalClassParams {
+                pre_samples: 30,
+                post_samples: 60,
+                ..IncrementalClassParams::default()
+            }),
+            true,
+        ),
+        (
+            concept_drift(&ConceptDriftParams {
+                pre_samples: 30,
+                post_samples: 60,
+                ..ConceptDriftParams::default()
+            }),
+            true,
+        ),
+    ];
+    for (DriftScenario { base, tape }, recovers) in tapes {
+        let name = tape.name;
+        let app = ClassificationApp::new(base, DIM, 2).unwrap();
+        let model = Arc::new(ServableModel::classifier("adapting", &app).unwrap());
+        let registry = Arc::new(ModelRegistry::new());
+        registry.register("static", Arc::clone(&model));
+        registry.register("adapting", Arc::clone(&model));
+        let service = Service::start(
+            Arc::clone(&registry),
+            ServiceConfig {
+                window: WindowConfig {
+                    max_batch: 1,
+                    max_delay: Duration::ZERO,
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        let trainer = OnlineTrainer::attach(
+            Arc::clone(&registry),
+            "adapting",
+            OnlineTrainerConfig {
+                policy: SwapPolicy::every_updates(8),
+                class_shards: None,
+            },
+        )
+        .unwrap();
+        service.attach_trainer(trainer);
+
+        let mut live = Arc::clone(&model);
+        let mut swaps = 0;
+        let (mut static_hits, mut adapting_hits) = (0, 0);
+        for (i, sample) in tape.samples.iter().enumerate() {
+            let p_static = service
+                .submit("static", sample.features.clone())
+                .wait()
+                .unwrap();
+            let p_adapting = service
+                .submit("adapting", sample.features.clone())
+                .wait()
+                .unwrap();
+            assert_eq!(
+                p_static,
+                model.oracle_infer(&sample.features).unwrap(),
+                "{name} sample {i}: static answer off its oracle"
+            );
+            assert_eq!(
+                p_adapting,
+                live.oracle_infer(&sample.features).unwrap(),
+                "{name} sample {i}: adapting answer off the live generation's oracle"
+            );
+            if i >= tape.onset {
+                let truth = Prediction::Label(sample.label);
+                static_hits += usize::from(p_static == truth);
+                adapting_hits += usize::from(p_adapting == truth);
+            }
+            let out = service
+                .feedback("adapting", &sample.features, sample.label)
+                .unwrap_or_else(|e| panic!("{name} sample {i}: feedback failed: {e}"));
+            if let Some(published) = out.published {
+                swaps += 1;
+                live = published;
+            }
+        }
+        let stats = service.stats();
+        service.shutdown();
+        assert_eq!(stats.failed, 0, "{name}");
+        assert_eq!(stats.feedback_rejected, 0, "{name}");
+        assert_eq!(stats.swaps_published, swaps, "{name}");
+        if recovers {
+            assert!(swaps >= 1, "{name}: the swap policy never published");
+            let post = (tape.samples.len() - tape.onset) as f64;
+            let (static_acc, adapting_acc) =
+                (static_hits as f64 / post, adapting_hits as f64 / post);
+            assert!(
+                adapting_acc > static_acc + 0.05,
+                "{name}: no recovery after the onset (adapting {adapting_acc:.3} vs static \
+                 {static_acc:.3})"
+            );
+        }
+    }
 }
