@@ -242,7 +242,7 @@ mod tests {
     use hdc_core::prelude::*;
     use hdc_ir::builder::ProgramBuilder;
     use hdc_ir::stage::ScorePolarity;
-    use hdc_runtime::Value;
+    use hdc_runtime::{ExecMode, Value};
 
     /// Eight queries against four classes: XOR/popcount Hamming when
     /// `binarized`, dense cosine otherwise.
@@ -307,7 +307,7 @@ mod tests {
             let bind = |exec: &mut Executor| bind_data(exec, binarized);
             // Oracle: the same program executed sequentially on the CPU.
             let mut oracle = Executor::new(&p).unwrap();
-            oracle.set_batched_stages(false).set_parallel_loops(false);
+            oracle.set_mode(ExecMode::Sequential);
             bind(&mut oracle).unwrap();
             let expect = oracle.run().unwrap();
             for target in [Target::DigitalAsic, Target::ReRamAccelerator] {

@@ -17,7 +17,7 @@ use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::Program;
 use hdc_ir::stage::ScorePolarity;
 use hdc_ir::Target;
-use hdc_runtime::{Executor, Value};
+use hdc_runtime::{ExecMode, Executor, Value};
 
 const DIM: usize = 2048;
 const CLASSES: usize = 26;
@@ -64,7 +64,7 @@ fn listing1_accounting_is_exact() {
 
     // The sequential per-sample oracle.
     let mut oracle = Executor::new(&program).unwrap();
-    oracle.set_batched_stages(false).set_parallel_loops(false);
+    oracle.set_mode(ExecMode::Sequential);
     oracle.bind("queries", queries.clone()).unwrap();
     oracle.bind("classes", classes.clone()).unwrap();
     let expected = oracle.run().unwrap();

@@ -8,7 +8,7 @@
 //!
 //! With no names, every known program is linted: the three application
 //! pipelines in both default (binarized) and baseline (dense)
-//! configurations, the serving templates at two batch sizes, and the
+//! configurations, the serving programs at two batch sizes, and the
 //! online trainer's encode/freeze programs. `--json` emits one
 //! machine-readable report per line; `--list` prints the known names.
 
@@ -100,7 +100,7 @@ fn build(name: &str) -> Result<Vec<Program>, String> {
                 }
             };
             // Two batch sizes: the single-query fast path and a coalesced
-            // window, which exercise distinct template rescalings.
+            // window, each built and compiled at its own size.
             let mut programs = Vec::new();
             for rows in [1usize, 8] {
                 programs.push(

@@ -6,6 +6,7 @@
 //! can assert on exact codes rather than message text. The catalog lives in
 //! `docs/static-analysis.md`.
 
+use hdc_ir::printer::json_str;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -306,24 +307,6 @@ impl fmt::Display for AnalysisReport {
         }
         Ok(())
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -74,8 +74,8 @@ fn serving_templates_are_clean_at_both_batch_sizes() {
     ];
     for model in &models {
         for rows in [1usize, 8] {
-            let program = model.program_for(rows).expect("template rescale");
-            assert_clean(&program, &format!("serve template at {rows} rows"));
+            let program = model.program_for(rows).expect("serve program");
+            assert_clean(&program, &format!("serve program at {rows} rows"));
         }
     }
 }

@@ -22,34 +22,25 @@
 //! accuracy-vs-epochs curve, which the `app_equivalence` suite requires to
 //! improve.
 
+use crate::compiled::Compiled;
 use crate::{ExecMode, Result};
 use hdc_core::element::ElementKind;
 use hdc_datasets::Dataset;
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::{NodeBody, Program, ValueId, ValueRole};
 use hdc_ir::stage::{ScorePolarity, StageKind};
-use hdc_passes::{compile, eliminate_dead_code, CompileOptions, CompileReport};
-use hdc_runtime::{ExecStats, Executor, Value};
+use hdc_passes::{eliminate_dead_code, CompileOptions, CompileReport};
+use hdc_runtime::{ExecStats, Outputs, Value};
 
 /// The compiled classification application.
 #[derive(Debug)]
 pub struct ClassificationApp {
-    dataset: Dataset,
-    program: Program,
-    report: CompileReport,
+    core: Compiled,
     preds: ValueId,
     enc_train: ValueId,
     enc_test: ValueId,
     dim: usize,
     epochs: usize,
-    /// Inputs pre-wrapped as Arc-backed [`Value`]s so every [`run`] binds
-    /// by reference-count bump instead of deep-copying the dataset — the
-    /// perf harness times `run` end to end.
-    ///
-    /// [`run`]: ClassificationApp::run
-    train_x: Value,
-    test_x: Value,
-    train_y: Value,
 }
 
 /// The outcome of one classification run.
@@ -89,39 +80,42 @@ impl ClassificationApp {
         epochs: usize,
         options: &CompileOptions,
     ) -> Result<Self> {
-        let (mut program, preds, enc_train, enc_test) = build_program(&dataset, dim, epochs);
-        let report = compile(&mut program, options)?;
-        let train_x = Value::matrix(dataset.train.features.clone());
-        let test_x = Value::matrix(dataset.test.features.clone());
-        let train_y = Value::indices(dataset.train.labels.clone());
+        let (program, preds, enc_train, enc_test) = build_program(&dataset, dim, epochs);
+        let inputs = vec![
+            (
+                "train_features",
+                Value::matrix(dataset.train.features.clone()),
+            ),
+            (
+                "test_features",
+                Value::matrix(dataset.test.features.clone()),
+            ),
+            ("train_labels", Value::indices(dataset.train.labels.clone())),
+        ];
+        let core = Compiled::new(dataset, program, options, inputs)?;
         Ok(ClassificationApp {
-            dataset,
-            program,
-            report,
+            core,
             preds,
             enc_train,
             enc_test,
             dim,
             epochs,
-            train_x,
-            test_x,
-            train_y,
         })
     }
 
     /// The compiled IR program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.core.program
     }
 
     /// The pass pipeline's compile report.
     pub fn compile_report(&self) -> &CompileReport {
-        &self.report
+        &self.core.report
     }
 
     /// The dataset the app classifies.
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        &self.core.dataset
     }
 
     /// Hypervector dimension the app encodes into.
@@ -141,18 +135,16 @@ impl ClassificationApp {
     /// Returns [`AppError::Runtime`](crate::AppError::Runtime) if execution
     /// fails.
     pub fn run(&self, mode: ExecMode) -> Result<ClassificationRun> {
-        let mut exec = Executor::new(&self.program)?;
-        exec.set_batched_stages(mode.is_batched());
-        exec.set_parallel_loops(mode.is_batched());
-        exec.bind("train_features", self.train_x.clone())?;
-        exec.bind("test_features", self.test_x.clone())?;
-        exec.bind("train_labels", self.train_y.clone())?;
-        let out = exec.run()?;
+        let (out, stats) = self.core.run(mode)?;
+        self.outcome(&out, stats)
+    }
+
+    fn outcome(&self, out: &Outputs, stats: ExecStats) -> Result<ClassificationRun> {
         let predictions = out.indices(self.preds)?.to_vec();
         Ok(ClassificationRun {
-            accuracy: self.dataset.test_accuracy(&predictions),
+            accuracy: self.dataset().test_accuracy(&predictions),
             predictions,
-            stats: exec.stats(),
+            stats,
         })
     }
 
@@ -171,20 +163,9 @@ impl ClassificationApp {
         model: &hdc_accel::AcceleratorModel,
         target: hdc_ir::Target,
     ) -> Result<crate::Accelerated<ClassificationRun>> {
-        let ax = hdc_accel::AcceleratedExecutor::new(&self.program, target, model.clone());
-        let run = ax.run_with(|exec| {
-            exec.bind("train_features", self.train_x.clone())?;
-            exec.bind("test_features", self.test_x.clone())?;
-            exec.bind("train_labels", self.train_y.clone())?;
-            Ok(())
-        })?;
-        let predictions = run.outputs.indices(self.preds)?.to_vec();
+        let run = self.core.run_accelerated(model, target)?;
         Ok(crate::Accelerated {
-            run: ClassificationRun {
-                accuracy: self.dataset.test_accuracy(&predictions),
-                predictions,
-                stats: run.stats.exec,
-            },
+            run: self.outcome(&run.outputs, run.stats.exec)?,
             modeled: run.stats.modeled,
         })
     }
@@ -223,7 +204,7 @@ impl ClassificationApp {
         // Harvest the encoded train/test matrices from one encode-only run
         // of the compiled program (the encodings do not depend on the epoch
         // count, and the training/inference tail would be thrown away).
-        let mut harvest = self.program.clone();
+        let mut harvest = self.core.program.clone();
         harvest.nodes_mut().retain(|n| match &n.body {
             NodeBody::Stage(s) => s.kind == StageKind::Encoding,
             _ => true,
@@ -232,11 +213,7 @@ impl ClassificationApp {
         harvest.value_mut(self.enc_train).role = ValueRole::Output;
         harvest.value_mut(self.enc_test).role = ValueRole::Output;
         eliminate_dead_code(&mut harvest);
-        let mut exec = Executor::new(&harvest)?;
-        exec.bind("train_features", self.train_x.clone())?;
-        exec.bind("test_features", self.test_x.clone())?;
-        exec.bind("train_labels", self.train_y.clone())?;
-        let out = exec.run()?;
+        let out = self.core.executor(&harvest, ExecMode::Batched)?.run()?;
         let enc_train = out
             .get(self.enc_train)
             .expect("marked as output above")
@@ -248,7 +225,7 @@ impl ClassificationApp {
         // The reduced program: the encoding stages are dropped and the
         // encoded matrices become host-bound inputs; dead code from the
         // dropped stages (the projection matrix) is eliminated.
-        let mut reduced = self.program.clone();
+        let mut reduced = self.core.program.clone();
         reduced
             .nodes_mut()
             .retain(|n| !matches!(&n.body, NodeBody::Stage(s) if s.kind == StageKind::Encoding));
@@ -266,18 +243,15 @@ impl ClassificationApp {
                         }
                     }
                 }
-                let mut exec = Executor::new(&program)?;
                 // The raw feature inputs are unused once the encoding
                 // stages are gone, but they keep their input role; binding
                 // them is a reference-count bump.
-                exec.bind("train_features", self.train_x.clone())?;
-                exec.bind("test_features", self.test_x.clone())?;
-                exec.bind("train_labels", self.train_y.clone())?;
+                let mut exec = self.core.executor(&program, ExecMode::Batched)?;
                 exec.bind_id(self.enc_train, enc_train.clone())?;
                 exec.bind_id(self.enc_test, enc_test.clone())?;
                 let out = exec.run()?;
                 let predictions = out.indices(self.preds)?;
-                Ok(self.dataset.test_accuracy(predictions))
+                Ok(self.dataset().test_accuracy(predictions))
             })
             .collect()
     }
@@ -298,28 +272,27 @@ impl ClassificationApp {
     /// Returns [`AppError::Runtime`](crate::AppError::Runtime) if the
     /// harvest run fails.
     pub fn harvest_artifacts(&self) -> Result<HarvestedClassifier> {
-        let mut harvest = self.program.clone();
-        for name in ["rp_matrix", "class_hvs", "class_bits"] {
-            let id = harvest
-                .values()
-                .iter()
-                .position(|v| v.name == name)
-                .map(hdc_ir::program::ValueId::new)
-                .expect("build_program names these values");
-            harvest.value_mut(id).role = ValueRole::Output;
-        }
-        let mut exec = Executor::new(&harvest)?;
-        exec.bind("train_features", self.train_x.clone())?;
-        exec.bind("test_features", self.test_x.clone())?;
-        exec.bind("train_labels", self.train_y.clone())?;
-        let out = exec.run()?;
-        let by_name =
-            |name: &str| -> Value { out.by_name(name).expect("marked as output above").clone() };
+        let [rp_matrix, class_hvs, class_bits] =
+            <[Value; 3]>::try_from(self.harvest(&["rp_matrix", "class_hvs", "class_bits"])?)
+                .expect("one value per name");
         Ok(HarvestedClassifier {
-            rp_matrix: by_name("rp_matrix"),
-            class_hvs: by_name("class_hvs"),
-            class_bits: by_name("class_bits"),
+            rp_matrix,
+            class_hvs,
+            class_bits,
         })
+    }
+
+    /// Run the compiled program once (batched) with the named values
+    /// flipped to outputs, and return them in `names` order. Harvested
+    /// values are `Arc`-backed; holding them never copies a tensor.
+    ///
+    /// # Errors
+    ///
+    /// [`AppError::UnknownValue`](crate::AppError::UnknownValue) if the
+    /// program has no value of one of the names, or
+    /// [`AppError::Runtime`](crate::AppError::Runtime) if the run fails.
+    pub fn harvest(&self, names: &[&str]) -> Result<Vec<Value>> {
+        self.core.harvest(names)
     }
 }
 

@@ -23,27 +23,23 @@
 //! assign/update sequence into the dataflow graph, one stage + loop node
 //! pair per round.
 
+use crate::compiled::Compiled;
 use crate::{ExecMode, Result};
 use hdc_core::element::ElementKind;
 use hdc_datasets::Dataset;
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::{Program, ValueId};
 use hdc_ir::stage::ScorePolarity;
-use hdc_passes::{compile, CompileOptions, CompileReport};
-use hdc_runtime::{ExecStats, Executor, Value};
+use hdc_passes::{CompileOptions, CompileReport};
+use hdc_runtime::{ExecStats, Outputs, Value};
 
 /// The compiled clustering application.
 #[derive(Debug)]
 pub struct ClusteringApp {
-    dataset: Dataset,
-    program: Program,
-    report: CompileReport,
+    core: Compiled,
     assignments: ValueId,
     k: usize,
     rounds: usize,
-    /// Samples pre-wrapped as an Arc-backed [`Value`] so every
-    /// [`run`](ClusteringApp::run) binds by reference-count bump.
-    samples: Value,
 }
 
 /// The outcome of one clustering run.
@@ -86,33 +82,30 @@ impl ClusteringApp {
         options: &CompileOptions,
     ) -> Result<Self> {
         let k = dataset.meta.classes;
-        let (mut program, assignments) = build_program(&dataset, dim, k, rounds);
-        let report = compile(&mut program, options)?;
-        let samples = Value::matrix(dataset.train.features.clone());
+        let (program, assignments) = build_program(&dataset, dim, k, rounds);
+        let inputs = vec![("samples", Value::matrix(dataset.train.features.clone()))];
+        let core = Compiled::new(dataset, program, options, inputs)?;
         Ok(ClusteringApp {
-            dataset,
-            program,
-            report,
+            core,
             assignments,
             k,
             rounds,
-            samples,
         })
     }
 
     /// The compiled IR program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.core.program
     }
 
     /// The pass pipeline's compile report.
     pub fn compile_report(&self) -> &CompileReport {
-        &self.report
+        &self.core.report
     }
 
     /// The dataset whose training split is clustered.
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        &self.core.dataset
     }
 
     /// Number of clusters.
@@ -132,16 +125,16 @@ impl ClusteringApp {
     /// Returns [`AppError::Runtime`](crate::AppError::Runtime) if execution
     /// fails.
     pub fn run(&self, mode: ExecMode) -> Result<ClusteringRun> {
-        let mut exec = Executor::new(&self.program)?;
-        exec.set_batched_stages(mode.is_batched());
-        exec.set_parallel_loops(mode.is_batched());
-        exec.bind("samples", self.samples.clone())?;
-        let out = exec.run()?;
+        let (out, stats) = self.core.run(mode)?;
+        self.outcome(&out, stats)
+    }
+
+    fn outcome(&self, out: &Outputs, stats: ExecStats) -> Result<ClusteringRun> {
         let assignments = out.indices(self.assignments)?.to_vec();
         Ok(ClusteringRun {
-            purity: purity(&assignments, &self.dataset.train.labels, self.k),
+            purity: purity(&assignments, &self.dataset().train.labels, self.k),
             assignments,
-            stats: exec.stats(),
+            stats,
         })
     }
 
@@ -160,20 +153,24 @@ impl ClusteringApp {
         model: &hdc_accel::AcceleratorModel,
         target: hdc_ir::Target,
     ) -> Result<crate::Accelerated<ClusteringRun>> {
-        let ax = hdc_accel::AcceleratedExecutor::new(&self.program, target, model.clone());
-        let run = ax.run_with(|exec| {
-            exec.bind("samples", self.samples.clone())?;
-            Ok(())
-        })?;
-        let assignments = run.outputs.indices(self.assignments)?.to_vec();
+        let run = self.core.run_accelerated(model, target)?;
         Ok(crate::Accelerated {
-            run: ClusteringRun {
-                purity: purity(&assignments, &self.dataset.train.labels, self.k),
-                assignments,
-                stats: run.stats.exec,
-            },
+            run: self.outcome(&run.outputs, run.stats.exec)?,
             modeled: run.stats.modeled,
         })
+    }
+
+    /// Run the compiled program once (batched) with the named values
+    /// flipped to outputs, and return them in `names` order. Harvested
+    /// values are `Arc`-backed; holding them never copies a tensor.
+    ///
+    /// # Errors
+    ///
+    /// [`AppError::UnknownValue`](crate::AppError::UnknownValue) if the
+    /// program has no value of one of the names, or
+    /// [`AppError::Runtime`](crate::AppError::Runtime) if the run fails.
+    pub fn harvest(&self, names: &[&str]) -> Result<Vec<Value>> {
+        self.core.harvest(names)
     }
 }
 

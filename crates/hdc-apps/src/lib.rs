@@ -27,7 +27,10 @@
 //! `run_accelerated(model, target)` executes it through the `hdc-accel`
 //! back end — stages re-targeted onto the digital ASIC or the ReRAM
 //! accelerator, outputs still bit-identical to the CPU modes, plus a
-//! modeled per-stage cost report ([`Accelerated`]). The
+//! modeled per-stage cost report ([`Accelerated`]), and `harvest(names)`
+//! runs the program once and returns the named intermediate values (the
+//! trained artifacts a servable model is built from). All three share one
+//! private bind / run / harvest core; each app only maps outputs. The
 //! `app_equivalence` integration suite pins the two modes to identical
 //! outputs for all three apps, and `accel_equivalence` pins the
 //! accelerated runs to the same outputs.
@@ -60,10 +63,12 @@ use std::fmt;
 
 pub mod classification;
 pub mod clustering;
+mod compiled;
 pub mod matching;
 
 pub use classification::{ClassificationApp, ClassificationRun, HarvestedClassifier};
 pub use clustering::{ClusteringApp, ClusteringRun};
+pub use hdc_runtime::ExecMode;
 pub use matching::{MatchingApp, MatchingRun};
 
 /// An application run executed through the accelerator back end
@@ -83,41 +88,6 @@ pub struct Accelerated<R> {
     pub modeled: hdc_accel::AccelReport,
 }
 
-/// Which executor schedule an app run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Matrix-level batched stage execution plus parallel loops (the
-    /// default production path).
-    Batched,
-    /// One interpreter pass per sample — the reference oracle the batched
-    /// path is checked against.
-    Sequential,
-}
-
-impl ExecMode {
-    /// Both modes, in the order the equivalence tests compare them.
-    pub const ALL: [ExecMode; 2] = [ExecMode::Batched, ExecMode::Sequential];
-
-    /// Whether this mode enables batched stages / parallel loops.
-    pub fn is_batched(self) -> bool {
-        matches!(self, ExecMode::Batched)
-    }
-
-    /// Lower-case name used in reports and JSON records.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Batched => "batched",
-            ExecMode::Sequential => "sequential",
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Errors raised while compiling or executing an application.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -126,6 +96,8 @@ pub enum AppError {
     Compile(hdc_passes::PipelineError),
     /// Execution failed.
     Runtime(hdc_runtime::RuntimeError),
+    /// A harvest named a value the app's program does not have.
+    UnknownValue(String),
 }
 
 impl fmt::Display for AppError {
@@ -133,6 +105,7 @@ impl fmt::Display for AppError {
         match self {
             AppError::Compile(e) => write!(f, "app compilation failed: {e}"),
             AppError::Runtime(e) => write!(f, "app execution failed: {e}"),
+            AppError::UnknownValue(name) => write!(f, "app program has no value named `{name}`"),
         }
     }
 }

@@ -22,27 +22,22 @@
 //! rescaling of the popcount form), which the `app_equivalence` suite
 //! asserts.
 
+use crate::compiled::Compiled;
 use crate::{ExecMode, Result};
 use hdc_core::element::ElementKind;
 use hdc_datasets::Dataset;
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::{Program, ValueId};
-use hdc_passes::{compile, CompileOptions, CompileReport};
-use hdc_runtime::{ExecStats, Executor, Value};
+use hdc_passes::{CompileOptions, CompileReport};
+use hdc_runtime::{ExecStats, Outputs, Value};
 
 /// The compiled spectral-matching application.
 #[derive(Debug)]
 pub struct MatchingApp {
-    dataset: Dataset,
-    program: Program,
-    report: CompileReport,
+    core: Compiled,
     top_k: ValueId,
     top_1: ValueId,
     k: usize,
-    /// Library / query matrices pre-wrapped as Arc-backed [`Value`]s so
-    /// every [`run`](MatchingApp::run) binds by reference-count bump.
-    library: Value,
-    queries: Value,
 }
 
 /// The outcome of one matching run.
@@ -91,35 +86,33 @@ impl MatchingApp {
         k: usize,
         options: &CompileOptions,
     ) -> Result<Self> {
-        let (mut program, top_k, top_1) = build_program(&dataset, dim, k);
-        let report = compile(&mut program, options)?;
-        let library = Value::matrix(dataset.train.features.clone());
-        let queries = Value::matrix(dataset.test.features.clone());
+        let (program, top_k, top_1) = build_program(&dataset, dim, k);
+        let inputs = vec![
+            ("library", Value::matrix(dataset.train.features.clone())),
+            ("queries", Value::matrix(dataset.test.features.clone())),
+        ];
+        let core = Compiled::new(dataset, program, options, inputs)?;
         Ok(MatchingApp {
-            dataset,
-            program,
-            report,
+            core,
             top_k,
             top_1,
             k,
-            library,
-            queries,
         })
     }
 
     /// The compiled IR program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.core.program
     }
 
     /// The pass pipeline's compile report.
     pub fn compile_report(&self) -> &CompileReport {
-        &self.report
+        &self.core.report
     }
 
     /// The dataset (train = library, test = queries).
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        &self.core.dataset
     }
 
     /// Candidates reported per query.
@@ -134,20 +127,19 @@ impl MatchingApp {
     /// Returns [`AppError::Runtime`](crate::AppError::Runtime) if execution
     /// fails.
     pub fn run(&self, mode: ExecMode) -> Result<MatchingRun> {
-        let mut exec = Executor::new(&self.program)?;
-        exec.set_batched_stages(mode.is_batched());
-        exec.set_parallel_loops(mode.is_batched());
-        exec.bind("library", self.library.clone())?;
-        exec.bind("queries", self.queries.clone())?;
-        let out = exec.run()?;
+        let (out, stats) = self.core.run(mode)?;
+        self.outcome(&out, stats)
+    }
+
+    fn outcome(&self, out: &Outputs, stats: ExecStats) -> Result<MatchingRun> {
         let candidates = out.indices(self.top_k)?.to_vec();
         let best = out.indices(self.top_1)?.to_vec();
         Ok(MatchingRun {
-            recall_at_k: self.dataset.test_recall_at_k(&candidates, self.k),
-            recall_at_1: self.dataset.test_accuracy(&best),
+            recall_at_k: self.dataset().test_recall_at_k(&candidates, self.k),
+            recall_at_1: self.dataset().test_accuracy(&best),
             candidates,
             best,
-            stats: exec.stats(),
+            stats,
         })
     }
 
@@ -167,24 +159,24 @@ impl MatchingApp {
         model: &hdc_accel::AcceleratorModel,
         target: hdc_ir::Target,
     ) -> Result<crate::Accelerated<MatchingRun>> {
-        let ax = hdc_accel::AcceleratedExecutor::new(&self.program, target, model.clone());
-        let run = ax.run_with(|exec| {
-            exec.bind("library", self.library.clone())?;
-            exec.bind("queries", self.queries.clone())?;
-            Ok(())
-        })?;
-        let candidates = run.outputs.indices(self.top_k)?.to_vec();
-        let best = run.outputs.indices(self.top_1)?.to_vec();
+        let run = self.core.run_accelerated(model, target)?;
         Ok(crate::Accelerated {
-            run: MatchingRun {
-                recall_at_k: self.dataset.test_recall_at_k(&candidates, self.k),
-                recall_at_1: self.dataset.test_accuracy(&best),
-                candidates,
-                best,
-                stats: run.stats.exec,
-            },
+            run: self.outcome(&run.outputs, run.stats.exec)?,
             modeled: run.stats.modeled,
         })
+    }
+
+    /// Run the compiled program once (batched) with the named values
+    /// flipped to outputs, and return them in `names` order. Harvested
+    /// values are `Arc`-backed; holding them never copies a tensor.
+    ///
+    /// # Errors
+    ///
+    /// [`AppError::UnknownValue`](crate::AppError::UnknownValue) if the
+    /// program has no value of one of the names, or
+    /// [`AppError::Runtime`](crate::AppError::Runtime) if the run fails.
+    pub fn harvest(&self, names: &[&str]) -> Result<Vec<Value>> {
+        self.core.harvest(names)
     }
 }
 

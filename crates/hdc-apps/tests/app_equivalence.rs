@@ -11,7 +11,7 @@
 use hdc_apps::classification::ClassificationApp;
 use hdc_apps::clustering::ClusteringApp;
 use hdc_apps::matching::MatchingApp;
-use hdc_apps::ExecMode;
+use hdc_apps::{AppError, ExecMode};
 use hdc_datasets::synthetic::{
     emg_like, hyperoms_like, isolet_like, EmgParams, HyperOmsParams, IsoletParams,
 };
@@ -314,4 +314,41 @@ fn batched_mode_never_runs_a_reference_kernel() {
             assert!(stats.batched_kernel_ops > 0, "{app}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// harvest
+// ---------------------------------------------------------------------------
+
+/// Every app harvests named values through one path: known names come
+/// back in order, an unknown name is a typed error, not a panic.
+#[test]
+fn harvest_returns_named_values_and_rejects_unknown_names() {
+    let classification = ClassificationApp::new(isolet(), DIM, 1).unwrap();
+    let clustering = ClusteringApp::new(emg(), DIM, 1).unwrap();
+    let matching = MatchingApp::new(spectra(), DIM, 3).unwrap();
+    let harvests = [
+        (
+            "classification",
+            classification.harvest(&["rp_matrix", "nope"]),
+        ),
+        ("clustering", clustering.harvest(&["rp_matrix", "nope"])),
+        ("matching", matching.harvest(&["rp_matrix", "nope"])),
+    ];
+    for (label, harvested) in harvests {
+        match harvested {
+            Err(AppError::UnknownValue(name)) => assert_eq!(name, "nope", "{label}"),
+            other => panic!("{label}: expected UnknownValue, got {other:?}"),
+        }
+    }
+    let values = matching
+        .harvest(&["rp_matrix", "encode_library.encoded"])
+        .unwrap();
+    assert_eq!(values.len(), 2);
+    assert_eq!(values[0].kind_name(), "matrix");
+    assert_eq!(
+        values[1].kind_name(),
+        "bit-matrix",
+        "default pipeline binarizes"
+    );
 }

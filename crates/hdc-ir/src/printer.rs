@@ -1,4 +1,5 @@
-//! Human-readable textual dumps of HPVM-HDC IR programs.
+//! Human-readable textual dumps of HPVM-HDC IR programs, and the JSON
+//! string escaper the reports built on them share.
 
 use crate::instr::HdcInstr;
 use crate::program::{NodeBody, Program, ValueRole};
@@ -78,6 +79,26 @@ pub fn print_program(program: &Program) -> String {
         }
     }
     let _ = writeln!(out, "}}");
+    out
+}
+
+/// Quote `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters: the one escaper of every hand-written JSON body.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 

@@ -21,7 +21,7 @@
 //!   slots never copies a tensor. Every genuine copy (representation
 //!   conversions, per-sample row staging, copy-on-write of a shared
 //!   payload) is counted in [`ExecStats::tensor_bytes_copied`].
-//! * **Stage batching** (on by default, [`Executor::set_batched_stages`]):
+//! * **Stage batching** (on by default, [`Executor::set_mode`]):
 //!   an `inference_loop` whose body is a single similarity reduction
 //!   against a loop-invariant class matrix, or an `encoding_loop` whose
 //!   body is `matmul` (optionally followed by `sign`), is executed as one
@@ -76,6 +76,41 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Which schedule an [`Executor`] runs ([`Executor::set_mode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Matrix-level batched stage execution plus parallel loops (the
+    /// default production path).
+    Batched,
+    /// One interpreter pass per sample — the reference oracle the batched
+    /// path is checked against.
+    Sequential,
+}
+
+impl ExecMode {
+    /// Both modes, in the order the equivalence tests compare them.
+    pub const ALL: [ExecMode; 2] = [ExecMode::Batched, ExecMode::Sequential];
+
+    /// Whether this mode enables batched stages / parallel loops.
+    pub fn is_batched(self) -> bool {
+        matches!(self, ExecMode::Batched)
+    }
+
+    /// Lower-case name used in reports and JSON records.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Batched => "batched",
+            ExecMode::Sequential => "sequential",
+        }
+    }
+}
+
+impl std::fmt::Display for ExecMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Execution counters, useful for tests and profiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -321,8 +356,7 @@ pub struct Executor<'p> {
     program: &'p Program,
     store: Vec<Option<Value>>,
     stats: ExecStats,
-    batch_stages: bool,
-    parallel_loops: bool,
+    mode: ExecMode,
     /// `Some(n)` forces every sharded batched kernel to split the class
     /// memory into `n` row-blocks; `None` picks the count from worker
     /// threads × class-matrix size ([`hdc_core::shard::default_shard_count`]).
@@ -349,8 +383,7 @@ impl<'p> Executor<'p> {
             program,
             store: vec![None; program.values().len()],
             stats: ExecStats::default(),
-            batch_stages: true,
-            parallel_loops: true,
+            mode: ExecMode::Batched,
             class_shard_override: None,
             row_log: None,
             stage_trace: Vec::new(),
@@ -376,20 +409,14 @@ impl<'p> Executor<'p> {
         shard_plan(self.class_shard_override, class_rows)
     }
 
-    /// Enable or disable batched execution (default: enabled). Disabling
-    /// forces every stage through the per-sample sequential reference
-    /// oracle, and the matrix-level instruction fast paths (all-pairs
+    /// Select the schedule (default: [`ExecMode::Batched`]).
+    /// [`ExecMode::Sequential`] forces every stage through the per-sample
+    /// reference oracle, the matrix-level instruction fast paths (all-pairs
     /// similarity, bit-packed or dense, and batched `arg_top_k` selection)
-    /// through their dense reference / per-row forms.
-    pub fn set_batched_stages(&mut self, enabled: bool) -> &mut Self {
-        self.batch_stages = enabled;
-        self
-    }
-
-    /// Enable or disable parallel `ParallelFor` execution (default:
-    /// enabled). Disabling forces the sequential schedule.
-    pub fn set_parallel_loops(&mut self, enabled: bool) -> &mut Self {
-        self.parallel_loops = enabled;
+    /// through their dense reference / per-row forms, and every
+    /// `ParallelFor` through the sequential loop.
+    pub fn set_mode(&mut self, mode: ExecMode) -> &mut Self {
+        self.mode = mode;
         self
     }
 
@@ -545,7 +572,7 @@ impl<'p> Executor<'p> {
     /// Count a reference `*_matrix` similarity call made while batched
     /// execution is enabled (in sequential mode they are the schedule).
     fn note_reference_kernel(&mut self) {
-        if self.batch_stages {
+        if self.mode.is_batched() {
             self.stats.reference_kernel_ops += 1;
         }
     }
@@ -615,12 +642,12 @@ impl<'p> Executor<'p> {
         match &node.body {
             NodeBody::Leaf { instrs } => self.exec_instrs(instrs),
             NodeBody::ParallelFor { count, index, body } => {
-                if self.batch_stages && *count > 0 {
+                if self.mode.is_batched() && *count > 0 {
                     if let Some(plan) = self.segmented_accumulate_plan(*count, *index, body) {
                         return self.exec_segmented_accumulate(*count, *index, body, plan);
                     }
                 }
-                if self.parallel_loops && *count > 1 {
+                if self.mode.is_batched() && *count > 1 {
                     if let Some(row_targets) = self.parallel_for_row_plan(*index, body) {
                         return self.exec_parallel_for(*count, *index, body, row_targets);
                     }
@@ -740,7 +767,7 @@ impl<'p> Executor<'p> {
         };
         let program = self.program;
         let base_store = &self.store;
-        let batch_stages = self.batch_stages;
+        let mode = self.mode;
         // Iterations already occupy the worker threads; nested class
         // sharding inside them would only add merge overhead.
         let class_shard_override = Some(1);
@@ -754,8 +781,7 @@ impl<'p> Executor<'p> {
                     program,
                     store: base_store.clone(),
                     stats: ExecStats::default(),
-                    batch_stages,
-                    parallel_loops: false,
+                    mode,
                     class_shard_override,
                     row_log: Some(RowLog {
                         targets: targets.clone(),
@@ -972,7 +998,7 @@ impl<'p> Executor<'p> {
 
     /// Execute a stage body, returning whether the batched schedule ran.
     fn exec_stage_body(&mut self, stage: &StageNode) -> Result<bool> {
-        if self.batch_stages && self.exec_stage_batched(stage)? {
+        if self.mode.is_batched() && self.exec_stage_batched(stage)? {
             return Ok(true);
         }
         // ----- per-sample sequential reference oracle -----
@@ -1806,7 +1832,7 @@ impl<'p> Executor<'p> {
             Value::Matrix(_) | Value::BitMatrix(_) => {
                 let (m, copied) = input.dense_matrix("arg_top_k")?;
                 self.note_copy(copied);
-                if self.batch_stages {
+                if self.mode.is_batched() {
                     // The candidate axis (score columns) is the class
                     // memory here; shard it like the scoring kernels and
                     // merge per-shard top-k lists through the tree.
@@ -1867,7 +1893,7 @@ impl<'p> Executor<'p> {
             // rows all share one norm, so dense cosine is a positive
             // rescaling of it).
             (Value::Matrix(_) | Value::BitMatrix(_), Value::Matrix(_) | Value::BitMatrix(_))
-                if !self.batch_stages =>
+                if !self.mode.is_batched() =>
             {
                 let (a, ca) = lhs.dense_matrix("similarity")?;
                 let (b, cb) = rhs.dense_matrix("similarity")?;

@@ -43,10 +43,9 @@
 //!   `ParallelFor` nodes whose bodies pass a row-independence analysis run
 //!   their instances through the rayon compat layer against `Arc` store
 //!   snapshots.
-//! * **Sequential** ([`Executor::set_batched_stages`]`(false)` /
-//!   [`Executor::set_parallel_loops`]`(false)`): one interpreter pass per
-//!   sample, exactly the PR-1 reference semantics. This path stays the
-//!   *reference oracle*: the batched kernels are bit-identical to it (the
+//! * **Sequential** ([`Executor::set_mode`]`(`[`ExecMode::Sequential`]`)`):
+//!   one interpreter pass per sample, exactly the PR-1 reference
+//!   semantics. This path stays the *reference oracle*: the batched kernels are bit-identical to it (the
 //!   popcounts are exact integers and the dense kernels accumulate in the
 //!   same element order), and the `batched_equivalence` integration tests
 //!   assert both paths produce identical outputs so any future kernel
@@ -101,7 +100,7 @@ pub mod training;
 pub mod value;
 
 pub use error::{Result, RuntimeError};
-pub use executor::{ExecStats, Executor, Outputs, StageTraceEntry};
+pub use executor::{ExecMode, ExecStats, Executor, Outputs, StageTraceEntry};
 pub use training::{replay_epoch, EpochCounts, TRAIN_BLOCK_ROWS};
 pub use value::Value;
 

@@ -9,9 +9,20 @@ use hdc_core::prelude::*;
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::{Program, ValueId};
 use hdc_ir::stage::ScorePolarity;
-use hdc_runtime::{ExecStats, Executor, Value};
+use hdc_runtime::{ExecMode, ExecStats, Executor, Value};
 
 const DIM: usize = 192;
+
+/// The executor schedule for a `batched` flag: the batched (or parallel)
+/// side of every comparison, or the sequential oracle.
+fn mode(batched: bool) -> ExecMode {
+    if batched {
+        ExecMode::Batched
+    } else {
+        ExecMode::Sequential
+    }
+}
+
 const CLASSES: usize = 7;
 const QUERIES: usize = 23;
 
@@ -95,8 +106,7 @@ fn run_inference(
     batched: bool,
 ) -> (Vec<usize>, ExecStats) {
     let mut exec = Executor::new(program).unwrap();
-    exec.set_batched_stages(batched);
-    exec.set_parallel_loops(batched);
+    exec.set_mode(mode(batched));
     exec.bind("queries", queries.clone()).unwrap();
     exec.bind("classes", classes.clone()).unwrap();
     let out = exec.run().unwrap();
@@ -220,7 +230,7 @@ fn batched_encoding_matches_sequential() {
 
         let run = |batched: bool| {
             let mut exec = Executor::new(&program).unwrap();
-            exec.set_batched_stages(batched);
+            exec.set_mode(mode(batched));
             exec.bind("features", Value::matrix(fm.clone())).unwrap();
             exec.bind("rp", Value::matrix(pm.clone())).unwrap();
             let out = exec.run().unwrap();
@@ -254,7 +264,7 @@ fn stage_bodies_outside_the_pattern_fall_back_to_sequential() {
     let cm: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(3, 32, &mut rng);
     let run = |batched: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_batched_stages(batched);
+        exec.set_mode(mode(batched));
         exec.bind("queries", Value::matrix(qm.clone())).unwrap();
         exec.bind("classes", Value::matrix(cm.clone())).unwrap();
         let out = exec.run().unwrap();
@@ -285,7 +295,7 @@ fn parallel_for_matches_sequential_schedule() {
     let mm: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(ROWS, COLS, &mut rng);
     let run = |parallel: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_parallel_loops(parallel);
+        exec.set_mode(mode(parallel));
         exec.bind("m", Value::matrix(mm.clone())).unwrap();
         exec.bind("out", Value::matrix(HyperMatrix::zeros(ROWS, COLS)))
             .unwrap();
@@ -316,7 +326,7 @@ fn parallel_for_accumulate_rows_matches_sequential() {
     let base: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(ROWS, COLS, &mut rng);
     let run = |parallel: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_parallel_loops(parallel);
+        exec.set_mode(mode(parallel));
         exec.bind("m", Value::matrix(mm.clone())).unwrap();
         exec.bind("acc", Value::matrix(base.clone())).unwrap();
         let out = exec.run().unwrap();
@@ -345,7 +355,7 @@ fn cross_iteration_dependences_fall_back_to_sequential() {
     let mm: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(4, COLS, &mut rng);
     let run = |parallel: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_parallel_loops(parallel);
+        exec.set_mode(mode(parallel));
         exec.bind("m", Value::matrix(mm.clone())).unwrap();
         exec.bind("acc", Value::matrix(HyperMatrix::zeros(1, COLS)))
             .unwrap();
@@ -375,7 +385,7 @@ fn arg_top_k_matches_sequential_and_rejects_nan() {
     let data: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(11, 17, &mut rng);
     let run = |batched: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_batched_stages(batched);
+        exec.set_mode(mode(batched));
         exec.bind("scores", Value::matrix(data.clone())).unwrap();
         let out = exec.run().unwrap();
         (out.indices(picks).unwrap().to_vec(), exec.stats())
@@ -397,7 +407,7 @@ fn arg_top_k_matches_sequential_and_rejects_nan() {
     }
     for batched in [true, false] {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_batched_stages(batched);
+        exec.set_mode(mode(batched));
         exec.bind("scores", Value::matrix(nan_data.clone()))
             .unwrap();
         assert!(
@@ -519,8 +529,7 @@ fn run_training(
     batched: bool,
 ) -> (HyperMatrix<f64>, ExecStats) {
     let mut exec = Executor::new(program).unwrap();
-    exec.set_batched_stages(batched);
-    exec.set_parallel_loops(batched);
+    exec.set_mode(mode(batched));
     exec.bind("train", data.0.clone()).unwrap();
     exec.bind("labels", data.1.clone()).unwrap();
     exec.bind("classes", data.2.clone()).unwrap();
@@ -734,7 +743,7 @@ fn dense_all_pairs_scores_are_bit_identical_to_sequential() {
                 };
                 let run = |batched: bool, shards: Option<usize>| {
                     let mut exec = Executor::new(&program).unwrap();
-                    exec.set_batched_stages(batched);
+                    exec.set_mode(mode(batched));
                     exec.set_class_shards(shards);
                     exec.bind("queries", Value::matrix(qm.clone())).unwrap();
                     exec.bind("library", Value::matrix(lm.clone())).unwrap();
@@ -800,8 +809,7 @@ fn repeated_runs_report_identical_stats_and_outputs() {
     for batched in [true, false] {
         let (program, trained) = build_training(Metric::Cosine, None, 2);
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_batched_stages(batched);
-        exec.set_parallel_loops(batched);
+        exec.set_mode(mode(batched));
         exec.bind("train", data.0.clone()).unwrap();
         exec.bind("labels", data.1.clone()).unwrap();
         exec.bind("classes", data.2.clone()).unwrap();
@@ -828,8 +836,7 @@ fn repeated_runs_report_identical_stats_and_outputs() {
         exec.bind("classes", Value::matrix(warm.clone())).unwrap();
         let rebound = exec.run().unwrap();
         let mut fresh = Executor::new(&program).unwrap();
-        fresh.set_batched_stages(batched);
-        fresh.set_parallel_loops(batched);
+        fresh.set_mode(mode(batched));
         fresh.bind("train", data.0.clone()).unwrap();
         fresh.bind("labels", data.1.clone()).unwrap();
         fresh.bind("classes", Value::matrix(warm)).unwrap();
@@ -885,8 +892,7 @@ fn segmented_accumulate_matches_sequential() {
         let base: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(K, COLS, &mut rng);
         let run = |batched: bool| {
             let mut exec = Executor::new(&program).unwrap();
-            exec.set_batched_stages(batched);
-            exec.set_parallel_loops(batched);
+            exec.set_mode(mode(batched));
             exec.bind("m", rows_value.clone()).unwrap();
             exec.bind("assign", Value::indices(assignments.clone()))
                 .unwrap();
@@ -929,7 +935,7 @@ fn binarized_pipeline_equivalence_through_passes() {
     let cm: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(CLASSES, DIM, &mut rng);
     let run = |batched: bool| {
         let mut exec = Executor::new(&program).unwrap();
-        exec.set_batched_stages(batched);
+        exec.set_mode(mode(batched));
         exec.bind("queries", Value::matrix(qm.clone())).unwrap();
         exec.bind("classes", Value::matrix(cm.clone())).unwrap();
         let out = exec.run().unwrap();

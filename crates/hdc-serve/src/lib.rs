@@ -8,8 +8,8 @@
 //! * [`model`] — [`ServableModel`]: an app's trained artifacts (projection
 //!   matrix, class memory / centroids / encoded library) harvested into
 //!   `Arc`-shared [`Value`](hdc_runtime::Value)s plus an inference-only
-//!   program template re-rowed per batch size. Binding a model to an
-//!   executor is a refcount bump, not a copy.
+//!   program built and compiled per batch size on first use. Binding a
+//!   model to an executor is a refcount bump, not a copy.
 //! * [`registry`] — [`ModelRegistry`]: named, `Arc`-shared, atomically
 //!   swappable model store (the COW value store keeps in-flight windows
 //!   valid across a swap).
@@ -103,7 +103,7 @@ pub enum ServeError {
     NoTrainer(String),
     /// The service is shutting down and no longer accepts requests.
     ShuttingDown,
-    /// Building a servable model failed (artifact harvest or template
+    /// Building a servable model failed (artifact harvest or program
     /// compilation); carries the underlying error text.
     ModelBuild(String),
     /// The executor failed while running a window; carries the runtime

@@ -1,54 +1,40 @@
-//! Servable models: trained app artifacts + an inference-only program
-//! template instantiated per batch size.
+//! Servable models: trained app artifacts plus an inference-only program
+//! built and compiled per batch size.
 //!
 //! A [`ServableModel`] is built *from* a trained app
 //! ([`ClassificationApp`], [`ClusteringApp`], [`MatchingApp`]) in two
 //! steps:
 //!
-//! 1. **Harvest.** The app's compiled program is cloned, its trained
-//!    artifacts (projection matrix, binarized class memory, final
-//!    centroids, encoded library) are flipped to
-//!    [`ValueRole::Output`], and the program is run once. The harvested
+//! 1. **Harvest.** The app's `harvest` runs its compiled program once with
+//!    the trained artifacts (projection matrix, binarized class memory,
+//!    final centroids, encoded library) flipped to outputs. The harvested
 //!    [`Value`]s are `Arc`-backed, so the model holds them — and later
 //!    binds them to every window's executor — by refcount bump.
-//! 2. **Template.** A fresh *inference-only* program is built against the
-//!    same artifact shapes: `queries` input → random-projection encode →
-//!    score against the class memory (or all-pairs match against the
-//!    library). The template is compiled with the same binarization
-//!    configuration the app used (detected from the harvested artifact
-//!    representation: a bit-packed class memory means the app was
-//!    binarized).
+//! 2. **Program.** An *inference-only* program is built against the same
+//!    artifact shapes: `queries` input → random-projection encode → score
+//!    against the class memory in an `inference_loop` (or all-pairs
+//!    `cossim` + `arg_top_k` against the library). It is compiled with the
+//!    same binarization configuration the app used (detected from the
+//!    harvested artifact representation: a bit-packed class memory means
+//!    the app was binarized).
 //!
-//! IR programs carry static shapes, so a template cannot execute a batch
-//! of arbitrary size directly. The model instead *re-rows* the template:
-//! the constructor builds the template twice with two different sentinel
-//! row counts, and every value whose declared shape differs between the
-//! two builds is recorded as batch-scaled (with its per-request
-//! multiplier — `k` for top-k index outputs). [`ServableModel::program_for`]
-//! clones the template, rewrites those shapes for the requested batch
-//! size, and caches the result per size; the executor re-verifies each
-//! instantiation. This shape-diff approach needs no assumptions about
-//! which dimensions collide with the sentinel.
+//! IR programs carry static shapes, so [`ServableModel::program_for`]
+//! builds and compiles the program at the window's row count on first use
+//! and caches it per size, the way the online trainer gets its encode
+//! programs. Construction builds the 1-row program, so a model that cannot
+//! compile fails there, and the oracle's program is ready.
 
 use crate::{Result, ServeError};
 use hdc_apps::{ClassificationApp, ClusteringApp, MatchingApp};
 use hdc_core::element::ElementKind;
 use hdc_core::HyperMatrix;
 use hdc_ir::builder::ProgramBuilder;
-use hdc_ir::program::{Program, ValueId, ValueRole};
+use hdc_ir::program::Program;
 use hdc_ir::stage::ScorePolarity;
-use hdc_ir::types::ValueType;
 use hdc_passes::{compile, CompileOptions};
-use hdc_runtime::{ExecStats, Executor, Outputs, StageTraceEntry, Value};
+use hdc_runtime::{ExecMode, ExecStats, Executor, Outputs, StageTraceEntry, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// The two sentinel row counts the constructor builds templates with; any
-/// declared dimension that differs between the two builds scales with the
-/// batch size. Primes, so accidental collisions with model dimensions
-/// cannot produce a consistent false positive across both builds.
-const SENTINEL_A: usize = 997;
-const SENTINEL_B: usize = 1009;
 
 /// One request's inference result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,22 +45,15 @@ pub enum Prediction {
     TopK(Vec<usize>),
 }
 
-/// What the template's named output holds per request row.
+/// How a model scores an encoded query against its memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutputKind {
-    /// One label index per row.
-    Label,
-    /// `k` ranked indices per row.
+enum Scoring {
+    /// Nearest class row by Hamming distance (classifiers).
+    Hamming,
+    /// Nearest centroid row by cosine similarity (cluster assigners).
+    Cosine,
+    /// The `k` best library rows by all-pairs cosine (matchers).
     TopK(usize),
-}
-
-/// A value whose declared shape scales with the batch size.
-#[derive(Debug, Clone, Copy)]
-struct ScaledValue {
-    id: ValueId,
-    /// Entries per request row (1 for query/encode rows and label outputs,
-    /// `k` for flattened top-k index vectors).
-    multiplier: usize,
 }
 
 /// The outcome of one window execution: per-row predictions plus the
@@ -89,27 +68,24 @@ pub struct WindowOutcome {
     pub stage_trace: Vec<StageTraceEntry>,
 }
 
-/// A trained model in servable form: `Arc`-shared artifacts plus a
-/// batch-size-parametric compiled program. Cheap to share (`Arc` it into
-/// the [`ModelRegistry`](crate::ModelRegistry)); all methods take `&self`.
+/// A trained model in servable form: `Arc`-shared artifacts plus compiled
+/// programs cached per batch size. Cheap to share (`Arc` it into the
+/// [`ModelRegistry`](crate::ModelRegistry)); all methods take `&self`.
 #[derive(Debug)]
 pub struct ServableModel {
     name: String,
-    /// Compiled inference template at `SENTINEL_A` rows.
-    template: Program,
-    /// Values in `template` whose shapes scale with the batch size.
-    scaled: Vec<ScaledValue>,
-    /// Model artifacts bound to every executor, by input name.
-    bindings: Vec<(String, Value)>,
-    /// Name of the value holding the per-row results.
-    output_name: String,
-    output_kind: OutputKind,
+    scoring: Scoring,
     /// Query feature count (submission-time validation).
     features: usize,
+    /// The projection matrix, bound as `rp_matrix`.
+    rp: Value,
+    /// The class memory, centroids or encoded library queries are scored
+    /// against.
+    memory: Value,
     /// The dense training accumulator the frozen class memory was signed
     /// from, when the model supports online adaptation (classifiers only).
     train_state: Option<Value>,
-    /// Re-rowed program cache, keyed by batch size.
+    /// Compiled programs, keyed by batch size.
     programs: Mutex<HashMap<usize, Arc<Program>>>,
 }
 
@@ -121,11 +97,9 @@ impl ServableModel {
     /// # Errors
     ///
     /// Returns [`ServeError::ModelBuild`] if harvesting the app's
-    /// artifacts or compiling the serving template fails.
+    /// artifacts or compiling the serving program fails.
     pub fn classifier(name: &str, app: &ClassificationApp) -> Result<Self> {
-        let harvested = app
-            .harvest_artifacts()
-            .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
+        let harvested = app.harvest_artifacts().map_err(build_err)?;
         Self::classifier_from_artifacts(
             name,
             app.dataset().meta.features,
@@ -145,7 +119,7 @@ impl ServableModel {
     /// # Errors
     ///
     /// Returns [`ServeError::ModelBuild`] if the artifact shapes disagree
-    /// or template compilation fails.
+    /// or program compilation fails.
     pub fn classifier_from_artifacts(
         name: &str,
         features: usize,
@@ -153,15 +127,7 @@ impl ServableModel {
         classes: Value,
         train_state: Option<Value>,
     ) -> Result<Self> {
-        Self::scoring_model(
-            name,
-            features,
-            rp,
-            classes,
-            ScorePolarity::Distance,
-            ScoreOp::Hamming,
-            train_state,
-        )
+        Self::new(name, Scoring::Hamming, features, rp, classes, train_state)
     }
 
     /// Serve a trained clustering app as a cluster-assignment model:
@@ -171,26 +137,12 @@ impl ServableModel {
     /// # Errors
     ///
     /// Returns [`ServeError::ModelBuild`] if harvesting the app's
-    /// artifacts or compiling the serving template fails.
+    /// artifacts or compiling the serving program fails.
     pub fn cluster_assigner(name: &str, app: &ClusteringApp) -> Result<Self> {
-        let dataset = app.dataset();
-        let centroid_name = format!("centroids_{}", app.rounds());
-        let harvested = harvest(
-            app.program(),
-            &[("samples", Value::matrix(dataset.train.features.clone()))],
-            &["rp_matrix", &centroid_name],
-        )?;
-        let rp = harvested[0].clone();
-        let centroids = harvested[1].clone();
-        Self::scoring_model(
-            name,
-            dataset.meta.features,
-            rp,
-            centroids,
-            ScorePolarity::Similarity,
-            ScoreOp::Cosine,
-            None,
-        )
+        let centroids = format!("centroids_{}", app.rounds());
+        let [rp, centroids] = as_pair(app.harvest(&["rp_matrix", &centroids]))?;
+        let features = app.dataset().meta.features;
+        Self::new(name, Scoring::Cosine, features, rp, centroids, None)
     }
 
     /// Serve a trained matching app: encode queries with its projection
@@ -201,75 +153,20 @@ impl ServableModel {
     /// # Errors
     ///
     /// Returns [`ServeError::ModelBuild`] if harvesting the app's
-    /// artifacts or compiling the serving template fails.
+    /// artifacts or compiling the serving program fails.
     pub fn matcher(name: &str, app: &MatchingApp) -> Result<Self> {
-        let dataset = app.dataset();
-        let harvested = harvest(
-            app.program(),
-            &[
-                ("library", Value::matrix(dataset.train.features.clone())),
-                ("queries", Value::matrix(dataset.test.features.clone())),
-            ],
-            &["rp_matrix", "encode_library.encoded"],
-        )?;
-        let rp = harvested[0].clone();
-        let library = harvested[1].clone();
-        let k = app.k();
-        let features = dataset.meta.features;
-        let (dim, _) = matrix_shape(&rp, "rp_matrix")?;
-        let (lib_rows, lib_cols) = matrix_shape(&library, "encoded library")?;
-        if lib_cols != dim {
-            return Err(ServeError::ModelBuild(format!(
-                "encoded library cols {lib_cols} != projection dim {dim}"
-            )));
-        }
-        let binarized = matches!(library, Value::BitMatrix(_));
-        let build = |rows: usize| -> Result<Program> {
-            let mut b = ProgramBuilder::new(format!("serve_{name}"));
-            let queries = b.input_matrix("queries", ElementKind::F64, rows, features);
-            let rp_in = b.input_matrix("rp_matrix", ElementKind::F64, dim, features);
-            let lib_elem = if binarized {
-                ElementKind::Bit
-            } else {
-                ElementKind::F64
-            };
-            let lib_in = b.input_matrix("library_enc", lib_elem, lib_rows, dim);
-            let enc = b.encoding_loop("encode", queries, dim, |b, q| {
-                let e = b.matmul(q, rp_in);
-                b.sign(e)
-            });
-            let scores = b.cossim(enc, lib_in);
-            b.name_value(scores, "scores");
-            let top_k = b.arg_top_k(scores, k);
-            b.name_value(top_k, "preds");
-            b.mark_output(top_k);
-            let mut program = b.finish();
-            compile_template(&mut program, binarized)?;
-            Ok(program)
-        };
-        Self::from_builds(
-            name,
-            build,
-            vec![
-                ("rp_matrix".to_string(), rp),
-                ("library_enc".to_string(), library),
-            ],
-            OutputKind::TopK(k),
-            features,
-            None,
-        )
+        let [rp, library] = as_pair(app.harvest(&["rp_matrix", "encode_library.encoded"]))?;
+        let features = app.dataset().meta.features;
+        Self::new(name, Scoring::TopK(app.k()), features, rp, library, None)
     }
 
-    /// Shared constructor for the encode-then-score models (classifier and
-    /// cluster assigner): per-query scoring against a fixed class/centroid
-    /// memory inside an `inference_loop`.
-    fn scoring_model(
+    /// Check the artifact shapes, then build and cache the 1-row program.
+    fn new(
         name: &str,
+        scoring: Scoring,
         features: usize,
         rp: Value,
-        classes: Value,
-        polarity: ScorePolarity,
-        score_op: ScoreOp,
+        memory: Value,
         train_state: Option<Value>,
     ) -> Result<Self> {
         let (dim, rp_cols) = matrix_shape(&rp, "rp_matrix")?;
@@ -278,75 +175,23 @@ impl ServableModel {
                 "projection matrix cols {rp_cols} != feature count {features}"
             )));
         }
-        let (class_rows, class_cols) = matrix_shape(&classes, "class memory")?;
-        if class_cols != dim {
+        let (_, memory_cols) = matrix_shape(&memory, "model memory")?;
+        if memory_cols != dim {
             return Err(ServeError::ModelBuild(format!(
-                "class memory cols {class_cols} != projection dim {dim}"
+                "model memory cols {memory_cols} != projection dim {dim}"
             )));
         }
-        let binarized = matches!(classes, Value::BitMatrix(_));
-        let build = |rows: usize| -> Result<Program> {
-            let mut b = ProgramBuilder::new(format!("serve_{name}"));
-            let queries = b.input_matrix("queries", ElementKind::F64, rows, features);
-            let rp_in = b.input_matrix("rp_matrix", ElementKind::F64, dim, features);
-            let class_elem = if binarized {
-                ElementKind::Bit
-            } else {
-                ElementKind::F64
-            };
-            let class_in = b.input_matrix("class_memory", class_elem, class_rows, dim);
-            let enc = b.encoding_loop("encode", queries, dim, |b, q| {
-                let e = b.matmul(q, rp_in);
-                b.sign(e)
-            });
-            let preds = b.inference_loop("infer", enc, class_in, polarity, |b, q| match score_op {
-                ScoreOp::Hamming => b.hamming_distance(q, class_in),
-                ScoreOp::Cosine => b.cossim(q, class_in),
-            });
-            b.name_value(preds, "preds");
-            b.mark_output(preds);
-            let mut program = b.finish();
-            compile_template(&mut program, binarized)?;
-            Ok(program)
-        };
-        Self::from_builds(
-            name,
-            build,
-            vec![
-                ("rp_matrix".to_string(), rp),
-                ("class_memory".to_string(), classes),
-            ],
-            OutputKind::Label,
-            features,
-            train_state,
-        )
-    }
-
-    /// Build the template at both sentinel row counts, diff the declared
-    /// value shapes to find the batch-scaled values, and assemble the
-    /// model.
-    fn from_builds(
-        name: &str,
-        build: impl Fn(usize) -> Result<Program>,
-        bindings: Vec<(String, Value)>,
-        output_kind: OutputKind,
-        features: usize,
-        train_state: Option<Value>,
-    ) -> Result<Self> {
-        let template = build(SENTINEL_A)?;
-        let alt = build(SENTINEL_B)?;
-        let scaled = diff_scaled_values(&template, &alt)?;
-        Ok(ServableModel {
+        let model = ServableModel {
             name: name.to_string(),
-            template,
-            scaled,
-            bindings,
-            output_name: "preds".to_string(),
-            output_kind,
+            scoring,
             features,
+            rp,
+            memory,
             train_state,
             programs: Mutex::new(HashMap::new()),
-        })
+        };
+        model.program_for(1)?;
+        Ok(model)
     }
 
     /// Model name (registry key candidate).
@@ -362,30 +207,25 @@ impl ServableModel {
     /// Indices returned per request: 1 for label models, `k` for top-k
     /// matchers.
     pub fn outputs_per_query(&self) -> usize {
-        match self.output_kind {
-            OutputKind::Label => 1,
-            OutputKind::TopK(k) => k,
+        match self.scoring {
+            Scoring::TopK(k) => k,
+            Scoring::Hamming | Scoring::Cosine => 1,
         }
     }
 
     /// The projection matrix artifact bound to every window executor.
     pub fn projection(&self) -> &Value {
-        &self
-            .bindings
-            .iter()
-            .find(|(name, _)| name == "rp_matrix")
-            .expect("every servable model binds a projection matrix")
-            .1
+        &self.rp
     }
 
     /// The frozen class/centroid memory artifact, if this model scores
     /// against one (classifiers and cluster assigners; `None` for
     /// matchers, which bind an encoded library instead).
     pub fn class_memory(&self) -> Option<&Value> {
-        self.bindings
-            .iter()
-            .find(|(name, _)| name == "class_memory")
-            .map(|(_, v)| v)
+        match self.scoring {
+            Scoring::TopK(_) => None,
+            Scoring::Hamming | Scoring::Cosine => Some(&self.memory),
+        }
     }
 
     /// The dense training accumulator the frozen class memory was signed
@@ -395,12 +235,18 @@ impl ServableModel {
         self.train_state.as_ref()
     }
 
-    /// Whether the serving template runs the bit-packed (binarized)
+    /// Whether the serving program runs the bit-packed (binarized)
     /// representation.
     pub fn binarized(&self) -> bool {
-        self.bindings
-            .iter()
-            .any(|(_, v)| matches!(v, Value::BitMatrix(_) | Value::Bits(_)))
+        matches!(self.memory, Value::BitMatrix(_) | Value::Bits(_))
+    }
+
+    /// Name of the input slot the memory artifact binds to.
+    fn memory_input(&self) -> &'static str {
+        match self.scoring {
+            Scoring::TopK(_) => "library_enc",
+            Scoring::Hamming | Scoring::Cosine => "class_memory",
+        }
     }
 
     /// Validate a query payload the way the service does at submission.
@@ -413,47 +259,79 @@ impl ServableModel {
         validate_row(self.features, row)
     }
 
-    /// The compiled program instantiated for a batch of `rows` queries
-    /// (cached per size).
+    /// The compiled program for a batch of `rows` queries: built and
+    /// compiled at that size on first use, then cached.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::ModelBuild`] for a zero-row batch.
+    /// Returns [`ServeError::ModelBuild`] for a zero-row batch or a program
+    /// that fails to compile.
     pub fn program_for(&self, rows: usize) -> Result<Arc<Program>> {
         if rows == 0 {
             return Err(ServeError::ModelBuild(
                 "batch must hold at least one query".to_string(),
             ));
         }
-        let mut cache = self.programs.lock().unwrap();
+        let mut cache = self
+            .programs
+            .lock()
+            .expect("no program build panics while holding the cache");
         if let Some(p) = cache.get(&rows) {
             return Ok(Arc::clone(p));
         }
-        let mut program = self.template.clone();
-        for sv in &self.scaled {
-            let info = program.value_mut(sv.id);
-            match &mut info.ty {
-                ValueType::HyperMatrix { rows: r, .. } => *r = rows * sv.multiplier,
-                ValueType::IndexVector { len } => *len = rows * sv.multiplier,
-                other => {
-                    return Err(ServeError::ModelBuild(format!(
-                        "batch-scaled value `{}` has non-scalable type {other}",
-                        info.name
-                    )))
-                }
-            }
-        }
-        let arc = Arc::new(program);
+        let arc = Arc::new(self.build(rows)?);
         cache.insert(rows, Arc::clone(&arc));
         Ok(arc)
+    }
+
+    /// Build and compile the inference program for `rows` queries.
+    fn build(&self, rows: usize) -> Result<Program> {
+        let (dim, features) = matrix_shape(&self.rp, "rp_matrix")?;
+        let (memory_rows, _) = matrix_shape(&self.memory, "model memory")?;
+        let binarized = self.binarized();
+        let memory_elem = if binarized {
+            ElementKind::Bit
+        } else {
+            ElementKind::F64
+        };
+        let mut b = ProgramBuilder::new(format!("serve_{}", self.name));
+        let queries = b.input_matrix("queries", ElementKind::F64, rows, features);
+        let rp = b.input_matrix("rp_matrix", ElementKind::F64, dim, features);
+        let memory = b.input_matrix(self.memory_input(), memory_elem, memory_rows, dim);
+        let enc = b.encoding_loop("encode", queries, dim, |b, q| {
+            let e = b.matmul(q, rp);
+            b.sign(e)
+        });
+        let preds = match self.scoring {
+            Scoring::Hamming => {
+                b.inference_loop("infer", enc, memory, ScorePolarity::Distance, |b, q| {
+                    b.hamming_distance(q, memory)
+                })
+            }
+            Scoring::Cosine => {
+                b.inference_loop("infer", enc, memory, ScorePolarity::Similarity, |b, q| {
+                    b.cossim(q, memory)
+                })
+            }
+            Scoring::TopK(k) => {
+                let scores = b.cossim(enc, memory);
+                b.name_value(scores, "scores");
+                b.arg_top_k(scores, k)
+            }
+        };
+        b.name_value(preds, "preds");
+        b.mark_output(preds);
+        let mut program = b.finish();
+        compile_program(&mut program, binarized)?;
+        Ok(program)
     }
 
     /// Execute one window: stack `rows` into a query matrix, run the
     /// batch-sized program, split per-row predictions back out.
     ///
-    /// `batched` selects the executor schedule (`true` = matrix kernels,
-    /// `false` = the per-sample sequential oracle); `class_shards`
-    /// overrides the class-memory shard count exactly like
+    /// `batched` selects the executor schedule (`true` =
+    /// [`ExecMode::Batched`], `false` = the per-sample sequential oracle);
+    /// `class_shards` overrides the class-memory shard count exactly like
     /// [`Executor::set_class_shards`].
     ///
     /// # Errors
@@ -472,15 +350,18 @@ impl ServableModel {
         let program = self.program_for(rows.len())?;
         let queries = stack_rows(self.features, rows)?;
         let mut exec = Executor::new(&program).map_err(exec_err)?;
-        exec.set_batched_stages(batched);
-        exec.set_parallel_loops(batched);
+        exec.set_mode(if batched {
+            ExecMode::Batched
+        } else {
+            ExecMode::Sequential
+        });
         exec.set_class_shards(class_shards);
         exec.bind("queries", Value::matrix(queries))
             .map_err(exec_err)?;
-        for (input, value) in &self.bindings {
-            // Arc payload: a refcount bump per window, never a copy.
-            exec.bind(input, value.clone()).map_err(exec_err)?;
-        }
+        // Arc payloads: a refcount bump per window, never a copy.
+        exec.bind("rp_matrix", self.rp.clone()).map_err(exec_err)?;
+        exec.bind(self.memory_input(), self.memory.clone())
+            .map_err(exec_err)?;
         let out = exec.run().map_err(exec_err)?;
         let predictions = self.split_predictions(&out, rows.len())?;
         Ok(WindowOutcome {
@@ -503,43 +384,38 @@ impl ServableModel {
     }
 
     fn split_predictions(&self, out: &Outputs, rows: usize) -> Result<Vec<Prediction>> {
-        let value = out.by_name(&self.output_name).ok_or_else(|| {
-            ServeError::Execution(format!("output `{}` missing from run", self.output_name))
-        })?;
-        let indices = value
+        let indices = out
+            .by_name("preds")
+            .ok_or_else(|| exec_err("output `preds` missing from run"))?
             .as_indices("serving output")
-            .map_err(|e| ServeError::Execution(e.to_string()))?;
-        match self.output_kind {
-            OutputKind::Label => {
-                if indices.len() != rows {
-                    return Err(ServeError::Execution(format!(
-                        "expected {rows} labels, got {}",
-                        indices.len()
-                    )));
-                }
-                Ok(indices.iter().map(|&i| Prediction::Label(i)).collect())
-            }
-            OutputKind::TopK(k) => {
-                if indices.len() != rows * k {
-                    return Err(ServeError::Execution(format!(
-                        "expected {rows}x{k} candidates, got {}",
-                        indices.len()
-                    )));
-                }
-                Ok(indices
-                    .chunks(k)
-                    .map(|c| Prediction::TopK(c.to_vec()))
-                    .collect())
-            }
+            .map_err(exec_err)?;
+        let per_query = self.outputs_per_query();
+        if indices.len() != rows * per_query {
+            return Err(exec_err(format!(
+                "expected {rows}x{per_query} indices, got {}",
+                indices.len()
+            )));
         }
+        Ok(match self.scoring {
+            Scoring::TopK(k) => indices
+                .chunks(k)
+                .map(|c| Prediction::TopK(c.to_vec()))
+                .collect(),
+            Scoring::Hamming | Scoring::Cosine => {
+                indices.iter().map(|&i| Prediction::Label(i)).collect()
+            }
+        })
     }
 }
 
-/// Which similarity the scoring body computes.
-#[derive(Debug, Clone, Copy)]
-enum ScoreOp {
-    Hamming,
-    Cosine,
+/// The two values of a two-name app harvest.
+fn as_pair(harvested: hdc_apps::Result<Vec<Value>>) -> Result<[Value; 2]> {
+    let values = harvested.map_err(build_err)?;
+    Ok(<[Value; 2]>::try_from(values).expect("one value per harvested name"))
+}
+
+fn build_err(e: impl std::fmt::Display) -> ServeError {
+    ServeError::ModelBuild(e.to_string())
 }
 
 pub(crate) fn exec_err(e: impl std::fmt::Display) -> ServeError {
@@ -573,18 +449,16 @@ pub(crate) fn validate_row(features: usize, row: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// Compile a serving-layer program (inference template, feedback encode,
+/// Compile a serving-layer program (window inference, feedback encode,
 /// re-freeze) with the binarization configuration matching the harvested
 /// artifacts.
-pub(crate) fn compile_template(program: &mut Program, binarized: bool) -> Result<()> {
+pub(crate) fn compile_program(program: &mut Program, binarized: bool) -> Result<()> {
     let options = if binarized {
         CompileOptions::default()
     } else {
         CompileOptions::baseline()
     };
-    compile(program, &options)
-        .map(|_| ())
-        .map_err(|e| ServeError::ModelBuild(e.to_string()))
+    compile(program, &options).map(|_| ()).map_err(build_err)
 }
 
 /// Shape of a dense or bit-packed matrix value.
@@ -607,82 +481,4 @@ pub(crate) fn run_once(program: &Program, binds: &[(&str, Value)]) -> hdc_runtim
         exec.bind(name, value.clone())?;
     }
     exec.run()
-}
-
-/// Run a compiled app program once with the named values flipped to
-/// outputs, returning the harvested artifact values in `names` order.
-fn harvest(program: &Program, binds: &[(&str, Value)], names: &[&str]) -> Result<Vec<Value>> {
-    let mut p = program.clone();
-    let ids: Vec<ValueId> = names
-        .iter()
-        .map(|name| {
-            p.values()
-                .iter()
-                .position(|v| v.name == *name)
-                .map(ValueId::new)
-                .ok_or_else(|| {
-                    ServeError::ModelBuild(format!("app program has no value named `{name}`"))
-                })
-        })
-        .collect::<Result<_>>()?;
-    for &id in &ids {
-        p.value_mut(id).role = ValueRole::Output;
-    }
-    let out = run_once(&p, binds).map_err(|e| ServeError::ModelBuild(e.to_string()))?;
-    Ok(ids
-        .iter()
-        .map(|&id| {
-            out.get(id)
-                .expect("value was marked as an output above")
-                .clone()
-        })
-        .collect())
-}
-
-/// Diff the declared shapes of two sentinel builds: every value whose
-/// shape differs scales with the batch size. Returns the scaled values
-/// with their per-request multipliers.
-fn diff_scaled_values(a: &Program, b: &Program) -> Result<Vec<ScaledValue>> {
-    if a.values().len() != b.values().len() {
-        return Err(ServeError::ModelBuild(
-            "sentinel builds disagree on value count; template build is row-dependent".to_string(),
-        ));
-    }
-    let mut scaled = Vec::new();
-    for (index, (va, vb)) in a.values().iter().zip(b.values().iter()).enumerate() {
-        if va.ty == vb.ty {
-            continue;
-        }
-        let (dim_a, dim_b) = match (&va.ty, &vb.ty) {
-            (
-                ValueType::HyperMatrix {
-                    rows: ra, cols: ca, ..
-                },
-                ValueType::HyperMatrix {
-                    rows: rb, cols: cb, ..
-                },
-            ) if ca == cb => (*ra, *rb),
-            (ValueType::IndexVector { len: la }, ValueType::IndexVector { len: lb }) => (*la, *lb),
-            _ => {
-                return Err(ServeError::ModelBuild(format!(
-                    "value `{}` changes non-row shape between sentinel builds ({} vs {})",
-                    va.name, va.ty, vb.ty
-                )))
-            }
-        };
-        if dim_a % SENTINEL_A != 0
-            || dim_b % SENTINEL_B != 0
-            || dim_a / SENTINEL_A != dim_b / SENTINEL_B
-        {
-            return Err(ServeError::ModelBuild(format!(
-                "value `{}` scales irregularly with the batch size ({dim_a} @ {SENTINEL_A}, {dim_b} @ {SENTINEL_B})",
-                va.name
-            )));
-        }
-        scaled.push(ScaledValue {
-            id: ValueId::new(index),
-            multiplier: dim_a / SENTINEL_A,
-        });
-    }
-    Ok(scaled)
 }

@@ -34,7 +34,7 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::model::{
-    compile_template, exec_err, matrix_shape, run_once, stack_rows, validate_row, ServableModel,
+    compile_program, exec_err, matrix_shape, run_once, stack_rows, validate_row, ServableModel,
 };
 use crate::registry::ModelRegistry;
 use crate::{Result, ServeError};
@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 /// triggers are optional and OR-ed together; a trainer with no triggers
 /// publishes only on explicit [`OnlineTrainer::publish`] calls. A policy
 /// never fires while the shadow has no unpublished updates — a swap that
-/// would change nothing is not worth a template compile.
+/// would change nothing is not worth a program compile.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SwapPolicy {
     /// Publish once this many unpublished updates have accumulated.
@@ -310,7 +310,7 @@ impl OnlineTrainer {
         b.name_value(enc, "encoded");
         b.mark_output(enc);
         let mut program = b.finish();
-        compile_template(&mut program, self.binarized)?;
+        compile_program(&mut program, self.binarized)?;
         let arc = Arc::new(program);
         self.encode_programs.insert(rows, Arc::clone(&arc));
         Ok(arc)
@@ -400,7 +400,7 @@ impl OnlineTrainer {
     ///
     /// [`ServeError::UnknownModel`] if the registry entry was removed, or
     /// [`ServeError::ModelBuild`] / [`ServeError::Execution`] if
-    /// re-freezing or template compilation fails.
+    /// re-freezing or program compilation fails.
     pub fn publish(&mut self) -> Result<Arc<ServableModel>> {
         if self.updates_since_publish == 0 {
             return self.registry.get(&self.key);
@@ -477,6 +477,6 @@ fn build_freeze_program(key: &str, classes: usize, dim: usize, binarized: bool) 
     b.name_value(bits, "class_bits");
     b.mark_output(bits);
     let mut program = b.finish();
-    compile_template(&mut program, binarized)?;
+    compile_program(&mut program, binarized)?;
     Ok(program)
 }

@@ -41,6 +41,7 @@ use crate::model::{Prediction, ServableModel};
 use crate::online::{FeedOutcome, OnlineTrainer};
 use crate::registry::ModelRegistry;
 use crate::{Result, ServeError};
+use hdc_ir::printer::json_str;
 use hdc_runtime::StageTraceEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -383,7 +384,7 @@ impl Service {
         let models = h
             .models
             .iter()
-            .map(|m| format!("\"{m}\""))
+            .map(|m| json_str(m))
             .collect::<Vec<_>>()
             .join(", ");
         format!(
@@ -406,8 +407,11 @@ impl Service {
             .iter()
             .map(|t| {
                 format!(
-                    "{{\"node\": \"{}\", \"kind\": \"{}\", \"samples\": {}, \"batched\": {}}}",
-                    t.node, t.kind, t.samples, t.batched
+                    "{{\"node\": {}, \"kind\": {}, \"samples\": {}, \"batched\": {}}}",
+                    json_str(&t.node),
+                    json_str(t.kind),
+                    t.samples,
+                    t.batched
                 )
             })
             .collect::<Vec<_>>()

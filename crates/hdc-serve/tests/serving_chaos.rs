@@ -309,3 +309,19 @@ fn soak_storm_under_one_and_four_threads() {
         service.shutdown();
     }
 }
+
+/// Registry names reach the `/health` body as escaped JSON strings: a
+/// name holding a quote and a backslash must not break the document. The
+/// `/stats` stage trace goes through the same escaper.
+#[test]
+fn health_and_stats_json_escape_names() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("a\"b\\c", make_model("m", 43, &CompileOptions::default()));
+    let service = start_service(registry, 4);
+    let health = service.health_json();
+    assert!(health.contains(r#""models": ["a\"b\\c"]"#), "{health}");
+    service.submit("a\"b\\c", valid_query(0)).wait().unwrap();
+    let stats = service.stats_json();
+    assert!(stats.contains(r#"{"node": "encode", "kind": "#), "{stats}");
+    service.shutdown();
+}

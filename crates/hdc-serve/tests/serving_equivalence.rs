@@ -15,7 +15,9 @@
 use hdc_apps::{ClassificationApp, ClusteringApp, ExecMode, MatchingApp};
 use hdc_datasets::synthetic::{hyperoms_like, isolet_like, HyperOmsParams, IsoletParams};
 use hdc_passes::CompileOptions;
-use hdc_serve::{ModelRegistry, Prediction, ServableModel, Service, ServiceConfig, WindowConfig};
+use hdc_serve::{
+    ModelRegistry, Prediction, ServableModel, ServeError, Service, ServiceConfig, WindowConfig,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,21 +157,48 @@ fn coalesced_window_matches_oracle_dense() {
 }
 
 /// Every prefix batch size (1..=N) must agree with the oracle — the
-/// coalescer can flush a window of any size up to `max_batch`.
+/// coalescer can flush a window of any size up to `max_batch`, and each
+/// size runs its own program, built and compiled at that size. Covers all
+/// three model kinds on both pipelines; the matcher's `rows x k` top-k
+/// output is the shape that scales by more than the row count.
 #[test]
 fn every_window_size_matches_oracle() {
-    let case = classifier_case(&CompileOptions::default());
-    let oracle: Vec<Prediction> = case
-        .queries
-        .iter()
-        .map(|row| case.model.oracle_infer(row).unwrap())
-        .collect();
-    for n in 1..=case.queries.len() {
-        let window = case
-            .model
-            .infer_window(&case.queries[..n], true, None)
-            .unwrap();
-        assert_eq!(window.predictions, oracle[..n], "window size {n}");
+    for options in [CompileOptions::default(), CompileOptions::baseline()] {
+        for (label, case) in all_cases(&options) {
+            let oracle: Vec<Prediction> = case
+                .queries
+                .iter()
+                .map(|row| case.model.oracle_infer(row).unwrap())
+                .collect();
+            for n in 1..=case.queries.len() {
+                let window = case
+                    .model
+                    .infer_window(&case.queries[..n], true, None)
+                    .unwrap();
+                assert_eq!(window.predictions, oracle[..n], "{label}: window size {n}");
+            }
+        }
+    }
+}
+
+/// `program_for` builds each size once: a second call hands back the
+/// cached `Arc`, distinct sizes get distinct programs, and a zero-row
+/// batch is a typed error.
+#[test]
+fn program_for_caches_one_program_per_size() {
+    for (label, case) in all_cases(&CompileOptions::default()) {
+        for rows in [1, 3] {
+            let first = case.model.program_for(rows).unwrap();
+            let again = case.model.program_for(rows).unwrap();
+            assert!(Arc::ptr_eq(&first, &again), "{label}: size {rows} rebuilt");
+        }
+        let one = case.model.program_for(1).unwrap();
+        let three = case.model.program_for(3).unwrap();
+        assert!(!Arc::ptr_eq(&one, &three), "{label}: sizes share a program");
+        assert!(matches!(
+            case.model.program_for(0),
+            Err(ServeError::ModelBuild(_))
+        ));
     }
 }
 
