@@ -26,9 +26,8 @@
 //!
 //! Everything is surfaced three ways: programmatically via [`analyze`]
 //! (an [`AnalysisReport`] with machine-readable JSON), on the command line
-//! via the `hdc-lint` binary (non-zero exit on errors), and inside the
-//! pass manager via [`pipeline::AnalyzePass`] /
-//! [`pipeline::compile_audited`].
+//! via the `hdc-lint` binary (non-zero exit on errors), and around a whole
+//! compile via [`pipeline::compile_audited`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +40,7 @@ pub mod pipeline;
 pub mod shape;
 
 pub use diag::{AnalysisReport, Diagnostic, DiagnosticCode, Location, Severity};
-pub use pipeline::{compile_audited, AnalyzePass, AuditedCompile};
+pub use pipeline::{compile_audited, AuditedCompile};
 
 use hdc_ir::program::Program;
 

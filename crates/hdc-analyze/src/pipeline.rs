@@ -1,51 +1,10 @@
-//! Pass-manager integration: run the analyzer inside a compilation
-//! pipeline, and audit a whole [`hdc_passes::pipeline::compile`] run by
-//! analyzing the program before and after and diffing the diagnostics.
+//! Compiler integration: audit a whole [`hdc_passes::pipeline::compile`]
+//! run by analyzing the program before and after and diffing the
+//! diagnostics.
 
 use crate::diag::AnalysisReport;
 use hdc_ir::program::Program;
-use hdc_passes::pipeline::{
-    compile, CompileOptions, CompileReport, Pass, PassReport, PipelineError,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// A [`Pass`] that runs the full analyzer and reports its summary.
-///
-/// The pass never mutates the program; schedule it first to lint the input
-/// IR or last to check what a pipeline produced. The full
-/// [`AnalysisReport`] of the most recent run is kept in a shared slot so
-/// callers can inspect individual diagnostics after the pipeline returns
-/// (the [`PassReport`] itself only carries the one-line summary).
-#[derive(Debug, Default)]
-pub struct AnalyzePass {
-    report: Rc<RefCell<Option<AnalysisReport>>>,
-}
-
-impl AnalyzePass {
-    /// A fresh analyzer pass.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A shared handle to the slot receiving each run's full report.
-    pub fn report_slot(&self) -> Rc<RefCell<Option<AnalysisReport>>> {
-        Rc::clone(&self.report)
-    }
-}
-
-impl Pass for AnalyzePass {
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-
-    fn run(&mut self, program: &mut Program) -> PassReport {
-        let report = crate::analyze(program);
-        let summary = report.summary();
-        *self.report.borrow_mut() = Some(report);
-        PassReport::Message(summary)
-    }
-}
+use hdc_passes::pipeline::{compile, CompileOptions, CompileReport, PipelineError};
 
 /// The result of [`compile_audited`]: the compile report plus the analyzer
 /// verdicts on the input and output IR.
@@ -106,7 +65,6 @@ mod tests {
     use hdc_core::element::ElementKind;
     use hdc_ir::builder::ProgramBuilder;
     use hdc_ir::stage::ScorePolarity;
-    use hdc_passes::pipeline::PassManager;
 
     fn classification_like() -> Program {
         let mut b = ProgramBuilder::new("cls");
@@ -122,21 +80,6 @@ mod tests {
         });
         b.mark_output(labels);
         b.finish()
-    }
-
-    #[test]
-    fn analyze_pass_runs_in_a_pipeline() {
-        let pass = AnalyzePass::new();
-        let slot = pass.report_slot();
-        let mut program = classification_like();
-        let report = PassManager::new()
-            .with_pass(pass)
-            .run(&mut program)
-            .expect("pipeline runs");
-        let summary = report.report_for("analyze").expect("analyze ran").summary();
-        assert!(summary.contains("0 errors"), "summary: {summary}");
-        let full = slot.borrow();
-        assert!(!full.as_ref().expect("report captured").has_errors());
     }
 
     #[test]

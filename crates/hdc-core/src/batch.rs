@@ -819,10 +819,11 @@ mod tests {
             }
         }
         // k = 1 agrees with per-row arg_max.
-        assert_eq!(
-            arg_top_k_batch(&scores, 1).unwrap(),
-            crate::ops::arg_max_rows(&scores)
-        );
+        let arg_max: Vec<usize> = scores
+            .iter_rows()
+            .map(|row| crate::ops::arg_max(row).unwrap())
+            .collect();
+        assert_eq!(arg_top_k_batch(&scores, 1).unwrap(), arg_max);
     }
 
     #[test]

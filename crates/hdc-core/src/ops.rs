@@ -216,22 +216,6 @@ pub fn arg_top_k<T: TotalOrd>(values: &[T], k: usize) -> Vec<usize> {
     order
 }
 
-/// Per-row `arg_min` of a hypermatrix, as used by batched inference.
-pub fn arg_min_rows<T: Element + TotalOrd>(matrix: &HyperMatrix<T>) -> Vec<usize> {
-    matrix
-        .iter_rows()
-        .map(|row| arg_min(row).unwrap_or(0))
-        .collect()
-}
-
-/// Per-row `arg_max` of a hypermatrix.
-pub fn arg_max_rows<T: Element + TotalOrd>(matrix: &HyperMatrix<T>) -> Vec<usize> {
-    matrix
-        .iter_rows()
-        .map(|row| arg_max(row).unwrap_or(0))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,8 +306,10 @@ mod tests {
     #[test]
     fn arg_rows() {
         let m = HyperMatrix::from_flat(2, 3, vec![5.0f32, 1.0, 2.0, 0.0, 9.0, 3.0]).unwrap();
-        assert_eq!(arg_min_rows(&m), vec![1, 0]);
-        assert_eq!(arg_max_rows(&m), vec![0, 1]);
+        let min: Vec<_> = m.iter_rows().map(|r| arg_min(r).unwrap()).collect();
+        let max: Vec<_> = m.iter_rows().map(|r| arg_max(r).unwrap()).collect();
+        assert_eq!(min, vec![1, 0]);
+        assert_eq!(max, vec![0, 1]);
     }
 
     #[test]

@@ -179,30 +179,6 @@ pub fn binarize(program: &mut Program, options: &BinarizeOptions) -> BinarizeRep
     }
 }
 
-/// [`Pass`](crate::pipeline::Pass) wrapper around [`binarize`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinarizePass {
-    /// Options forwarded to [`binarize`].
-    pub options: BinarizeOptions,
-}
-
-impl BinarizePass {
-    /// Create the pass from options.
-    pub fn new(options: BinarizeOptions) -> Self {
-        BinarizePass { options }
-    }
-}
-
-impl crate::pipeline::Pass for BinarizePass {
-    fn name(&self) -> &'static str {
-        "binarize"
-    }
-
-    fn run(&mut self, program: &mut Program) -> crate::pipeline::PassReport {
-        crate::pipeline::PassReport::Binarize(binarize(program, &self.options))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,25 +70,6 @@ pub fn hoist_data_movement(program: &mut Program) -> DataMovementReport {
     report
 }
 
-/// [`Pass`](crate::pipeline::Pass) wrapper around [`hoist_data_movement`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DataMovementPass;
-
-impl crate::pipeline::Pass for DataMovementPass {
-    fn name(&self) -> &'static str {
-        "data-movement"
-    }
-
-    /// The hoisted-bytes accounting must reflect binarized storage sizes.
-    fn run_after(&self) -> &'static [&'static str] {
-        &["binarize"]
-    }
-
-    fn run(&mut self, program: &mut Program) -> crate::pipeline::PassReport {
-        crate::pipeline::PassReport::DataMovement(hoist_data_movement(program))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

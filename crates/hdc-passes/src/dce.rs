@@ -85,26 +85,6 @@ pub fn eliminate_dead_code(program: &mut Program) -> DceReport {
     report
 }
 
-/// [`Pass`](crate::pipeline::Pass) wrapper around [`eliminate_dead_code`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DcePass;
-
-impl crate::pipeline::Pass for DcePass {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    /// DCE runs last: earlier passes (binarization seeds at `sign`, target
-    /// legality scans) must see the full instruction stream.
-    fn run_after(&self) -> &'static [&'static str] {
-        &["binarize", "perforation", "data-movement", "target-assign"]
-    }
-
-    fn run(&mut self, program: &mut Program) -> crate::pipeline::PassReport {
-        crate::pipeline::PassReport::Dce(eliminate_dead_code(program))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

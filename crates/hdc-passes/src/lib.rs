@@ -17,8 +17,10 @@
 //!   targets with legality checks (accelerators only accept stage nodes and
 //!   reject the approximation optimizations).
 //! * [`dce`] — dead code elimination for leaf nodes.
-//! * [`pipeline`] — a small pass manager that sequences the above and
-//!   re-verifies the IR after every step.
+//! * [`pipeline`] — [`compile`], which runs the five transformations above
+//!   (all but lowering) in one fixed order and re-verifies the IR after
+//!   every pass; [`CompileOptions`] holds the
+//!   paper's two tuning knobs (binarization and perforation).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,18 +33,13 @@ pub mod perforation;
 pub mod pipeline;
 pub mod target_assign;
 
-pub use binarize::{binarize, BinarizeOptions, BinarizePass, BinarizeReport};
-pub use data_movement::{hoist_data_movement, DataMovementPass, DataMovementReport};
-pub use dce::{eliminate_dead_code, DcePass, DceReport};
+pub use binarize::{binarize, BinarizeOptions, BinarizeReport};
+pub use data_movement::{hoist_data_movement, DataMovementReport};
+pub use dce::{eliminate_dead_code, DceReport};
 pub use lowering::{lower_instr, lower_program, LoopDim, LoopNest};
-pub use perforation::{
-    apply_perforation, PerforationConfig, PerforationPass, PerforationReport, PerforationSite,
-};
-pub use pipeline::{
-    compile, CompileOptions, CompileReport, Pass, PassManager, PassOutcome, PassReport,
-    PipelineError, PipelineReport,
-};
+pub use perforation::{apply_perforation, PerforationConfig, PerforationReport, PerforationSite};
+pub use pipeline::{compile, CompileOptions, CompileReport, PipelineError};
 pub use target_assign::{
     accelerator_supports, assign_targets, stage_illegal_reason, stage_placements, StagePlacement,
-    TargetAssignPass, TargetAssignReport, TargetConfig,
+    TargetAssignReport, TargetConfig,
 };

@@ -135,30 +135,6 @@ pub fn apply_perforation(program: &mut Program, config: &PerforationConfig) -> P
     report
 }
 
-/// [`Pass`](crate::pipeline::Pass) wrapper around [`apply_perforation`].
-#[derive(Debug, Clone, Default)]
-pub struct PerforationPass {
-    /// Rules forwarded to [`apply_perforation`].
-    pub config: PerforationConfig,
-}
-
-impl PerforationPass {
-    /// Create the pass from a configuration.
-    pub fn new(config: PerforationConfig) -> Self {
-        PerforationPass { config }
-    }
-}
-
-impl crate::pipeline::Pass for PerforationPass {
-    fn name(&self) -> &'static str {
-        "perforation"
-    }
-
-    fn run(&mut self, program: &mut Program) -> crate::pipeline::PassReport {
-        crate::pipeline::PassReport::Perforation(apply_perforation(program, &self.config))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

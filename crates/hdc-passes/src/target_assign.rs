@@ -11,7 +11,6 @@
 //! an invalid program, so the pipeline's post-pass re-verification always
 //! holds.
 
-use crate::pipeline::{Pass, PassReport};
 use hdc_core::ops::ElementwiseOp;
 use hdc_ir::ops::HdcOp;
 use hdc_ir::program::{Node, NodeBody, Program};
@@ -287,36 +286,6 @@ pub fn assign_targets(program: &mut Program, config: &TargetConfig) -> TargetAss
         report.assigned_nodes += 1;
     }
     report
-}
-
-/// [`Pass`] wrapper around [`assign_targets`].
-#[derive(Debug, Clone, Default)]
-pub struct TargetAssignPass {
-    /// The configuration applied by the pass.
-    pub config: TargetConfig,
-}
-
-impl TargetAssignPass {
-    /// Create the pass from a configuration.
-    pub fn new(config: TargetConfig) -> Self {
-        TargetAssignPass { config }
-    }
-}
-
-impl Pass for TargetAssignPass {
-    fn name(&self) -> &'static str {
-        "target-assign"
-    }
-
-    /// Legality depends on the final element kinds and perforation
-    /// annotations, so assignment must see the approximation passes' output.
-    fn run_after(&self) -> &'static [&'static str] {
-        &["binarize", "perforation"]
-    }
-
-    fn run(&mut self, program: &mut Program) -> PassReport {
-        PassReport::TargetAssign(assign_targets(program, &self.config))
-    }
 }
 
 #[cfg(test)]

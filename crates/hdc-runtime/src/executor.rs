@@ -1795,27 +1795,27 @@ impl<'p> Executor<'p> {
 
     fn selection(&mut self, instr: &HdcInstr, minimize: bool) -> Result<Value> {
         let input = self.operand_value(instr, 0, "selection")?.clone();
-        let pick = |slice: &[f64]| -> Option<usize> {
+        // A row with no comparable score (empty or all NaN) has no answer.
+        let pick = |slice: &[f64]| -> Result<usize> {
             if minimize {
                 hdc_core::ops::arg_min(slice)
             } else {
                 hdc_core::ops::arg_max(slice)
             }
+            .ok_or(RuntimeError::Core(hdc_core::HdcError::EmptyInput(
+                "arg_min/arg_max",
+            )))
         };
         Ok(match &input {
             Value::Matrix(_) | Value::BitMatrix(_) => {
                 let (m, copied) = input.dense_matrix("selection")?;
                 self.note_copy(copied);
-                let rows: Vec<usize> = m.iter_rows().map(|row| pick(row).unwrap_or(0)).collect();
-                Value::indices(rows)
+                Value::indices(m.iter_rows().map(pick).collect::<Result<_>>()?)
             }
             other => {
                 let (v, copied) = other.dense_vector("selection")?;
                 self.note_copy(copied);
-                let idx = pick(v.as_slice()).ok_or(RuntimeError::Core(
-                    hdc_core::HdcError::EmptyInput("arg_min/arg_max"),
-                ))?;
-                Value::Scalar(idx as f64)
+                Value::Scalar(pick(v.as_slice())? as f64)
             }
         })
     }

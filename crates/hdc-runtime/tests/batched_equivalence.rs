@@ -443,6 +443,47 @@ fn arg_top_k_matches_sequential_and_rejects_nan() {
     );
 }
 
+#[test]
+fn leaf_arg_min_over_matrix_rejects_all_nan_row() {
+    // A leaf `arg_min` over a score matrix: a row with no comparable score
+    // has no answer, so it is `EmptyInput` (as for a vector operand), not a
+    // silent label 0, under both schedules.
+    let mut b = ProgramBuilder::new("argmin_rows");
+    let scores = b.input_matrix("scores", ElementKind::F64, 3, 4);
+    let picks = b.arg_min(scores);
+    b.mark_output(picks);
+    let program = b.finish();
+    let mut data = HyperMatrix::from_flat(
+        3,
+        4,
+        vec![5.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 4.0, 9.0, -1.0, 3.0],
+    )
+    .unwrap();
+    for mode in ExecMode::ALL {
+        let mut exec = Executor::new(&program).unwrap();
+        exec.set_mode(mode);
+        exec.bind("scores", Value::matrix(data.clone())).unwrap();
+        let out = exec.run().unwrap();
+        assert_eq!(out.indices(picks).unwrap(), &[1, 0, 2], "{mode}");
+    }
+    for col in 0..4 {
+        data.set(1, col, f64::NAN).unwrap();
+    }
+    for mode in ExecMode::ALL {
+        let mut exec = Executor::new(&program).unwrap();
+        exec.set_mode(mode);
+        exec.bind("scores", Value::matrix(data.clone())).unwrap();
+        let err = exec.run().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                hdc_runtime::RuntimeError::Core(hdc_core::HdcError::EmptyInput(_))
+            ),
+            "{mode}: {err}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // batched-epoch training
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ fn main() {
     // pass.
     let report = compile(&mut program, &CompileOptions::default()).expect("pipeline accepts IR");
     println!("== compile report ==");
-    print!("{}", report.pipeline);
+    print!("{report}");
     println!("\n== binarized IR ==");
     print!("{}", hpvm_hdc::ir::printer::print_program(&program));
 

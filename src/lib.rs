@@ -10,7 +10,8 @@
 //! * [`core`] — hypervector/hypermatrix math, encodings, similarity metrics.
 //! * [`ir`] — the HPVM-HDC IR and the HDC++ builder DSL.
 //! * [`passes`] — automatic binarization, reduction perforation, lowering,
-//!   data-movement hoisting, target assignment, and the pass manager.
+//!   data-movement hoisting, target assignment, and `compile()`, which runs
+//!   them in one fixed order.
 //! * [`runtime`] — the reference program executor: the value store and the
 //!   CPU interpretation of every HDC intrinsic (dense and bit-packed).
 //! * [`accel`] — the accelerator back end: analytical performance models
@@ -33,8 +34,8 @@
 //!   bit-taint interpretation, perforation/`wrap_shift`/`parallel_for`
 //!   legality, and effect/alias classification of the `Arc`-backed value
 //!   store — surfaced as an `AnalysisReport` (stable `HDA0xx` codes,
-//!   JSON), the `hdc-lint` binary, and an `AnalyzePass` for the pass
-//!   manager.
+//!   JSON), the `hdc-lint` binary, and `compile_audited`, which analyzes a
+//!   program before and after compilation.
 //!
 //! See `README.md` for the workspace layout and a quickstart,
 //! `docs/architecture.md` for the IR → passes → executor walkthrough,

@@ -1,15 +1,12 @@
 //! End-to-end test of the compile→execute spine on the paper's Listing 1:
 //! random-projection encode → Hamming distance scoring → arg-min, built with
-//! the HDC++ builder DSL, compiled through the full `PassManager` pipeline
-//! (binarize → perforate → hoist → target-assign → DCE), executed on
+//! the HDC++ builder DSL, compiled through `compile()` (binarize →
+//! perforate → hoist → target-assign → DCE), executed on
 //! `hdc-runtime`, and checked against the direct `hdc-core` reference path.
 
 use hpvm_hdc::core::prelude::*;
 use hpvm_hdc::ir::prelude::*;
-use hpvm_hdc::passes::{
-    BinarizePass, DataMovementPass, DcePass, PassManager, PerforationConfig, PerforationPass,
-    TargetAssignPass,
-};
+use hpvm_hdc::passes::{compile, CompileOptions, PerforationConfig};
 use hpvm_hdc::runtime::{Executor, Value};
 
 const FEATURES: usize = 617;
@@ -111,24 +108,15 @@ fn listing1_binarized_pipeline_matches_reference() {
     let Listing1 { mut program, label } = build_listing1();
     let fx = fixture();
 
-    // Full pipeline: binarize → perforate → hoist → target-assign → dce.
-    let mut manager = PassManager::new()
-        .with_pass(BinarizePass::default())
-        .with_pass(PerforationPass::new(PerforationConfig::none()))
-        .with_pass(DataMovementPass)
-        .with_pass(TargetAssignPass::default())
-        .with_pass(DcePass);
-    let report = manager.run(&mut program).unwrap();
+    // Default options: binarize → hoist → target-assign → dce.
+    let report = compile(&mut program, &CompileOptions::default()).unwrap();
 
     // The pipeline did real work: values were binarized and the dead
     // instructions removed.
     let binarize = report.binarize().unwrap();
     assert!(binarize.binarized_values >= 2);
     assert!(binarize.reduction_factor() > 1.0);
-    match report.report_for("dce").unwrap() {
-        hpvm_hdc::passes::PassReport::Dce(r) => assert_eq!(r.removed_instrs, 2),
-        other => panic!("unexpected report {other:?}"),
-    }
+    assert_eq!(report.dce.removed_instrs, 2);
 
     let (compiled_label, stats) = run_compiled(&program, label, &fx);
     assert!(
@@ -143,19 +131,15 @@ fn listing1_binarized_pipeline_matches_reference() {
 fn listing1_unbinarized_and_binarized_agree() {
     let fx = fixture();
 
-    // Unbinarized: compile with binarization disabled.
+    // Unbinarized: the paper's baseline configuration.
     let Listing1 { mut program, label } = build_listing1();
-    let mut manager = PassManager::new()
-        .with_pass(DataMovementPass)
-        .with_pass(TargetAssignPass::default())
-        .with_pass(DcePass);
-    manager.run(&mut program).unwrap();
+    compile(&mut program, &CompileOptions::baseline()).unwrap();
     let (plain_label, plain_stats) = run_compiled(&program, label, &fx);
     assert_eq!(plain_stats.bit_kernel_ops, 0, "dense path stays dense");
 
-    // Binarized via the one-call compile() convenience.
+    // Binarized: the default options.
     let Listing1 { mut program, label } = build_listing1();
-    hpvm_hdc::passes::compile(&mut program, &hpvm_hdc::passes::CompileOptions::default()).unwrap();
+    compile(&mut program, &CompileOptions::default()).unwrap();
     let (bin_label, _) = run_compiled(&program, label, &fx);
 
     // Binarization is exact for this program (the sign points are explicit),
@@ -168,11 +152,11 @@ fn listing1_unbinarized_and_binarized_agree() {
 fn listing1_perforated_pipeline_still_classifies() {
     let Listing1 { mut program, label } = build_listing1();
     let fx = fixture();
-    let options = hpvm_hdc::passes::CompileOptions {
+    let options = CompileOptions {
         perforation: PerforationConfig::strided_similarity(2),
         ..Default::default()
     };
-    hpvm_hdc::passes::compile(&mut program, &options).unwrap();
+    compile(&mut program, &options).unwrap();
     // Half the positions still overwhelmingly favour the constructed class.
     let (label_value, _) = run_compiled(&program, label, &fx);
     assert_eq!(label_value, 13);
