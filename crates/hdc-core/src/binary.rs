@@ -299,6 +299,16 @@ impl BitMatrix {
         }
     }
 
+    /// The sign bits of a ±1 hypermatrix, or `None` unless every entry is
+    /// exactly `1` or `-1`. Only then does [`BitMatrix::to_dense`] give the
+    /// matrix back, so a kernel may run on the bits in its place.
+    pub fn from_bipolar<T: Element>(hm: &HyperMatrix<T>) -> Option<Self> {
+        hm.as_slice()
+            .iter()
+            .all(|x| x.to_f64().abs() == 1.0)
+            .then(|| BitMatrix::from_dense(hm))
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows.len()

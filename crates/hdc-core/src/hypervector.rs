@@ -188,11 +188,10 @@ impl<T: Element> HyperVector<T> {
     pub fn l2norm(&self) -> f64 {
         self.data
             .iter()
-            .map(|x| {
+            .fold(0.0, |acc, x| {
                 let v = x.to_f64();
-                v * v
+                acc + v * v
             })
-            .sum::<f64>()
             .sqrt()
     }
 }

@@ -8,13 +8,15 @@
 //! to downstream operations.
 
 use crate::batch::{pack_panel, StreamedRows};
+use crate::binary::{BitMatrix, BitVector};
 use crate::element::Element;
 use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
 use crate::perforation::Perforation;
-use crate::simd::{dot_panel_kernel, PANEL_LANES};
+use crate::simd::{dot_panel_kernel, sign_dots_kernel, PANEL_LANES, SIGN_ROWS};
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 fn check(expected: usize, actual: usize, context: &'static str) -> Result<()> {
     if expected != actual {
@@ -53,27 +55,162 @@ pub fn matvec<T: Element>(
         "matmul (matrix x vector)",
     )?;
     perforation.validate(matrix.cols().max(1))?;
-    let scale = 1.0 / perforation.visited_fraction(matrix.cols().max(1));
+    let scale = perforation_scale(matrix.cols(), perforation);
     let v = vector.as_slice();
     let dense = perforation.is_dense_over(matrix.cols());
-    let out: Vec<T> = matrix
-        .iter_rows()
-        .map(|row| {
-            let acc: f64 = if dense {
+    // Every chain starts from `+0.0`, as the panel kernels' do
+    // (`Iterator::sum` on floats starts from `-0.0`).
+    let out: Vec<T> = (0..matrix.rows())
+        .map(|r| {
+            let row = matrix.row(r).expect("row in range");
+            let acc = if dense {
                 row.iter()
                     .zip(v.iter())
-                    .map(|(m, x)| m.to_f64() * x.to_f64())
-                    .sum()
+                    .fold(0.0, |acc, (m, x)| acc + m.to_f64() * x.to_f64())
             } else {
                 perforation
                     .indices(row.len())
-                    .map(|i| row[i].to_f64() * v[i].to_f64())
-                    .sum()
+                    .fold(0.0, |acc, i| acc + row[i].to_f64() * v[i].to_f64())
             };
-            T::from_f64(acc * if dense { 1.0 } else { scale })
+            T::from_f64(acc * scale)
         })
         .collect();
     Ok(HyperVector::from_vec(out))
+}
+
+/// `1.0`, or `-1.0` when the low bit of `bits` is set.
+fn sign_of(bits: u64) -> f64 {
+    f64::from_bits(1.0f64.to_bits() | bits << 63)
+}
+
+/// Output rows [`matvec_signs`] walks side by side: independent chains
+/// keep the adder busy, where one chain would wait on its own latency.
+const MATVEC_SIGN_ROWS: usize = 4;
+
+/// [`matvec`] against a ±1 projection held as sign bits: `out[r] = sum_c
+/// vector[c] * (±1.0)`, bit `c` of row `r` set meaning `-1.0`.
+///
+/// This is the per-sample oracle of [`matmul_signs`], with [`matvec`]'s
+/// arithmetic: one chain per output from `+0.0`, each visited feature
+/// multiplied by its sign and then added, in ascending order. So it is
+/// bit-identical to [`matvec`] on `signs.to_dense()`. It walks 4 output
+/// rows' chains side by side, which makes it faster than [`matvec`].
+///
+/// # Errors
+///
+/// Returns a dimension-mismatch error if `vector.dimension() != signs.cols()`
+/// or an invalid-perforation error for a bad descriptor.
+pub fn matvec_signs<T: Element>(
+    signs: &BitMatrix,
+    vector: &HyperVector<T>,
+    perforation: Perforation,
+) -> Result<HyperVector<T>> {
+    check(signs.cols(), vector.dimension(), "matmul (signs x vector)")?;
+    perforation.validate(signs.cols().max(1))?;
+    let scale = perforation_scale(signs.cols(), perforation);
+    let v = vector.as_slice();
+    let dense = perforation.is_dense_over(v.len());
+    let rows: Vec<&[u64]> = signs.iter().map(BitVector::as_words).collect();
+    let mut out = Vec::with_capacity(rows.len());
+    for block in rows.chunks(MATVEC_SIGN_ROWS) {
+        // A short last block repeats its last row; those chains are dropped.
+        let block: [&[u64]; MATVEC_SIGN_ROWS] =
+            std::array::from_fn(|k| block[k.min(block.len() - 1)]);
+        let mut acc = [0.0f64; MATVEC_SIGN_ROWS];
+        if dense {
+            for (w, xs) in v.chunks(64).enumerate() {
+                // Each row's next sign is the low bit of its shifted word.
+                let mut words = block.map(|row| row[w]);
+                for x in xs {
+                    let x = x.to_f64();
+                    for (chain, word) in acc.iter_mut().zip(words.iter_mut()) {
+                        *chain += sign_of(*word) * x;
+                        *word >>= 1;
+                    }
+                }
+            }
+        } else {
+            for c in perforation.indices(v.len()) {
+                let x = v[c].to_f64();
+                for (chain, row) in acc.iter_mut().zip(block) {
+                    *chain += sign_of(row[c / 64] >> (c % 64)) * x;
+                }
+            }
+        }
+        out.extend(acc.iter().map(|a| T::from_f64(a * scale)));
+    }
+    out.truncate(rows.len());
+    Ok(HyperVector::from_vec(out))
+}
+
+/// The factor a reduction's sums are multiplied by: one over the visited
+/// fraction when perforated, and `1.0` when dense — `acc * 1.0` is exact,
+/// so one unconditional multiply keeps the dense path bit-identical to the
+/// unscaled form.
+fn perforation_scale(cols: usize, perforation: Perforation) -> f64 {
+    if perforation.is_dense_over(cols) {
+        1.0
+    } else {
+        1.0 / perforation.visited_fraction(cols.max(1))
+    }
+}
+
+/// Query rows up to which an encode against sign bits ([`matmul_signs`])
+/// is faster than [`matmul_batch`] on the unpacked ±1 matrix. Measured on
+/// a 2048 x 617 projection at 1..=8 query rows: see `docs/serving.md`.
+pub const SIGN_ENCODE_MAX_ROWS: usize = 7;
+
+/// [`matmul_batch`] against a ±1 projection held as sign bits:
+/// `out[q][r] = sum_c queries[q][c] * (±1.0)`, bit `c` of row `r` set
+/// meaning `-1.0`.
+///
+/// Lanes run across 8 output dims, so one query row fills every lane, and
+/// the projection is read as 1 bit per entry instead of 64. Up to 8 query
+/// rows share each feature's lane mask. Every output is one chain from
+/// `+0.0` of `x·(±1.0)` then `+`, in ascending feature order — the same
+/// operations [`matmul_batch`] runs on `signs.to_dense()` — so the two are
+/// bit-identical on every backend, and each row equals [`matvec_signs`].
+///
+/// # Errors
+///
+/// Returns a dimension-mismatch error if `queries.cols() != signs.cols()`
+/// or an invalid-perforation error for a bad descriptor.
+pub fn matmul_signs<T: Element>(
+    queries: &HyperMatrix<T>,
+    signs: &BitMatrix,
+    perforation: Perforation,
+) -> Result<HyperMatrix<T>> {
+    check(signs.cols(), queries.cols(), "matmul (signs batch)")?;
+    perforation.validate(signs.cols().max(1))?;
+    let scale = perforation_scale(signs.cols(), perforation);
+    let (n, d, cols) = (queries.rows(), signs.rows(), signs.cols());
+    let span = perforation.begin.min(cols)..perforation.end_clamped(cols);
+    let rows: Vec<&[u64]> = signs.iter().map(BitVector::as_words).collect();
+    let flat = queries.as_slice();
+    let flat: Cow<'_, [f64]> = match T::as_f64_slice(flat) {
+        Some(in_place) => in_place.into(),
+        None => flat.iter().map(|x| x.to_f64()).collect::<Vec<_>>().into(),
+    };
+    let kernel = sign_dots_kernel();
+    let mut data = vec![T::from_f64(0.0); n * d];
+    if d > 0 {
+        let items: Vec<(usize, &mut [T])> = data.chunks_mut(SIGN_ROWS * d).enumerate().collect();
+        items
+            .into_par_iter()
+            .map(|(item, out)| {
+                let first = item * SIGN_ROWS;
+                let qrows: Vec<&[f64]> = (first..first + out.len() / d)
+                    .map(|i| &flat[i * cols..(i + 1) * cols])
+                    .collect();
+                let mut dots = vec![0.0; out.len()];
+                kernel(&rows, span.clone(), perforation.stride, &qrows, &mut dots);
+                for (slot, dot) in out.iter_mut().zip(dots) {
+                    *slot = T::from_f64(dot * scale);
+                }
+            })
+            .collect::<()>();
+    }
+    HyperMatrix::from_flat(n, d, data)
 }
 
 /// Query panels ([`pack_panel`]) one [`matmul_batch`] work item encodes at
@@ -118,11 +255,7 @@ pub fn matmul_batch<T: Element>(
 ) -> Result<HyperMatrix<T>> {
     check(matrix.cols(), queries.cols(), "matmul (batch)")?;
     perforation.validate(matrix.cols().max(1))?;
-    let raw_scale = 1.0 / perforation.visited_fraction(matrix.cols().max(1));
-    let dense = perforation.is_dense_over(matrix.cols());
-    // `acc * 1.0` is exact, so one unconditional multiply keeps the dense
-    // path bit-identical to the unscaled form.
-    let scale = if dense { 1.0 } else { raw_scale };
+    let scale = perforation_scale(matrix.cols(), perforation);
     let (n, d) = (queries.rows(), matrix.rows());
     let streamed = StreamedRows::new(matrix, perforation);
     let projection = streamed.rows();
@@ -177,13 +310,10 @@ pub fn l2norm_perforated<T: Element>(
         return Ok(vector.l2norm());
     }
     let scale = 1.0 / perforation.visited_fraction(vector.dimension().max(1));
-    let sum_sq: f64 = perforation
-        .indices(vector.dimension())
-        .map(|i| {
-            let v = vector.as_slice()[i].to_f64();
-            v * v
-        })
-        .sum();
+    let sum_sq = perforation.indices(vector.dimension()).fold(0.0, |acc, i| {
+        let v = vector.as_slice()[i].to_f64();
+        acc + v * v
+    });
     Ok((sum_sq * scale).sqrt())
 }
 

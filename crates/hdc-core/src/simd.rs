@@ -48,6 +48,7 @@
 //! Tests and benchmarks can switch at runtime with [`set_backend`].
 
 use crate::error::{HdcError, Result};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// The kernel backend the batched inner loops dispatch to.
@@ -397,6 +398,92 @@ pub(crate) fn dot_panel_kernel() -> DotPanel {
     }
 }
 
+/// Query rows one [`SignDots`] call carries at most: each feature's sign
+/// masks are built once and shared by all of them.
+pub(crate) const SIGN_ROWS: usize = 8;
+
+/// Output dims per sign lane group: one 512-bit register of `f64`.
+const SIGN_LANES: usize = 8;
+
+/// The sign-projection kernel: `kernel(signs, span, stride, queries, out)`
+/// sets `out[q * signs.len() + r]` to the dot product of `queries[q]` with
+/// the ±1 row `signs[r]` (bit `c` of the packed words set = `-1.0`, as in
+/// [`crate::BitVector`]) over the features `span.step_by(stride)`. Lanes
+/// run across output dims: a lane group is 8 projection rows, and the
+/// lane mask for feature `c` is bit `c` of those rows' words, so the
+/// row-major bit matrix is read as is. Every output is its own chain:
+/// starting from `0.0`, each feature's `x·(±1.0)` is multiplied and then
+/// added separately, in ascending feature order — the operation sequence
+/// of [`DotPanel`] on the unpacked ±1 matrix, so both give the same bits.
+///
+/// # Panics
+///
+/// Panics if `queries` holds more than [`SIGN_ROWS`] rows, `out` is not
+/// `queries.len() * signs.len()` long, `stride` is zero, or a row is
+/// shorter than `span.end`.
+pub(crate) type SignDots = fn(&[&[u64]], Range<usize>, usize, &[&[f64]], &mut [f64]);
+
+/// The [`SignDots`] kernel of the selected backend, fetched once per
+/// batched kernel call. Bit-identical to the scalar oracle on every
+/// backend.
+pub(crate) fn sign_dots_kernel() -> SignDots {
+    match selected() {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => {
+            note_simd_dispatch();
+            avx2::sign_dots
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            note_simd_dispatch();
+            avx512::sign_dots
+        }
+        _ => scalar::sign_dots,
+    }
+}
+
+/// The argument checks every [`SignDots`] leg makes before it runs.
+fn check_sign_dots(
+    signs: &[&[u64]],
+    span: &Range<usize>,
+    stride: usize,
+    queries: &[&[f64]],
+    out: &[f64],
+) {
+    assert!(
+        queries.len() <= SIGN_ROWS,
+        "a call carries {SIGN_ROWS} rows"
+    );
+    assert_eq!(
+        out.len(),
+        queries.len() * signs.len(),
+        "one output per pair"
+    );
+    assert!(stride > 0, "a reduction needs a non-zero stride");
+    assert!(
+        queries.iter().all(|q| q.len() >= span.end),
+        "query rows cover the span"
+    );
+    assert!(
+        signs.iter().all(|s| s.len() * 64 >= span.end),
+        "sign rows cover the span"
+    );
+}
+
+/// The [`SIGN_LANES`] rows of lane group `group`, the last real row
+/// repeated past the end of `signs` (its lanes are never stored).
+fn lane_group<'a>(signs: &[&'a [u64]], group: usize) -> [&'a [u64]; SIGN_LANES] {
+    let last = signs.len() - 1;
+    std::array::from_fn(|k| signs[(group * SIGN_LANES + k).min(last)])
+}
+
+/// Store the lanes of group `group` for query `q`, dropping padding lanes.
+fn store_lanes(out: &mut [f64], dims: usize, q: usize, group: usize, lanes: &[f64; SIGN_LANES]) {
+    let first = group * SIGN_LANES;
+    let valid = dims.saturating_sub(first).min(SIGN_LANES);
+    out[q * dims + first..q * dims + first + valid].copy_from_slice(&lanes[..valid]);
+}
+
 /// Walk `rows` `R` at a time through `tile`, which returns the dot products
 /// of its `R` rows; a short last tile repeats its last row, and the repeats'
 /// dot products are dropped. Shared by the SIMD legs, whose `R` is sized to
@@ -430,6 +517,8 @@ fn tile_len(rows: &[&[f64]], stride: usize, panel: &[f64]) -> usize {
 /// SIMD variant in this module is fuzzed bit-identical against these.
 pub(crate) mod scalar {
     use super::PANEL_LANES;
+    use super::{check_sign_dots, lane_group, store_lanes, SIGN_LANES, SIGN_ROWS};
+    use std::ops::Range;
 
     /// Inner-loop block width (in 64-bit words) for the XOR/popcount
     /// kernels. Accumulating into independent lanes keeps the popcounts
@@ -481,6 +570,83 @@ pub(crate) mod scalar {
         }
     }
 
+    /// ±1.0 lanes for a lane mask: lane `k` of entry `m` is `-1.0` when
+    /// bit `k` of `m` is set.
+    static SIGN_LUT8: [[f64; SIGN_LANES]; 256] = {
+        let mut table = [[0.0; SIGN_LANES]; 256];
+        let mut m = 0;
+        while m < 256 {
+            let mut k = 0;
+            while k < SIGN_LANES {
+                table[m][k] = if (m >> k) & 1 != 0 { -1.0 } else { 1.0 };
+                k += 1;
+            }
+            m += 1;
+        }
+        table
+    };
+
+    /// Transpose an 8 × 8 bit matrix held one row per byte: bit `i` of
+    /// byte `k` moves to bit `k` of byte `i`.
+    fn transpose8(mut x: u64) -> u64 {
+        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+        x ^ t ^ (t << 28)
+    }
+
+    /// The lane masks of the 64 features in one word of 8 sign rows: bit
+    /// `k` of `masks[b]` is bit `b` of `words[k]`.
+    pub(super) fn lane_masks(words: [u64; SIGN_LANES]) -> [u8; 64] {
+        let mut masks = [0u8; 64];
+        for (j, chunk) in masks.chunks_exact_mut(8).enumerate() {
+            let rows = words
+                .iter()
+                .enumerate()
+                .fold(0u64, |x, (k, w)| x | ((w >> (8 * j)) & 0xff) << (8 * k));
+            chunk.copy_from_slice(&transpose8(rows).to_le_bytes());
+        }
+        masks
+    }
+
+    /// The [`super::SignDots`] oracle: one lane group of 8 output dims per
+    /// pass, every query row's 8 chains side by side; per feature, the lane
+    /// mask selects the ±1.0 lanes, then each chain multiplies and adds.
+    pub(crate) fn sign_dots(
+        signs: &[&[u64]],
+        span: Range<usize>,
+        stride: usize,
+        queries: &[&[f64]],
+        out: &mut [f64],
+    ) {
+        check_sign_dots(signs, &span, stride, queries, out);
+        let dims = signs.len();
+        for group in 0..dims.div_ceil(SIGN_LANES) {
+            let rows = lane_group(signs, group);
+            let mut acc = [[0.0f64; SIGN_LANES]; SIGN_ROWS];
+            let mut masks = [0u8; 64];
+            let mut word = usize::MAX;
+            for c in span.clone().step_by(stride) {
+                if c / 64 != word {
+                    word = c / 64;
+                    masks = lane_masks(rows.map(|r| r[word]));
+                }
+                let signs = &SIGN_LUT8[usize::from(masks[c % 64])];
+                for (chains, q) in acc.iter_mut().zip(queries) {
+                    let x = q[c];
+                    for k in 0..SIGN_LANES {
+                        chains[k] += signs[k] * x;
+                    }
+                }
+            }
+            for (q, lanes) in acc.iter().take(queries.len()).enumerate() {
+                store_lanes(out, dims, q, group, lanes);
+            }
+        }
+    }
+
     /// The [`super::DotPanel`] oracle: one streamed row per pass, its
     /// `PANEL_LANES` chains side by side, ascending element order,
     /// separate multiply and add.
@@ -513,8 +679,10 @@ pub(crate) mod scalar {
 /// when [`detected`] confirmed the features at runtime.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{for_each_tile, tile_len, PANEL_LANES, SIGN_LUT4};
+    use super::{check_sign_dots, for_each_tile, lane_group, store_lanes, tile_len};
+    use super::{PANEL_LANES, SIGN_LANES, SIGN_LUT4};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// Streamed rows per panel pass: each holds its 8 lanes in two 256-bit
     /// accumulators, so 4 rows keep 8 add chains in flight and leave room
@@ -662,6 +830,109 @@ mod avx2 {
         }
     }
 
+    #[allow(unsafe_code)]
+    pub(super) fn sign_dots(
+        signs: &[&[u64]],
+        span: Range<usize>,
+        stride: usize,
+        queries: &[&[f64]],
+        out: &mut [f64],
+    ) {
+        check_sign_dots(signs, &span, stride, queries, out);
+        if signs.is_empty() {
+            return;
+        }
+        // Each row holds a lane group in two registers, so at most 4 rows
+        // share a pass; one row takes two groups to keep 4 chains going.
+        for (pass, rows) in queries.chunks(4).enumerate() {
+            let out = &mut out[pass * 4 * signs.len()..][..rows.len() * signs.len()];
+            let span = span.clone();
+            // SAFETY: (every arm) only dispatched on hosts where avx2 is
+            // detected.
+            unsafe {
+                match rows.len() {
+                    1 => sign_dots_impl::<1, 2>(signs, span, stride, rows, out),
+                    2 => sign_dots_impl::<2, 1>(signs, span, stride, rows, out),
+                    3 => sign_dots_impl::<3, 1>(signs, span, stride, rows, out),
+                    _ => sign_dots_impl::<4, 1>(signs, span, stride, rows, out),
+                }
+            }
+        }
+    }
+
+    /// `Q` query rows against `G` lane groups of 8 output dims at a time,
+    /// each group in two 256-bit halves. Per feature, a half's 4 sign
+    /// words are masked with the feature's bit and compared back to it
+    /// (all-ones lanes where the bit is set), which blends the ±1.0 lanes;
+    /// every row's feature is broadcast, multiplied and added into its
+    /// chains.
+    // SAFETY: `unsafe` is solely the `target_feature` contract — `avx2` was
+    // confirmed by runtime detection before `sign_dots` (the only caller)
+    // was dispatched. No pointer arithmetic: every slice access is
+    // bounds-checked, and `check_sign_dots` has checked the shapes.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sign_dots_impl<const Q: usize, const G: usize>(
+        signs: &[&[u64]],
+        span: Range<usize>,
+        stride: usize,
+        queries: &[&[f64]],
+        out: &mut [f64],
+    ) {
+        let dims = signs.len();
+        // Opaque ±1.0, as in the AVX-512 leg.
+        let plus = std::hint::black_box(_mm256_set1_pd(1.0));
+        let minus = std::hint::black_box(_mm256_set1_pd(-1.0));
+        let groups = dims.div_ceil(SIGN_LANES);
+        for first in (0..groups).step_by(G) {
+            let mut rows = [[signs[0]; SIGN_LANES]; G];
+            for (g, group_rows) in rows.iter_mut().enumerate() {
+                // A pass past the last group repeats it; nothing is stored.
+                *group_rows = lane_group(signs, (first + g).min(groups - 1));
+            }
+            let mut acc = [[[_mm256_setzero_pd(); 2]; Q]; G];
+            let mut words = [[_mm256_setzero_si256(); 2]; G];
+            let mut word = usize::MAX;
+            for c in span.clone().step_by(stride) {
+                if c / 64 != word {
+                    word = c / 64;
+                    for (halves, group_rows) in words.iter_mut().zip(&rows) {
+                        let lanes = group_rows.map(|r| r[word]);
+                        halves[0] = _mm256_loadu_si256(lanes.as_ptr().cast());
+                        halves[1] = _mm256_loadu_si256(lanes[4..].as_ptr().cast());
+                    }
+                }
+                let bit = _mm256_set1_epi64x(1 << (c % 64));
+                let mut xs = [_mm256_setzero_pd(); Q];
+                for (x, q) in xs.iter_mut().zip(queries) {
+                    *x = _mm256_set1_pd(q[c]);
+                }
+                for (chains, halves) in acc.iter_mut().zip(&words) {
+                    let mut s = [plus; 2];
+                    for (lanes, w) in s.iter_mut().zip(halves) {
+                        let set = _mm256_cmpeq_epi64(_mm256_and_si256(*w, bit), bit);
+                        *lanes = _mm256_blendv_pd(plus, minus, _mm256_castsi256_pd(set));
+                    }
+                    for (chain, x) in chains.iter_mut().zip(&xs) {
+                        chain[0] = _mm256_add_pd(chain[0], _mm256_mul_pd(s[0], *x));
+                        chain[1] = _mm256_add_pd(chain[1], _mm256_mul_pd(s[1], *x));
+                    }
+                }
+            }
+            for (g, chains) in acc.iter().enumerate() {
+                if first + g >= groups {
+                    break;
+                }
+                for (q, chain) in chains.iter().enumerate() {
+                    let mut lanes = [0.0f64; SIGN_LANES];
+                    _mm256_storeu_pd(lanes.as_mut_ptr(), chain[0]);
+                    _mm256_storeu_pd(lanes[4..].as_mut_ptr(), chain[1]);
+                    store_lanes(out, dims, q, first + g, &lanes);
+                }
+            }
+        }
+    }
+
     /// `ROWS` streamed rows against one panel: per panel element, the two
     /// lane halves are loaded once and every row's element is broadcast
     /// into both of its chains.
@@ -711,8 +982,10 @@ mod avx2 {
 /// the AVX2 kernel: its 4-lane sign lookup gains nothing from 512 bits.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{for_each_tile, tile_len, PANEL_LANES};
+    use super::{check_sign_dots, for_each_tile, lane_group, store_lanes, tile_len};
+    use super::{PANEL_LANES, SIGN_LANES};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// Streamed rows per panel pass: one 512-bit accumulator each, so 8
     /// rows keep 8 add chains in flight beside the panel element and the
@@ -744,6 +1017,119 @@ mod avx512 {
             // SAFETY: only dispatched on hosts where avx512f is detected.
             unsafe { dot_tile_impl(tile, stride, panel) }
         });
+    }
+
+    #[allow(unsafe_code)]
+    pub(super) fn sign_dots(
+        signs: &[&[u64]],
+        span: Range<usize>,
+        stride: usize,
+        queries: &[&[f64]],
+        out: &mut [f64],
+    ) {
+        check_sign_dots(signs, &span, stride, queries, out);
+        if signs.is_empty() {
+            return;
+        }
+        // Lane groups per pass, so that `rows x groups` chains are in
+        // flight: enough to hide the add latency, few enough to stay in
+        // the 32 registers.
+        // SAFETY: (every arm) only dispatched on hosts where avx512f is
+        // detected.
+        unsafe {
+            match queries.len() {
+                0 => {}
+                1 => sign_dots_impl::<1, 8>(signs, span, stride, queries, out),
+                2 => sign_dots_impl::<2, 4>(signs, span, stride, queries, out),
+                3 => sign_dots_impl::<3, 2>(signs, span, stride, queries, out),
+                4 => sign_dots_impl::<4, 2>(signs, span, stride, queries, out),
+                5 => sign_dots_impl::<5, 2>(signs, span, stride, queries, out),
+                6 => sign_dots_impl::<6, 2>(signs, span, stride, queries, out),
+                7 => sign_dots_impl::<7, 2>(signs, span, stride, queries, out),
+                _ => sign_dots_impl::<8, 2>(signs, span, stride, queries, out),
+            }
+        }
+    }
+
+    /// `Q` query rows against `G` lane groups of 8 output dims at a time.
+    /// Per feature, each group's 8 sign words are tested against the
+    /// feature's bit (`vptestmq`: the lane mask), the mask blends the
+    /// ±1.0 lanes, and every row's feature is broadcast, multiplied and
+    /// added into its chain.
+    // SAFETY: `unsafe` is solely the `target_feature` contract — `avx512f`
+    // was confirmed by runtime detection before `sign_dots` (the only
+    // caller) was dispatched. No pointer arithmetic: every slice access is
+    // bounds-checked, and `check_sign_dots` has checked the shapes.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sign_dots_impl<const Q: usize, const G: usize>(
+        signs: &[&[u64]],
+        span: Range<usize>,
+        stride: usize,
+        queries: &[&[f64]],
+        out: &mut [f64],
+    ) {
+        let dims = signs.len();
+        // Opaque ±1.0: a compiler that sees them folds `x·(±1.0)` into a
+        // sign flip, which flips a NaN's sign where the multiply keeps it.
+        let plus = std::hint::black_box(_mm512_set1_pd(1.0));
+        let minus = std::hint::black_box(_mm512_set1_pd(-1.0));
+        let groups = dims.div_ceil(SIGN_LANES);
+        for first in (0..groups).step_by(G) {
+            let mut rows = [[signs[0]; SIGN_LANES]; G];
+            for (g, group_rows) in rows.iter_mut().enumerate() {
+                // A pass past the last group repeats it; nothing is stored.
+                *group_rows = lane_group(signs, (first + g).min(groups - 1));
+            }
+            let mut acc = [[_mm512_setzero_pd(); Q]; G];
+            let mut words = [_mm512_setzero_si512(); G];
+            let mut word = usize::MAX;
+            for c in span.clone().step_by(stride) {
+                if c / 64 != word {
+                    word = c / 64;
+                    for (w, group_rows) in words.iter_mut().zip(&rows) {
+                        let lanes = group_rows.map(|r| r[word]);
+                        *w = _mm512_loadu_si512(lanes.as_ptr().cast());
+                    }
+                }
+                let bit = _mm512_set1_epi64(1 << (c % 64));
+                if Q == 1 {
+                    // One row: form both products once per feature and let
+                    // each group's mask pick per lane, a blend where the
+                    // general path multiplies per group. Opaque, or the
+                    // compiler folds the pick back into that multiply.
+                    let x = _mm512_set1_pd(queries[0][c]);
+                    let [up, down] =
+                        std::hint::black_box([_mm512_mul_pd(plus, x), _mm512_mul_pd(minus, x)]);
+                    for (chains, w) in acc.iter_mut().zip(&words) {
+                        let negative = _mm512_test_epi64_mask(*w, bit);
+                        chains[0] =
+                            _mm512_add_pd(chains[0], _mm512_mask_blend_pd(negative, up, down));
+                    }
+                    continue;
+                }
+                let mut xs = [_mm512_setzero_pd(); Q];
+                for (x, q) in xs.iter_mut().zip(queries) {
+                    *x = _mm512_set1_pd(q[c]);
+                }
+                for (chains, w) in acc.iter_mut().zip(&words) {
+                    let s = _mm512_mask_blend_pd(_mm512_test_epi64_mask(*w, bit), plus, minus);
+                    for (chain, x) in chains.iter_mut().zip(&xs) {
+                        *chain = _mm512_add_pd(*chain, _mm512_mul_pd(s, *x));
+                    }
+                }
+            }
+            for (g, chains) in acc.iter().enumerate() {
+                if first + g >= groups {
+                    break;
+                }
+                for (q, chain) in chains.iter().enumerate() {
+                    let mut lanes = [0.0f64; SIGN_LANES];
+                    _mm512_storeu_pd(lanes.as_mut_ptr(), *chain);
+                    store_lanes(out, dims, q, first + g, &lanes);
+                }
+            }
+        }
     }
 
     /// `ROWS` streamed rows against one panel: per panel element, the lanes
@@ -1016,6 +1402,27 @@ mod tests {
             for (k, &v) in entry.iter().enumerate() {
                 let expect = if (n >> k) & 1 != 0 { -1.0 } else { 1.0 };
                 assert_eq!(v, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_masks_transpose_the_sign_words() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let words: [u64; SIGN_LANES] = std::array::from_fn(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        });
+        let masks = scalar::lane_masks(words);
+        for (b, mask) in masks.iter().enumerate() {
+            for (k, word) in words.iter().enumerate() {
+                assert_eq!(
+                    u64::from((mask >> k) & 1),
+                    (word >> b) & 1,
+                    "bit {b} row {k}"
+                );
             }
         }
     }

@@ -19,16 +19,16 @@ use crate::perforation::Perforation;
 /// Shared with the batched kernels in [`crate::batch`] so the batched and
 /// per-sample paths accumulate in the same order (bit-identical results).
 pub(crate) fn dot_perforated<T: Element>(a: &[T], b: &[T], perforation: Perforation) -> f64 {
+    // Chains start from `+0.0`, as the panel kernels' do (`Iterator::sum`
+    // on floats starts from `-0.0`).
     if perforation.is_dense_over(a.len()) {
         a.iter()
             .zip(b.iter())
-            .map(|(x, y)| x.to_f64() * y.to_f64())
-            .sum()
+            .fold(0.0, |acc, (x, y)| acc + x.to_f64() * y.to_f64())
     } else {
         perforation
             .indices(a.len())
-            .map(|i| a[i].to_f64() * b[i].to_f64())
-            .sum()
+            .fold(0.0, |acc, i| acc + a[i].to_f64() * b[i].to_f64())
     }
 }
 
@@ -36,20 +36,15 @@ pub(crate) fn dot_perforated<T: Element>(a: &[T], b: &[T], perforation: Perforat
 /// [`crate::batch`] (see [`dot_perforated`]).
 pub(crate) fn norm_sq_perforated<T: Element>(a: &[T], perforation: Perforation) -> f64 {
     if perforation.is_dense_over(a.len()) {
-        a.iter()
-            .map(|x| {
-                let v = x.to_f64();
-                v * v
-            })
-            .sum()
+        a.iter().fold(0.0, |acc, x| {
+            let v = x.to_f64();
+            acc + v * v
+        })
     } else {
-        perforation
-            .indices(a.len())
-            .map(|i| {
-                let v = a[i].to_f64();
-                v * v
-            })
-            .sum()
+        perforation.indices(a.len()).fold(0.0, |acc, i| {
+            let v = a[i].to_f64();
+            acc + v * v
+        })
     }
 }
 

@@ -12,7 +12,7 @@
 //! so the environment override is exercised on a fresh backend cache.
 
 use hdc_core::batch::{accumulate_by_segment_bits, score_rows_sharded, SimilarityMetric};
-use hdc_core::matmul::{matmul_batch, matvec};
+use hdc_core::matmul::{matmul_batch, matmul_signs, matvec, matvec_signs};
 use hdc_core::prelude::*;
 use hdc_core::random::{bipolar_hypermatrix, gaussian_hypermatrix, random_hypermatrix};
 use hdc_core::shard::ShardPlan;
@@ -589,5 +589,207 @@ fn num_threads_env_override_controls_pool_width() {
     assert!(
         status.success(),
         "child process with HDC_NUM_THREADS override failed"
+    );
+}
+
+/// Query rows the sign-encode suite sweeps: every count up to one panel and
+/// one row past it, and around the 16- and 64-row blocks.
+const SIGN_QUERY_ROWS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+
+/// Output dims the sign-encode suite sweeps: below one 8-lane group, one
+/// past it, and the serving models' 2048.
+const SIGN_DIMS: &[usize] = &[1, 7, 9, 2048];
+
+/// Features that are not ordinary finite numbers.
+const SPECIALS: [f64; 6] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
+
+/// Gaussian queries with special values planted: row `r` holds
+/// `SPECIALS[r % 6]` at one feature, every fourth row is all `-0.0` (its
+/// encode is exactly zero, whatever the signs), and the rest are finite.
+fn sign_queries(rows: usize, features: usize, seed: u64) -> HyperMatrix<f64> {
+    let mut rng = HdcRng::seed_from_u64(seed);
+    let mut queries: HyperMatrix<f64> = gaussian_hypermatrix(rows, features, &mut rng);
+    for r in 0..rows {
+        if r % 4 == 3 {
+            for c in 0..features {
+                queries.set(r, c, -0.0).unwrap();
+            }
+        } else {
+            queries.set(r, (r * 7) % features, SPECIALS[r % 6]).unwrap();
+        }
+    }
+    queries
+}
+
+/// `matmul_signs` must equal `matmul_batch` on the unpacked ±1 matrix, and
+/// `matvec_signs` must equal `matvec`, bit for bit (NaN payloads and the
+/// sign of zero included), on every backend and under every perforation of
+/// `perfs` (all of [`fuzz_perforations`] when `None`).
+fn check_sign_encode(rows: usize, dims: usize, features: usize, perfs: Option<&[Perforation]>) {
+    let seed = (rows * 1_000_003 + dims * 1009 + features) as u64;
+    let signs = bit_matrix(dims, features, seed);
+    let dense: HyperMatrix<f64> = signs.to_dense();
+    let queries = sign_queries(rows, features, seed ^ 0x5167);
+    let perfs = perfs.map_or_else(|| fuzz_perforations(features), <[_]>::to_vec);
+    for perf in perfs {
+        let expected = matmul_batch(&queries, &dense, perf).unwrap();
+        for r in 0..rows {
+            let query = queries.row_vector(r).unwrap();
+            let context =
+                format!("matvec_signs dims={dims} features={features} row={r} perf={perf:?}");
+            let sequential = matvec_signs(&signs, &query, perf).unwrap();
+            let reference = matvec(&dense, &query, perf).unwrap();
+            assert_bits_eq(sequential.as_slice(), reference.as_slice(), &context);
+            assert_bits_eq(sequential.as_slice(), expected.row(r).unwrap(), &context);
+        }
+        for backend in supported_backends() {
+            simd::set_backend(backend).unwrap();
+            let out = matmul_signs(&queries, &signs, perf).unwrap();
+            assert_eq!((out.rows(), out.cols()), (rows, dims));
+            let context = format!(
+                "matmul_signs {backend} rows={rows} dims={dims} features={features} perf={perf:?}"
+            );
+            assert_bits_eq(out.as_slice(), expected.as_slice(), &context);
+        }
+    }
+}
+
+/// Dense and strided: the perforations the 2048-dim cases run, which
+/// are the costly ones.
+const WIDE_PERFS: &[Perforation] = &[
+    Perforation::NONE,
+    Perforation {
+        begin: 0,
+        end: usize::MAX,
+        stride: 2,
+    },
+];
+
+#[test]
+fn sign_encode_matches_unpacked_encode_across_rows_and_dims() {
+    let _guard = lock_backend();
+    for &rows in SIGN_QUERY_ROWS {
+        for &dims in &SIGN_DIMS[..3] {
+            for features in [1, 64, 65, 130] {
+                check_sign_encode(rows, dims, features, None);
+            }
+        }
+    }
+    for rows in [0, 1, 2, 7, 8, 9, 17] {
+        check_sign_encode(rows, 2048, 65, Some(WIDE_PERFS));
+    }
+    simd::set_backend(simd::detected()).unwrap();
+}
+
+#[test]
+fn sign_encode_matches_unpacked_encode_across_feature_counts() {
+    let _guard = lock_backend();
+    for features in (1..=130).chain([617]) {
+        for &dims in &SIGN_DIMS[..3] {
+            check_sign_encode(3, dims, features, None);
+        }
+    }
+    check_sign_encode(1, 2048, 617, Some(WIDE_PERFS));
+    check_sign_encode(7, 2048, 617, Some(&WIDE_PERFS[..1]));
+    simd::set_backend(simd::detected()).unwrap();
+}
+
+/// A ±1 matrix gives its signs back exactly; one entry off ±1 (a zero,
+/// a Gaussian value) gives none, since the bits would not unpack to it.
+#[test]
+fn bipolar_matrices_and_only_they_have_sign_bits() {
+    let mut rng = HdcRng::seed_from_u64(0xB1B0);
+    let bipolar: HyperMatrix<f64> = bipolar_hypermatrix(9, 70, &mut rng);
+    let signs = BitMatrix::from_bipolar(&bipolar).expect("a ±1 matrix has sign bits");
+    assert_eq!(signs.to_dense::<f64>(), bipolar);
+    let mut zeroed = bipolar.clone();
+    zeroed.set(4, 33, 0.0).unwrap();
+    assert!(BitMatrix::from_bipolar(&zeroed).is_none());
+    let gaussian: HyperMatrix<f64> = gaussian_hypermatrix(9, 70, &mut rng);
+    assert!(BitMatrix::from_bipolar(&gaussian).is_none());
+}
+
+/// The sequential oracle's chains start from `+0.0`, like the batched
+/// kernels': a projection `[1, -1, 1]` against `[-0.0, 0.0, -0.0]` sums
+/// three products of `-0.0` to `+0.0` on both paths, so does a cosine
+/// between orthogonal vectors whose products are all `-0.0`, and the norm
+/// of an empty vector is `+0.0`.
+#[test]
+fn sequential_chains_start_from_positive_zero() {
+    let projection = HyperMatrix::from_flat(1, 3, vec![1.0, -1.0, 1.0]).unwrap();
+    let query = HyperVector::from_vec(vec![-0.0, 0.0, -0.0]);
+    let queries = HyperMatrix::from_flat(1, 3, query.as_slice().to_vec()).unwrap();
+    for perf in [Perforation::NONE, Perforation::strided(0, 3, 2)] {
+        let sequential = matvec(&projection, &query, perf).unwrap();
+        let batched = matmul_batch(&queries, &projection, perf).unwrap();
+        assert_bits_eq(sequential.as_slice(), &[0.0], &format!("matvec {perf}"));
+        assert_bits_eq(batched.as_slice(), &[0.0], &format!("matmul_batch {perf}"));
+        let signs = BitMatrix::from_bipolar(&projection).unwrap();
+        let sequential = matvec_signs(&signs, &query, perf).unwrap();
+        assert_bits_eq(
+            sequential.as_slice(),
+            &[0.0],
+            &format!("matvec_signs {perf}"),
+        );
+    }
+    let a = HyperVector::from_vec(vec![1.0, 0.0]);
+    let b = HyperVector::from_vec(vec![-0.0, -1.0]);
+    let classes = HyperMatrix::from_flat(1, 2, b.as_slice().to_vec()).unwrap();
+    let batch_queries = HyperMatrix::from_flat(1, 2, a.as_slice().to_vec()).unwrap();
+    for perf in [Perforation::NONE, Perforation::segment(0, 2)] {
+        let sequential = cosine_similarity(&a, &b, perf).unwrap();
+        let batched = cosine_similarity_batch(&batch_queries, &classes, perf).unwrap();
+        assert_bits_eq(&[sequential], batched.as_slice(), &format!("cosine {perf}"));
+        assert_bits_eq(&[sequential], &[0.0], &format!("cosine {perf}"));
+    }
+    let empty = HyperVector::<f64>::zeros(0);
+    for perf in [Perforation::NONE, Perforation::strided(0, usize::MAX, 2)] {
+        let norm = hdc_core::matmul::l2norm_perforated(&empty, perf).unwrap();
+        assert_bits_eq(&[norm], &[0.0], &format!("l2norm {perf}"));
+    }
+}
+
+/// A projection with no columns encodes every query to `d` zeros on every
+/// path (the sequential oracle used to return an empty vector).
+#[test]
+fn zero_column_projection_encodes_to_zeros() {
+    let projection = HyperMatrix::<f64>::zeros(5, 0);
+    let signs = BitMatrix::zeros(5, 0);
+    let query = HyperVector::<f64>::zeros(0);
+    let queries = HyperMatrix::<f64>::zeros(2, 0);
+    assert_bits_eq(
+        matvec(&projection, &query, Perforation::NONE)
+            .unwrap()
+            .as_slice(),
+        &[0.0; 5],
+        "matvec",
+    );
+    assert_bits_eq(
+        matvec_signs(&signs, &query, Perforation::NONE)
+            .unwrap()
+            .as_slice(),
+        &[0.0; 5],
+        "matvec_signs",
+    );
+    assert_bits_eq(
+        matmul_batch(&queries, &projection, Perforation::NONE)
+            .unwrap()
+            .as_slice(),
+        &[0.0; 10],
+        "matmul_batch",
+    );
+    assert_bits_eq(
+        matmul_signs(&queries, &signs, Perforation::NONE)
+            .unwrap()
+            .as_slice(),
+        &[0.0; 10],
+        "matmul_signs",
     );
 }

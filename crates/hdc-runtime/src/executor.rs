@@ -174,6 +174,11 @@ pub struct ExecStats {
     /// combine per-shard `arg_min` / `arg_max` / top-k selections back into
     /// global winners (`shards - 1` per merged selection row).
     pub shard_merge_ops: usize,
+    /// Query rows encoded against a projection bound as sign bits
+    /// ([`hdc_core::matmul::matmul_signs`] in batched stages and matrix
+    /// `matmul`s, [`hdc_core::matmul::matvec_signs`] per sample). Zero when
+    /// every projection was dense.
+    pub sign_encoded_rows: usize,
     /// Name of the [`hdc_core::simd`] kernel backend the run dispatched to
     /// (`scalar` / `avx2` / `avx512` / `neon`), stamped at the start of
     /// every run. Empty only on a default-constructed counter set.
@@ -195,6 +200,7 @@ impl ExecStats {
         self.reference_kernel_ops += other.reference_kernel_ops;
         self.class_shards += other.class_shards;
         self.shard_merge_ops += other.shard_merge_ops;
+        self.sign_encoded_rows += other.sign_encoded_rows;
         if self.kernel_backend.is_empty() {
             self.kernel_backend = other.kernel_backend;
         }
@@ -1300,10 +1306,19 @@ impl<'p> Executor<'p> {
             } => {
                 let queries = self.value(stage.interface.queries)?.clone();
                 let proj_val = self.value(proj)?.clone();
-                let (Value::Matrix(q), Value::Matrix(p)) = (&queries, &proj_val) else {
+                let Value::Matrix(q) = &queries else {
                     return Ok(false);
                 };
-                let mut out = hdc_core::matmul::matmul_batch(q.as_ref(), p.as_ref(), perf)?;
+                let mut out = match &proj_val {
+                    Value::Matrix(p) => {
+                        hdc_core::matmul::matmul_batch(q.as_ref(), p.as_ref(), perf)?
+                    }
+                    Value::BitMatrix(signs) => {
+                        self.stats.sign_encoded_rows += q.rows();
+                        hdc_core::matmul::matmul_signs(q.as_ref(), signs.as_ref(), perf)?
+                    }
+                    _ => return Ok(false),
+                };
                 // Packing a binarized output slot thresholds by sign anyway
                 // (`BitVector::from_signs`), so the signed dense copy only
                 // needs materializing when the slot stays dense.
@@ -1599,24 +1614,7 @@ impl<'p> Executor<'p> {
             }
             HdcOp::CosineSimilarity => Some(self.similarity(instr, perf, Metric::Cosine)?),
             HdcOp::HammingDistance => Some(self.similarity(instr, perf, Metric::Hamming)?),
-            HdcOp::MatMul => {
-                let input = self.operand_value(instr, 0, "matmul")?.clone();
-                let proj_src = self.operand_value(instr, 1, "matmul")?.clone();
-                let (proj, copied) = proj_src.dense_matrix("matmul projection")?;
-                self.note_copy(copied);
-                Some(match &input {
-                    Value::Matrix(_) | Value::BitMatrix(_) => {
-                        let (batch, copied) = input.dense_matrix("matmul input")?;
-                        self.note_copy(copied);
-                        Value::matrix(hdc_core::matmul::matmul_batch(&batch, &proj, perf)?)
-                    }
-                    other => {
-                        let (v, copied) = other.dense_vector("matmul input")?;
-                        self.note_copy(copied);
-                        Value::vector(hdc_core::matmul::matvec(&proj, &v, perf)?)
-                    }
-                })
-            }
+            HdcOp::MatMul => Some(self.matmul(instr, perf)?),
             HdcOp::AccumulateRow => {
                 let row = self.operand_index(instr, 2, "accumulate_row")?;
                 let matrix_id = self.operand_value_id(instr, 0, "accumulate_row")?;
@@ -1685,6 +1683,45 @@ impl<'p> Executor<'p> {
     // ------------------------------------------------------------------
     // op helpers
     // ------------------------------------------------------------------
+
+    /// `matmul` of a vector or matrix by a projection. A projection bound
+    /// as sign bits is encoded against as is, never unpacked.
+    fn matmul(&mut self, instr: &HdcInstr, perf: Perforation) -> Result<Value> {
+        let input = self.operand_value(instr, 0, "matmul")?.clone();
+        let proj_src = self.operand_value(instr, 1, "matmul")?.clone();
+        let batch = match &input {
+            Value::Matrix(_) | Value::BitMatrix(_) => {
+                let (batch, copied) = input.dense_matrix("matmul input")?;
+                self.note_copy(copied);
+                Some(batch)
+            }
+            _ => None,
+        };
+        if let Value::BitMatrix(signs) = &proj_src {
+            return Ok(match batch {
+                Some(batch) => {
+                    self.stats.sign_encoded_rows += batch.rows();
+                    Value::matrix(hdc_core::matmul::matmul_signs(&batch, signs, perf)?)
+                }
+                None => {
+                    let (v, copied) = input.dense_vector("matmul input")?;
+                    self.note_copy(copied);
+                    self.stats.sign_encoded_rows += 1;
+                    Value::vector(hdc_core::matmul::matvec_signs(signs, &v, perf)?)
+                }
+            });
+        }
+        let (proj, copied) = proj_src.dense_matrix("matmul projection")?;
+        self.note_copy(copied);
+        Ok(match batch {
+            Some(batch) => Value::matrix(hdc_core::matmul::matmul_batch(&batch, &proj, perf)?),
+            None => {
+                let (v, copied) = input.dense_vector("matmul input")?;
+                self.note_copy(copied);
+                Value::vector(hdc_core::matmul::matvec(&proj, &v, perf)?)
+            }
+        })
+    }
 
     fn result_type(&self, instr: &HdcInstr) -> Result<ValueType> {
         let id = instr.result.ok_or_else(|| RuntimeError::TypeMismatch {

@@ -245,6 +245,62 @@ fn batched_encoding_matches_sequential() {
     }
 }
 
+/// A projection bound as sign bits (its slot declared `Bit`) encodes
+/// through the sign kernels on both schedules, to exactly the matrix the
+/// same program gives with the `f64` ±1 projection, at every window size
+/// up to one panel, one past it, and 64; dense, strided and segmented.
+#[test]
+fn bit_projection_encoding_matches_sequential_and_dense() {
+    const FEATURES: usize = 70;
+    const ENC_DIM: usize = 76;
+    let build = |samples: usize, rp_elem: ElementKind, perf: Option<(usize, usize, usize)>| {
+        let mut b = ProgramBuilder::new("equiv_sign_encode");
+        let features = b.input_matrix("features", ElementKind::F64, samples, FEATURES);
+        let rp = b.input_matrix("rp", rp_elem, ENC_DIM, FEATURES);
+        let encoded = b.encoding_loop("encode", features, ENC_DIM, |b, q| {
+            let e = b.matmul(q, rp);
+            if let Some((begin, end, stride)) = perf {
+                b.red_perf(e, begin, end, stride);
+            }
+            e
+        });
+        b.mark_output(encoded);
+        (b.finish(), encoded)
+    };
+    let mut rng = HdcRng::seed_from_u64(0x5165);
+    let pm: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(ENC_DIM, FEATURES, &mut rng);
+    let signs = Value::bit_matrix(BitMatrix::from_bipolar(&pm).unwrap());
+    let bits = |m: &HyperMatrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for samples in (1..=9).chain([64]) {
+        let fm: HyperMatrix<f64> =
+            hdc_core::random::gaussian_hypermatrix(samples, FEATURES, &mut rng);
+        for perf in [None, Some((0, FEATURES, 2)), Some((3, 67, 1))] {
+            let run = |rp_elem: ElementKind, rp: Value, batched: bool| {
+                let (program, encoded) = build(samples, rp_elem, perf);
+                let mut exec = Executor::new(&program).unwrap();
+                exec.set_mode(mode(batched));
+                exec.bind("features", Value::matrix(fm.clone())).unwrap();
+                exec.bind("rp", rp).unwrap();
+                let out = exec.run().unwrap();
+                (out.matrix(encoded).unwrap(), exec.stats())
+            };
+            let (dense, d_stats) = run(ElementKind::F64, Value::matrix(pm.clone()), true);
+            let (batched, b_stats) = run(ElementKind::Bit, signs.clone(), true);
+            let (sequential, s_stats) = run(ElementKind::Bit, signs.clone(), false);
+            let context = format!("samples={samples} perf={perf:?}");
+            assert_eq!(bits(&batched), bits(&sequential), "{context}");
+            assert_eq!(bits(&batched), bits(&dense), "{context}");
+            assert_eq!(b_stats.batched_kernel_ops, 1, "{context}");
+            assert_eq!(b_stats.sign_encoded_rows, samples, "{context}");
+            assert_eq!(s_stats.sign_encoded_rows, samples, "{context}");
+            assert_eq!(d_stats.sign_encoded_rows, 0, "{context}");
+            // The batched sign encode neither unpacks the projection nor
+            // copies the queries.
+            assert_eq!(b_stats.tensor_bytes_copied, 0, "{context}");
+        }
+    }
+}
+
 #[test]
 fn stage_bodies_outside_the_pattern_fall_back_to_sequential() {
     // An inference body with an extra elementwise op is not a single-kernel

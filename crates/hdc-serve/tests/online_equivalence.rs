@@ -290,9 +290,10 @@ fn zero_update_publish_is_a_noop() {
     assert!(Arc::ptr_eq(&republished, &live));
 }
 
-/// Every published generation shares the projection matrix payload with
-/// the attach-time model: publishing is a refcount bump on `rp_matrix`,
-/// never a copy.
+/// Every published generation shares both projection payloads with the
+/// attach-time model — the `f64` matrix and its sign bits: publishing is a
+/// refcount bump on each, never a copy, and no generation rescans the
+/// matrix to rebuild its bits.
 #[test]
 fn generations_share_the_projection_payload() {
     let offline =
@@ -300,16 +301,26 @@ fn generations_share_the_projection_payload() {
     let harvested = offline.harvest_artifacts().unwrap();
     let (registry, mut trainer) = seed_trainer(harvested.rp_matrix.clone(), true, None);
     let before = registry.get("m").unwrap();
+    let signs = |model: &ServableModel| match model.projection_signs() {
+        Some(Value::BitMatrix(bits)) => Arc::clone(bits),
+        other => panic!("a ±1 projection has sign bits, got {other:?}"),
+    };
     let (rows, labels) = train_rows(&dataset());
-    trainer.feed(&rows, &labels).unwrap();
-    let published = trainer.publish().unwrap();
-    assert!(!Arc::ptr_eq(&published, &before));
-    let (rp_before, _) = before.projection().dense_matrix("rp").unwrap();
-    let (rp_after, _) = published.projection().dense_matrix("rp").unwrap();
-    assert!(
-        Arc::ptr_eq(&rp_before, &rp_after),
-        "projection payload must be shared across generations"
-    );
+    for generation in 1..=2 {
+        trainer.feed(&rows, &labels).unwrap();
+        let published = trainer.publish().unwrap();
+        assert!(!Arc::ptr_eq(&published, &before));
+        let (rp_before, _) = before.projection().dense_matrix("rp").unwrap();
+        let (rp_after, _) = published.projection().dense_matrix("rp").unwrap();
+        assert!(
+            Arc::ptr_eq(&rp_before, &rp_after),
+            "generation {generation}: projection payload must be shared"
+        );
+        assert!(
+            Arc::ptr_eq(&signs(&before), &signs(&published)),
+            "generation {generation}: sign bits must be shared"
+        );
+    }
 }
 
 /// The swapped-in generation answers requests through the service exactly

@@ -13,8 +13,12 @@
 //!   submission order or which window a request landed in.
 
 use hdc_apps::{ClassificationApp, ClusteringApp, ExecMode, MatchingApp};
+use hdc_core::matmul::SIGN_ENCODE_MAX_ROWS;
+use hdc_core::prelude::{HdcRng, HyperMatrix, SeedableRng};
+use hdc_core::random::gaussian_hypermatrix;
 use hdc_datasets::synthetic::{hyperoms_like, isolet_like, HyperOmsParams, IsoletParams};
 use hdc_passes::CompileOptions;
+use hdc_runtime::Value;
 use hdc_serve::{
     ModelRegistry, Prediction, ServableModel, ServeError, Service, ServiceConfig, WindowConfig,
 };
@@ -287,4 +291,100 @@ fn sequential_dispatch_matches_batched() {
     let batched = case.model.infer_window(&case.queries, true, None).unwrap();
     let sequential = case.model.infer_window(&case.queries, false, None).unwrap();
     assert_eq!(batched.predictions, sequential.predictions);
+}
+
+/// Every query answers the same in a window of 1..=`SIGN_ENCODE_MAX_ROWS`
+/// rows as inside a window longer than one 8-row panel, and as the
+/// oracle. Short windows encode against the projection's sign bits when
+/// the model has them (`sign_encoded_rows` counts every row), long ones
+/// always against the `f64` matrix.
+fn check_short_windows_match_long(label: &str, model: &ServableModel, queries: &[Vec<f64>]) {
+    assert!(queries.len() > 8, "{label}: a long window needs > 8 rows");
+    let long = model.infer_window(queries, true, None).unwrap();
+    assert_eq!(long.stats.sign_encoded_rows, 0, "{label}: long window");
+    for (row, expected) in queries.iter().zip(&long.predictions) {
+        assert_eq!(
+            &model.oracle_infer(row).unwrap(),
+            expected,
+            "{label}: oracle"
+        );
+    }
+    let has_signs = model.projection_signs().is_some();
+    for n in 1..=SIGN_ENCODE_MAX_ROWS {
+        for (w, window) in queries.chunks(n).enumerate() {
+            let short = model.infer_window(window, true, None).unwrap();
+            let signed = if has_signs { window.len() } else { 0 };
+            assert_eq!(short.stats.sign_encoded_rows, signed, "{label}: size {n}");
+            let expected = &long.predictions[w * n..w * n + window.len()];
+            assert_eq!(
+                short.predictions, expected,
+                "{label}: window {w} of size {n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn short_windows_on_sign_bits_match_long_windows_and_oracle() {
+    for options in [CompileOptions::default(), CompileOptions::baseline()] {
+        for (label, case) in all_cases(&options) {
+            assert!(
+                case.model.projection_signs().is_some(),
+                "{label}: a ±1 projection has sign bits"
+            );
+            check_short_windows_match_long(label, &case.model, &case.queries);
+        }
+    }
+}
+
+/// A projection that is not ±1 has no sign bits: every window encodes
+/// against the `f64` matrix and still agrees with the oracle.
+#[test]
+fn gaussian_projection_builds_no_sign_bits_and_still_matches() {
+    for options in [CompileOptions::default(), CompileOptions::baseline()] {
+        let case = classifier_case(&options);
+        let (dim, features) = match case.model.projection() {
+            Value::Matrix(m) => (m.rows(), m.cols()),
+            other => panic!("dense projection expected, got {}", other.kind_name()),
+        };
+        let mut rng = HdcRng::seed_from_u64(0x6A55);
+        let gaussian: HyperMatrix<f64> = gaussian_hypermatrix(dim, features, &mut rng);
+        let memory = case.model.class_memory().unwrap().clone();
+        let model = ServableModel::classifier_from_artifacts(
+            "gauss",
+            features,
+            Value::matrix(gaussian),
+            memory,
+            None,
+        )
+        .unwrap();
+        assert!(model.projection_signs().is_none());
+        check_short_windows_match_long("gaussian classifier", &model, &case.queries);
+    }
+}
+
+/// The sign leg is observable: a one-row window (and the one-row oracle)
+/// encodes its row on it, a 64-row window never does. A silent fallback
+/// to the `f64` kernel or the per-sample path fails here.
+#[test]
+fn one_row_windows_take_the_sign_leg_and_64_row_windows_do_not() {
+    let case = classifier_case(&CompileOptions::default());
+    let one = case
+        .model
+        .infer_window(&case.queries[..1], true, None)
+        .unwrap();
+    assert_eq!(one.stats.sign_encoded_rows, 1);
+    assert_eq!(
+        one.stats.batched_kernel_ops, 2,
+        "encode and score stay batched"
+    );
+    let oracle = case
+        .model
+        .infer_window(&case.queries[..1], false, None)
+        .unwrap();
+    assert_eq!(oracle.stats.sign_encoded_rows, 1);
+    let rows: Vec<Vec<f64>> = case.queries.iter().cycle().take(64).cloned().collect();
+    let full = case.model.infer_window(&rows, true, None).unwrap();
+    assert_eq!(full.stats.sign_encoded_rows, 0);
+    assert_eq!(full.predictions[..1], one.predictions[..]);
 }
