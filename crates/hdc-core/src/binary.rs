@@ -16,6 +16,7 @@ use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
 use crate::perforation::Perforation;
+use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
 
@@ -256,10 +257,33 @@ impl BitVector {
 }
 
 /// A bit-packed bipolar hypermatrix (one [`BitVector`] per row).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Bits made by [`BitMatrix::from_bipolar`] also hold the ±1 `f64`
+/// matrix they came from ([`BitMatrix::expansion`]), which the batched
+/// sign encode streams. Clones share it, and equality ignores it.
+#[derive(Clone)]
 pub struct BitMatrix {
     rows: Vec<BitVector>,
     cols: usize,
+    expansion: Option<Arc<HyperMatrix<f64>>>,
+}
+
+impl PartialEq for BitMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols && self.rows == other.rows
+    }
+}
+
+impl Eq for BitMatrix {}
+
+impl std::fmt::Debug for BitMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BitMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("expanded", &self.expansion.is_some())
+            .finish()
+    }
 }
 
 impl BitMatrix {
@@ -268,6 +292,7 @@ impl BitMatrix {
         BitMatrix {
             rows: vec![BitVector::zeros(cols); rows],
             cols,
+            expansion: None,
         }
     }
 
@@ -287,7 +312,11 @@ impl BitMatrix {
                 });
             }
         }
-        Ok(BitMatrix { rows, cols })
+        Ok(BitMatrix {
+            rows,
+            cols,
+            expansion: None,
+        })
     }
 
     /// Binarize a dense hypermatrix by element sign, packing word-wise row by
@@ -296,17 +325,31 @@ impl BitMatrix {
         BitMatrix {
             rows: hm.iter_rows().map(BitVector::from_signs).collect(),
             cols: hm.cols(),
+            expansion: None,
         }
     }
 
     /// The sign bits of a ±1 hypermatrix, or `None` unless every entry is
     /// exactly `1` or `-1`. Only then does [`BitMatrix::to_dense`] give the
-    /// matrix back, so a kernel may run on the bits in its place.
-    pub fn from_bipolar<T: Element>(hm: &HyperMatrix<T>) -> Option<Self> {
-        hm.as_slice()
-            .iter()
-            .all(|x| x.to_f64().abs() == 1.0)
-            .then(|| BitMatrix::from_dense(hm))
+    /// matrix back, so a kernel may run on the bits in its place. The
+    /// matrix itself becomes the bits' [`BitMatrix::expansion`]: shared,
+    /// not copied.
+    pub fn from_bipolar(hm: &Arc<HyperMatrix<f64>>) -> Option<Self> {
+        if !hm.as_slice().iter().all(|x| x.abs() == 1.0) {
+            return None;
+        }
+        Some(BitMatrix {
+            expansion: Some(Arc::clone(hm)),
+            ..BitMatrix::from_dense(hm.as_ref())
+        })
+    }
+
+    /// The ±1 `f64` matrix [`BitMatrix::from_bipolar`] validated, which
+    /// the batched sign encode ([`crate::matmul::matmul_signs`]) streams;
+    /// `None` for bits built any other way, or changed since. Every clone
+    /// shares it; it takes 64 times the memory of the bits.
+    pub fn expansion(&self) -> Option<&Arc<HyperMatrix<f64>>> {
+        self.expansion.as_ref()
     }
 
     /// Number of rows.
@@ -354,6 +397,8 @@ impl BitMatrix {
         match self.rows.get_mut(row) {
             Some(slot) => {
                 *slot = value;
+                // The clones keep the expansion of the bits they hold.
+                self.expansion = None;
                 Ok(())
             }
             None => Err(HdcError::IndexOutOfBounds { index: row, len }),
@@ -365,10 +410,18 @@ impl BitMatrix {
         self.rows.iter()
     }
 
-    /// Convert back to a dense hypermatrix of ±1 elements.
+    /// Convert back to a dense hypermatrix of ±1 elements, unpacked word
+    /// by word into one row-major buffer.
     pub fn to_dense<T: Element>(&self) -> HyperMatrix<T> {
-        let rows: Vec<HyperVector<T>> = self.rows.iter().map(BitVector::to_dense).collect();
-        HyperMatrix::from_rows(rows).expect("rows validated at construction")
+        let mut data = Vec::with_capacity(self.rows.len() * self.cols);
+        for row in &self.rows {
+            for (w, &word) in row.words.iter().enumerate() {
+                let bits = (self.cols - w * WORD_BITS).min(WORD_BITS);
+                data.extend((0..bits).map(|b| if word >> b & 1 == 1 { -T::ONE } else { T::ONE }));
+            }
+        }
+        HyperMatrix::from_flat(self.rows.len(), self.cols, data)
+            .expect("rows validated at construction")
     }
 
     /// Hamming distance from `query` to every row, as a vector of distances.
@@ -546,6 +599,37 @@ mod tests {
         assert_eq!(bm.row(1).unwrap().get(0).unwrap(), -1);
         assert!(bm.set_row(0, BitVector::zeros(8)).is_err());
         assert!(bm.set_row(9, BitVector::zeros(16)).is_err());
+    }
+
+    #[test]
+    fn to_dense_unpacks_every_bit_as_get_reads_it() {
+        for dim in [1usize, 63, 64, 65, 617, 2048] {
+            let rows: Vec<BitVector> = (0..3)
+                .map(|r| BitVector::from_bits((0..dim).map(|c| (c * 7 + r * 3) % 5 < 2)))
+                .collect();
+            let bits = BitMatrix::from_rows(rows).unwrap();
+            let dense: HyperMatrix<f64> = bits.to_dense();
+            assert_eq!((dense.rows(), dense.cols()), (3, dim));
+            for r in 0..3 {
+                for c in 0..dim {
+                    let expected = f64::from(bits.row(r).unwrap().get(c).unwrap());
+                    assert_eq!(dense.get(r, c).unwrap(), expected, "dim {dim} ({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_is_the_validated_matrix_until_a_row_changes() {
+        let hm =
+            Arc::new(HyperMatrix::from_flat(2, 3, vec![1.0, -1.0, 1.0, -1.0, -1.0, 1.0]).unwrap());
+        let mut bits = BitMatrix::from_bipolar(&hm).unwrap();
+        assert!(Arc::ptr_eq(bits.expansion().unwrap(), &hm));
+        assert!(BitMatrix::from_dense(hm.as_ref()).expansion().is_none());
+        let clone = bits.clone();
+        bits.set_row(0, BitVector::zeros(3)).unwrap();
+        assert!(bits.expansion().is_none());
+        assert!(Arc::ptr_eq(clone.expansion().unwrap(), &hm));
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
 use crate::perforation::Perforation;
-use crate::simd::{dot_panel_kernel, sign_dots_kernel, PANEL_LANES, SIGN_ROWS};
+use crate::simd::{dot_panel_kernel, sign_dots_kernel, signed_dot_panel_kernel, DotPanel};
+use crate::simd::{FUSED_ROWS, PANEL_LANES, SIGN_ROWS};
 use rayon::prelude::*;
 use std::borrow::Cow;
 
@@ -96,6 +97,11 @@ const MATVEC_SIGN_ROWS: usize = 4;
 /// bit-identical to [`matvec`] on `signs.to_dense()`. It walks 4 output
 /// rows' chains side by side, which makes it faster than [`matvec`].
 ///
+/// Which payload a chain keeps when it meets two NaNs depends on how the
+/// compiler orders each add's operands, so an output that holds a NaN is
+/// computed again by [`matvec`] over the bits' ±1 matrix (the one
+/// [`BitMatrix::expansion`] holds, or else [`BitMatrix::to_dense`]).
+///
 /// # Errors
 ///
 /// Returns a dimension-mismatch error if `vector.dimension() != signs.cols()`
@@ -112,6 +118,7 @@ pub fn matvec_signs<T: Element>(
     let dense = perforation.is_dense_over(v.len());
     let rows: Vec<&[u64]> = signs.iter().map(BitVector::as_words).collect();
     let mut out = Vec::with_capacity(rows.len());
+    let mut nan = false;
     for block in rows.chunks(MATVEC_SIGN_ROWS) {
         // A short last block repeats its last row; those chains are dropped.
         let block: [&[u64]; MATVEC_SIGN_ROWS] =
@@ -138,6 +145,11 @@ pub fn matvec_signs<T: Element>(
             }
         }
         out.extend(acc.iter().map(|a| T::from_f64(a * scale)));
+        nan |= acc.iter().any(|a| a.is_nan());
+    }
+    if nan {
+        let v = vector.map(|x| x.to_f64());
+        return Ok(matvec(&expanded(signs), &v, perforation)?.map(T::from_f64));
     }
     out.truncate(rows.len());
     Ok(HyperVector::from_vec(out))
@@ -155,21 +167,45 @@ fn perforation_scale(cols: usize, perforation: Perforation) -> f64 {
     }
 }
 
-/// Query rows up to which an encode against sign bits ([`matmul_signs`])
-/// is faster than [`matmul_batch`] on the unpacked ±1 matrix. Measured on
-/// a 2048 x 617 projection at 1..=8 query rows: see `docs/serving.md`.
+/// Query rows up to which [`matmul_signs`] runs its sign-bit leg, which
+/// puts lanes across output dims and reads the projection as bits; from
+/// one full 8-row panel on, it streams the ±1 expansion through the fused
+/// panel leg instead. Measured on a 2048 x 617 projection: see
+/// `docs/serving.md`.
 pub const SIGN_ENCODE_MAX_ROWS: usize = 7;
+
+/// Whether [`matmul_signs`] encodes a batch of `rows` query rows on its
+/// fused panel leg (more than [`SIGN_ENCODE_MAX_ROWS`] rows) rather than
+/// on its sign-bit leg.
+pub fn sign_encode_is_fused(rows: usize) -> bool {
+    rows > SIGN_ENCODE_MAX_ROWS
+}
 
 /// [`matmul_batch`] against a ±1 projection held as sign bits:
 /// `out[q][r] = sum_c queries[q][c] * (±1.0)`, bit `c` of row `r` set
 /// meaning `-1.0`.
 ///
-/// Lanes run across 8 output dims, so one query row fills every lane, and
-/// the projection is read as 1 bit per entry instead of 64. Up to 8 query
-/// rows share each feature's lane mask. Every output is one chain from
-/// `+0.0` of `x·(±1.0)` then `+`, in ascending feature order — the same
-/// operations [`matmul_batch`] runs on `signs.to_dense()` — so the two are
-/// bit-identical on every backend, and each row equals [`matvec_signs`].
+/// It has two legs, picked by [`sign_encode_is_fused`]:
+///
+/// * Up to [`SIGN_ENCODE_MAX_ROWS`] rows, lanes run across 8 output dims,
+///   so one query row fills every lane, and the projection is read as 1
+///   bit per entry instead of 64. The query rows share each feature's
+///   lane mask.
+/// * From 8 rows on, a full panel fills the lanes, and the projection's
+///   ±1 `f64` matrix ([`BitMatrix::expansion`], or else
+///   [`BitMatrix::to_dense`]) streams against the query panels
+///   as in [`matmul_batch`], through a panel kernel that may fuse each
+///   multiply-add: `x·(±1.0)` is exact, so `fma` rounds as `*` then `+`.
+///
+/// Every output is one chain from `+0.0` of `x·(±1.0)` then `+`, in
+/// ascending feature order — the operations [`matmul_batch`] runs on
+/// `signs.to_dense()` — so the two are bit-identical on every backend, and
+/// each row equals [`matvec_signs`]. Which payload a chain keeps when it
+/// meets two NaNs is the one exception: a fused multiply-add keeps the
+/// other one, and the compiler orders each add's operands its own way in
+/// each kernel. So the fused leg recomputes a tile whose outputs hold a
+/// NaN on the mul+add leg, and a sign-bit encode whose output holds a NaN
+/// is computed again as [`matmul_batch`] computes it.
 ///
 /// # Errors
 ///
@@ -183,6 +219,43 @@ pub fn matmul_signs<T: Element>(
     check(signs.cols(), queries.cols(), "matmul (signs batch)")?;
     perforation.validate(signs.cols().max(1))?;
     let scale = perforation_scale(signs.cols(), perforation);
+    let (n, d) = (queries.rows(), signs.rows());
+    let data = if sign_encode_is_fused(n) {
+        let expanded = expanded(signs);
+        let streamed = StreamedRows::new(&expanded, perforation);
+        let kernel = signed_dot_panel_kernel();
+        encode_panels::<T, FUSED_ROWS>(queries, &streamed, perforation, kernel, scale, d)
+    } else {
+        let data = sign_dots_encode(queries, signs, perforation, scale);
+        if data.iter().any(|x| x.to_f64().is_nan()) {
+            let expanded = expanded(signs);
+            let streamed = StreamedRows::new(&expanded, perforation);
+            let kernel = dot_panel_kernel();
+            encode_panels::<T, ROW_TILE>(queries, &streamed, perforation, kernel, scale, d)
+        } else {
+            data
+        }
+    };
+    HyperMatrix::from_flat(n, d, data)
+}
+
+/// The ±1 `f64` matrix `signs` stands for: the one
+/// [`BitMatrix::from_bipolar`] kept, or else unpacked for this call.
+fn expanded(signs: &BitMatrix) -> Cow<'_, HyperMatrix<f64>> {
+    match signs.expansion() {
+        Some(kept) => Cow::Borrowed(kept.as_ref()),
+        None => Cow::Owned(signs.to_dense()),
+    }
+}
+
+/// The sign-bit leg of [`matmul_signs`]: [`SIGN_ROWS`] query rows per
+/// work item, each item one `SignDots` call over the whole bit matrix.
+fn sign_dots_encode<T: Element>(
+    queries: &HyperMatrix<T>,
+    signs: &BitMatrix,
+    perforation: Perforation,
+    scale: f64,
+) -> Vec<T> {
     let (n, d, cols) = (queries.rows(), signs.rows(), signs.cols());
     let span = perforation.begin.min(cols)..perforation.end_clamped(cols);
     let rows: Vec<&[u64]> = signs.iter().map(BitVector::as_words).collect();
@@ -210,7 +283,7 @@ pub fn matmul_signs<T: Element>(
             })
             .collect::<()>();
     }
-    HyperMatrix::from_flat(n, d, data)
+    data
 }
 
 /// Query panels ([`pack_panel`]) one [`matmul_batch`] work item encodes at
@@ -218,7 +291,8 @@ pub fn matmul_signs<T: Element>(
 /// item and scored against all of its panels while it is cache-resident.
 const MAX_ITEM_PANELS: usize = 8;
 
-/// Projection rows streamed against a work item's panels per tile.
+/// Projection rows [`matmul_batch`] streams against a work item's panels
+/// per tile.
 const ROW_TILE: usize = 8;
 
 /// Query rows per [`matmul_batch`] work item: [`MAX_ITEM_PANELS`] panels,
@@ -258,8 +332,26 @@ pub fn matmul_batch<T: Element>(
     let scale = perforation_scale(matrix.cols(), perforation);
     let (n, d) = (queries.rows(), matrix.rows());
     let streamed = StreamedRows::new(matrix, perforation);
-    let projection = streamed.rows();
     let kernel = dot_panel_kernel();
+    let data = encode_panels::<T, ROW_TILE>(queries, &streamed, perforation, kernel, scale, d);
+    HyperMatrix::from_flat(n, d, data)
+}
+
+/// The panel schedule of [`matmul_batch`] and the fused leg of
+/// [`matmul_signs`]: the `d` projection rows of `streamed` run through
+/// `kernel`, `TILE` rows at a time, against each work item's query panels;
+/// returns the `queries.rows() x d` output, row-major, every dot product
+/// multiplied by `scale`.
+fn encode_panels<T: Element, const TILE: usize>(
+    queries: &HyperMatrix<T>,
+    streamed: &StreamedRows<'_>,
+    perforation: Perforation,
+    kernel: DotPanel,
+    scale: f64,
+    d: usize,
+) -> Vec<T> {
+    let n = queries.rows();
+    let projection = streamed.rows();
     let rows_per_item = item_rows(n);
     let mut data = vec![T::from_f64(0.0); n * d];
     if d > 0 {
@@ -274,15 +366,15 @@ pub fn matmul_batch<T: Element>(
                     .collect();
                 let panels: Vec<Vec<f64>> = qrows
                     .chunks(PANEL_LANES)
-                    .map(|block| pack_panel(block, matrix.cols(), perforation))
+                    .map(|block| pack_panel(block, queries.cols(), perforation))
                     .collect();
-                let mut dots = [[0.0; PANEL_LANES]; ROW_TILE];
-                for (t, tile) in projection.chunks(ROW_TILE).enumerate() {
+                let mut dots = [[0.0; PANEL_LANES]; TILE];
+                for (t, tile) in projection.chunks(TILE).enumerate() {
                     let dots = &mut dots[..tile.len()];
                     for (panel, panel_out) in panels.iter().zip(out.chunks_mut(PANEL_LANES * d)) {
                         kernel(tile, streamed.stride, panel, dots);
                         for (k, out_row) in panel_out.chunks_mut(d).enumerate() {
-                            let slots = &mut out_row[t * ROW_TILE..];
+                            let slots = &mut out_row[t * TILE..];
                             for (slot, lanes) in slots.iter_mut().zip(dots.iter()) {
                                 *slot = T::from_f64(lanes[k] * scale);
                             }
@@ -292,7 +384,7 @@ pub fn matmul_batch<T: Element>(
             })
             .collect::<()>();
     }
-    HyperMatrix::from_flat(n, d, data)
+    data
 }
 
 /// Perforated L2 norm of a hypervector, rescaled by the visited fraction as

@@ -398,6 +398,33 @@ pub(crate) fn dot_panel_kernel() -> DotPanel {
     }
 }
 
+/// Streamed rows per pass of the fused ±1 panel leg
+/// ([`signed_dot_panel_kernel`]) on AVX-512: one accumulator each, so 16
+/// fused chains are in flight. A caller hands that kernel tiles of this
+/// many rows.
+pub(crate) const FUSED_ROWS: usize = 16;
+
+/// The [`DotPanel`] kernel for streamed rows whose every element is exactly
+/// `1.0` or `-1.0`. Each product `x·(±1.0)` is exact, so a fused
+/// multiply-add rounds every step of a chain as the separate multiply and
+/// add do, for half the floating-point operations. The outputs are those
+/// of [`dot_panel_kernel`], bit for bit, with one exception the fused leg
+/// repairs: when a chain meets two NaN payloads, `fma` keeps the
+/// multiplicand's, and the mul+add leg whichever operand its compiled add
+/// takes first. So a tile whose outputs hold a NaN is recomputed on the
+/// mul+add leg. AVX-512 runs the fused leg; the other backends run their
+/// [`DotPanel`] as is.
+pub(crate) fn signed_dot_panel_kernel() -> DotPanel {
+    match selected() {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            note_simd_dispatch();
+            avx512::signed_dot_panel
+        }
+        _ => dot_panel_kernel(),
+    }
+}
+
 /// Query rows one [`SignDots`] call carries at most: each feature's sign
 /// masks are built once and shared by all of them.
 pub(crate) const SIGN_ROWS: usize = 8;
@@ -983,7 +1010,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{check_sign_dots, for_each_tile, lane_group, store_lanes, tile_len};
-    use super::{PANEL_LANES, SIGN_LANES};
+    use super::{FUSED_ROWS, PANEL_LANES, SIGN_LANES};
     use std::arch::x86_64::*;
     use std::ops::Range;
 
@@ -1016,6 +1043,28 @@ mod avx512 {
         for_each_tile::<ROWS>(rows, stride, out, |tile| {
             // SAFETY: only dispatched on hosts where avx512f is detected.
             unsafe { dot_tile_impl(tile, stride, panel) }
+        });
+    }
+
+    /// The fused ±1 leg of [`super::signed_dot_panel_kernel`]: tiles of
+    /// [`FUSED_ROWS`] rows, and a tile with a NaN among its outputs
+    /// computed again by [`dot_panel`].
+    #[allow(unsafe_code)]
+    pub(super) fn signed_dot_panel(
+        rows: &[&[f64]],
+        stride: usize,
+        panel: &[f64],
+        out: &mut [[f64; PANEL_LANES]],
+    ) {
+        for_each_tile::<FUSED_ROWS>(rows, stride, out, |tile| {
+            // SAFETY: only dispatched on hosts where avx512f is detected.
+            let dots = unsafe { fused_tile_impl(tile, stride, panel) };
+            if !dots.as_flattened().iter().any(|x| x.is_nan()) {
+                return dots;
+            }
+            let mut again = [[0.0; PANEL_LANES]; FUSED_ROWS];
+            dot_panel(tile, stride, panel, &mut again);
+            again
         });
     }
 
@@ -1158,6 +1207,36 @@ mod avx512 {
             }
         }
         let mut out = [[0.0f64; PANEL_LANES]; ROWS];
+        for (dots, chain) in out.iter_mut().zip(acc) {
+            _mm512_storeu_pd(dots.as_mut_ptr(), chain);
+        }
+        out
+    }
+
+    /// [`FUSED_ROWS`] streamed ±1 rows against one panel, as
+    /// `dot_tile_impl` walks them, with one `vfmadd` per row and panel
+    /// element in place of its multiply and add.
+    // SAFETY: as for `dot_tile_impl`: `avx512f` was detected before
+    // `signed_dot_panel` (the only caller) was dispatched, and `tile_len`
+    // keeps every panel read and streamed index `i * stride` in bounds.
+    #[allow(unsafe_code)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fused_tile_impl(
+        rows: &[&[f64]; FUSED_ROWS],
+        stride: usize,
+        panel: &[f64],
+    ) -> [[f64; PANEL_LANES]; FUSED_ROWS] {
+        let n = tile_len(rows, stride, panel);
+        let heads = rows.map(<[f64]>::as_ptr);
+        let mut acc = [_mm512_setzero_pd(); FUSED_ROWS];
+        for i in 0..n {
+            let lanes = _mm512_loadu_pd(panel.as_ptr().add(i * PANEL_LANES));
+            for (chain, head) in acc.iter_mut().zip(heads) {
+                let sign = _mm512_set1_pd(*head.add(i * stride));
+                *chain = _mm512_fmadd_pd(sign, lanes, *chain);
+            }
+        }
+        let mut out = [[0.0f64; PANEL_LANES]; FUSED_ROWS];
         for (dots, chain) in out.iter_mut().zip(acc) {
             _mm512_storeu_pd(dots.as_mut_ptr(), chain);
         }

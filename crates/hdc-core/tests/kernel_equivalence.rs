@@ -18,7 +18,7 @@ use hdc_core::random::{bipolar_hypermatrix, gaussian_hypermatrix, random_hyperma
 use hdc_core::shard::ShardPlan;
 use hdc_core::simd::{self, KernelBackend};
 use hdc_core::{cosine_similarity_batch_sharded, hamming_distance_batch_sharded};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes tests that mutate the process-global backend selection.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -592,46 +592,97 @@ fn num_threads_env_override_controls_pool_width() {
     );
 }
 
-/// Query rows the sign-encode suite sweeps: every count up to one panel and
-/// one row past it, and around the 16- and 64-row blocks.
-const SIGN_QUERY_ROWS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+/// Query rows the sign-encode suite sweeps: every count up to one panel
+/// and one row past it (the sign-bit leg ends at 7 rows), and around the
+/// 16-, 32- and 64-row blocks of the fused leg.
+const SIGN_QUERY_ROWS: &[usize] = &[
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+];
 
 /// Output dims the sign-encode suite sweeps: below one 8-lane group, one
-/// past it, and the serving models' 2048.
-const SIGN_DIMS: &[usize] = &[1, 7, 9, 2048];
+/// past it, and around the fused leg's 16-row tile.
+const SIGN_DIMS: &[usize] = &[1, 7, 9, 15, 16, 17];
 
-/// Features that are not ordinary finite numbers.
-const SPECIALS: [f64; 6] = [
+/// Features that are not ordinary finite numbers: signed zeros, infinities,
+/// NaNs of either sign, subnormals and values whose sums overflow.
+const SPECIALS: [f64; 10] = [
     0.0,
     -0.0,
     f64::INFINITY,
     f64::NEG_INFINITY,
     f64::NAN,
     -f64::NAN,
+    5e-324,
+    -2.5e-308,
+    1e308,
+    -1e308,
 ];
 
-/// Gaussian queries with special values planted: row `r` holds
-/// `SPECIALS[r % 6]` at one feature, every fourth row is all `-0.0` (its
-/// encode is exactly zero, whatever the signs), and the rest are finite.
+/// Two NaNs with distinct payloads (and signs), planted in one row. Which
+/// one a chain that meets both keeps is the kernel's choice: a fused
+/// multiply-add keeps the multiplicand's, and a mul+add whichever operand
+/// its compiled add takes first. So the fused leg of `matmul_signs` is
+/// right on these rows only through its NaN recompute.
+const NAN_PAYLOADS: [u64; 2] = [0x7ff8_0000_0000_0a0a, 0xfff8_0000_0000_0b0b];
+
+/// Gaussian queries with special values planted: every fourth row is all
+/// `-0.0` (its encode is exactly zero, whatever the signs), every seventh
+/// row from row 2 meets both [`NAN_PAYLOADS`] (when it has two features),
+/// and each other row holds the next of [`SPECIALS`], in turn, at one
+/// feature. So 17 rows plant every special once, at any feature count.
 fn sign_queries(rows: usize, features: usize, seed: u64) -> HyperMatrix<f64> {
     let mut rng = HdcRng::seed_from_u64(seed);
     let mut queries: HyperMatrix<f64> = gaussian_hypermatrix(rows, features, &mut rng);
+    let mut specials = SPECIALS.iter().cycle();
     for r in 0..rows {
         if r % 4 == 3 {
             for c in 0..features {
                 queries.set(r, c, -0.0).unwrap();
             }
+        } else if r % 7 == 2 && features >= 2 {
+            let first = (r * 3) % (features - 1);
+            let second = first + 1 + r % (features - first - 1);
+            for (c, bits) in [first, second].into_iter().zip(NAN_PAYLOADS) {
+                queries.set(r, c, f64::from_bits(bits)).unwrap();
+            }
         } else {
-            queries.set(r, (r * 7) % features, SPECIALS[r % 6]).unwrap();
+            let special = *specials.next().unwrap();
+            queries.set(r, (r * 7) % features, special).unwrap();
         }
     }
     queries
 }
 
-/// `matmul_signs` must equal `matmul_batch` on the unpacked ±1 matrix, and
-/// `matvec_signs` must equal `matvec`, bit for bit (NaN payloads and the
-/// sign of zero included), on every backend and under every perforation of
-/// `perfs` (all of [`fuzz_perforations`] when `None`).
+#[test]
+fn sign_queries_plant_every_special_and_both_nan_payloads() {
+    for features in [1, 2, 65, 617] {
+        let queries = sign_queries(17, features, 7);
+        let planted = |bits: u64| queries.as_slice().iter().any(|x| x.to_bits() == bits);
+        for special in SPECIALS {
+            assert!(
+                planted(special.to_bits()),
+                "{special} at {features} features"
+            );
+        }
+        if features >= 2 {
+            assert!((0..17).any(|r| meets_two_nans(&queries, r)));
+        }
+    }
+}
+
+/// Whether query row `r` holds both [`NAN_PAYLOADS`].
+fn meets_two_nans(queries: &HyperMatrix<f64>, r: usize) -> bool {
+    let row = queries.row(r).unwrap();
+    NAN_PAYLOADS
+        .iter()
+        .all(|&bits| row.iter().any(|x| x.to_bits() == bits))
+}
+
+/// `matmul_signs` must equal `matmul_batch` on the unpacked ±1 matrix
+/// under the same backend, and `matvec_signs` must equal `matvec`, bit for
+/// bit (NaN payloads and the sign of zero included), on every backend and
+/// under every perforation of `perfs` (all of [`fuzz_perforations`] when
+/// `None`).
 fn check_sign_encode(rows: usize, dims: usize, features: usize, perfs: Option<&[Perforation]>) {
     let seed = (rows * 1_000_003 + dims * 1009 + features) as u64;
     let signs = bit_matrix(dims, features, seed);
@@ -639,24 +690,33 @@ fn check_sign_encode(rows: usize, dims: usize, features: usize, perfs: Option<&[
     let queries = sign_queries(rows, features, seed ^ 0x5167);
     let perfs = perfs.map_or_else(|| fuzz_perforations(features), <[_]>::to_vec);
     for perf in perfs {
-        let expected = matmul_batch(&queries, &dense, perf).unwrap();
-        for r in 0..rows {
-            let query = queries.row_vector(r).unwrap();
-            let context =
-                format!("matvec_signs dims={dims} features={features} row={r} perf={perf:?}");
-            let sequential = matvec_signs(&signs, &query, perf).unwrap();
-            let reference = matvec(&dense, &query, perf).unwrap();
-            assert_bits_eq(sequential.as_slice(), reference.as_slice(), &context);
-            assert_bits_eq(sequential.as_slice(), expected.row(r).unwrap(), &context);
-        }
+        let sequential: Vec<HyperVector<f64>> = (0..rows)
+            .map(|r| {
+                let query = queries.row_vector(r).unwrap();
+                let context =
+                    format!("matvec_signs dims={dims} features={features} row={r} perf={perf:?}");
+                let sequential = matvec_signs(&signs, &query, perf).unwrap();
+                let reference = matvec(&dense, &query, perf).unwrap();
+                assert_bits_eq(sequential.as_slice(), reference.as_slice(), &context);
+                sequential
+            })
+            .collect();
         for backend in supported_backends() {
             simd::set_backend(backend).unwrap();
+            let expected = matmul_batch(&queries, &dense, perf).unwrap();
             let out = matmul_signs(&queries, &signs, perf).unwrap();
             assert_eq!((out.rows(), out.cols()), (rows, dims));
             let context = format!(
                 "matmul_signs {backend} rows={rows} dims={dims} features={features} perf={perf:?}"
             );
             assert_bits_eq(out.as_slice(), expected.as_slice(), &context);
+            // Batched equals sequential, up to which of two NaN payloads a
+            // chain keeps: there each kernel's compiled add decides.
+            for (r, row) in sequential.iter().enumerate() {
+                if !meets_two_nans(&queries, r) {
+                    assert_bits_eq(row.as_slice(), out.row(r).unwrap(), &context);
+                }
+            }
         }
     }
 }
@@ -676,13 +736,13 @@ const WIDE_PERFS: &[Perforation] = &[
 fn sign_encode_matches_unpacked_encode_across_rows_and_dims() {
     let _guard = lock_backend();
     for &rows in SIGN_QUERY_ROWS {
-        for &dims in &SIGN_DIMS[..3] {
+        for &dims in SIGN_DIMS {
             for features in [1, 64, 65, 130] {
                 check_sign_encode(rows, dims, features, None);
             }
         }
     }
-    for rows in [0, 1, 2, 7, 8, 9, 17] {
+    for rows in [0, 1, 2, 7, 8, 9, 16, 17, 33, 64] {
         check_sign_encode(rows, 2048, 65, Some(WIDE_PERFS));
     }
     simd::set_backend(simd::detected()).unwrap();
@@ -692,12 +752,15 @@ fn sign_encode_matches_unpacked_encode_across_rows_and_dims() {
 fn sign_encode_matches_unpacked_encode_across_feature_counts() {
     let _guard = lock_backend();
     for features in (1..=130).chain([617]) {
-        for &dims in &SIGN_DIMS[..3] {
-            check_sign_encode(3, dims, features, None);
+        for &dims in SIGN_DIMS {
+            for rows in [3, 9, 17] {
+                check_sign_encode(rows, dims, features, None);
+            }
         }
     }
     check_sign_encode(1, 2048, 617, Some(WIDE_PERFS));
     check_sign_encode(7, 2048, 617, Some(&WIDE_PERFS[..1]));
+    check_sign_encode(9, 2048, 617, Some(WIDE_PERFS));
     simd::set_backend(simd::detected()).unwrap();
 }
 
@@ -707,13 +770,14 @@ fn sign_encode_matches_unpacked_encode_across_feature_counts() {
 fn bipolar_matrices_and_only_they_have_sign_bits() {
     let mut rng = HdcRng::seed_from_u64(0xB1B0);
     let bipolar: HyperMatrix<f64> = bipolar_hypermatrix(9, 70, &mut rng);
+    let bipolar = Arc::new(bipolar);
     let signs = BitMatrix::from_bipolar(&bipolar).expect("a ±1 matrix has sign bits");
-    assert_eq!(signs.to_dense::<f64>(), bipolar);
-    let mut zeroed = bipolar.clone();
+    assert_eq!(&signs.to_dense::<f64>(), bipolar.as_ref());
+    let mut zeroed = bipolar.as_ref().clone();
     zeroed.set(4, 33, 0.0).unwrap();
-    assert!(BitMatrix::from_bipolar(&zeroed).is_none());
+    assert!(BitMatrix::from_bipolar(&Arc::new(zeroed)).is_none());
     let gaussian: HyperMatrix<f64> = gaussian_hypermatrix(9, 70, &mut rng);
-    assert!(BitMatrix::from_bipolar(&gaussian).is_none());
+    assert!(BitMatrix::from_bipolar(&Arc::new(gaussian)).is_none());
 }
 
 /// The sequential oracle's chains start from `+0.0`, like the batched
@@ -731,7 +795,7 @@ fn sequential_chains_start_from_positive_zero() {
         let batched = matmul_batch(&queries, &projection, perf).unwrap();
         assert_bits_eq(sequential.as_slice(), &[0.0], &format!("matvec {perf}"));
         assert_bits_eq(batched.as_slice(), &[0.0], &format!("matmul_batch {perf}"));
-        let signs = BitMatrix::from_bipolar(&projection).unwrap();
+        let signs = BitMatrix::from_bipolar(&Arc::new(projection.clone())).unwrap();
         let sequential = matvec_signs(&signs, &query, perf).unwrap();
         assert_bits_eq(
             sequential.as_slice(),

@@ -59,7 +59,7 @@ use crate::error::{Result, RuntimeError};
 use crate::training::{replay_epoch, update_row_in_place};
 use crate::value::Value;
 use hdc_core::batch::SimilarityMetric as Metric;
-use hdc_core::element::ElementKind;
+use hdc_core::element::{Element, ElementKind};
 use hdc_core::ops::ElementwiseOp;
 use hdc_core::shard::Merged;
 use hdc_core::similarity::{
@@ -174,11 +174,21 @@ pub struct ExecStats {
     /// combine per-shard `arg_min` / `arg_max` / top-k selections back into
     /// global winners (`shards - 1` per merged selection row).
     pub shard_merge_ops: usize,
-    /// Query rows encoded against a projection bound as sign bits
-    /// ([`hdc_core::matmul::matmul_signs`] in batched stages and matrix
-    /// `matmul`s, [`hdc_core::matmul::matvec_signs`] per sample). Zero when
+    /// Query rows encoded on the sign-bit leg, against a projection bound
+    /// as sign bits: batches of at most
+    /// [`SIGN_ENCODE_MAX_ROWS`](hdc_core::matmul::SIGN_ENCODE_MAX_ROWS)
+    /// rows in batched stages and matrix `matmul`s
+    /// ([`hdc_core::matmul::matmul_signs`]), and every sample of the
+    /// per-sample schedule ([`hdc_core::matmul::matvec_signs`]). Zero when
     /// every projection was dense.
     pub sign_encoded_rows: usize,
+    /// Query rows encoded on the fused panel leg of
+    /// [`hdc_core::matmul::matmul_signs`]: batches of more than
+    /// [`SIGN_ENCODE_MAX_ROWS`](hdc_core::matmul::SIGN_ENCODE_MAX_ROWS)
+    /// rows against a projection bound as sign bits, streamed as its ±1
+    /// expansion. Zero when every projection was dense, and in sequential
+    /// mode.
+    pub fused_encoded_rows: usize,
     /// Name of the [`hdc_core::simd`] kernel backend the run dispatched to
     /// (`scalar` / `avx2` / `avx512` / `neon`), stamped at the start of
     /// every run. Empty only on a default-constructed counter set.
@@ -201,6 +211,7 @@ impl ExecStats {
         self.class_shards += other.class_shards;
         self.shard_merge_ops += other.shard_merge_ops;
         self.sign_encoded_rows += other.sign_encoded_rows;
+        self.fused_encoded_rows += other.fused_encoded_rows;
         if self.kernel_backend.is_empty() {
             self.kernel_backend = other.kernel_backend;
         }
@@ -1314,18 +1325,20 @@ impl<'p> Executor<'p> {
                         hdc_core::matmul::matmul_batch(q.as_ref(), p.as_ref(), perf)?
                     }
                     Value::BitMatrix(signs) => {
-                        self.stats.sign_encoded_rows += q.rows();
+                        self.note_sign_encode(q.rows());
                         hdc_core::matmul::matmul_signs(q.as_ref(), signs.as_ref(), perf)?
                     }
                     _ => return Ok(false),
                 };
                 // Packing a binarized output slot thresholds by sign anyway
-                // (`BitVector::from_signs`), so the signed dense copy only
-                // needs materializing when the slot stays dense.
+                // (`BitVector::from_signs`), so the encode is only signed
+                // (in place) when the slot stays dense.
                 let packs_by_sign = self.program.value(stage.interface.output).ty.element_kind()
                     == Some(ElementKind::Bit);
                 if then_sign && !packs_by_sign {
-                    out = out.sign();
+                    for x in out.as_mut_slice() {
+                        *x = x.bipolar_sign();
+                    }
                 }
                 self.stats.batched_kernel_ops += 1;
                 self.stats.stage_samples += q.rows();
@@ -1684,6 +1697,16 @@ impl<'p> Executor<'p> {
     // op helpers
     // ------------------------------------------------------------------
 
+    /// Count a batch of `rows` query rows encoded by
+    /// [`hdc_core::matmul::matmul_signs`] under the leg it takes.
+    fn note_sign_encode(&mut self, rows: usize) {
+        if hdc_core::matmul::sign_encode_is_fused(rows) {
+            self.stats.fused_encoded_rows += rows;
+        } else {
+            self.stats.sign_encoded_rows += rows;
+        }
+    }
+
     /// `matmul` of a vector or matrix by a projection. A projection bound
     /// as sign bits is encoded against as is, never unpacked.
     fn matmul(&mut self, instr: &HdcInstr, perf: Perforation) -> Result<Value> {
@@ -1700,7 +1723,7 @@ impl<'p> Executor<'p> {
         if let Value::BitMatrix(signs) = &proj_src {
             return Ok(match batch {
                 Some(batch) => {
-                    self.stats.sign_encoded_rows += batch.rows();
+                    self.note_sign_encode(batch.rows());
                     Value::matrix(hdc_core::matmul::matmul_signs(&batch, signs, perf)?)
                 }
                 None => {

@@ -5,11 +5,13 @@
 //! inference path must perform **zero** tensor copies.
 
 use hdc_core::element::ElementKind;
+use hdc_core::matmul::SIGN_ENCODE_MAX_ROWS;
 use hdc_core::prelude::*;
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::{Program, ValueId};
 use hdc_ir::stage::ScorePolarity;
 use hdc_runtime::{ExecMode, ExecStats, Executor, Value};
+use std::sync::Arc;
 
 const DIM: usize = 192;
 
@@ -269,7 +271,7 @@ fn bit_projection_encoding_matches_sequential_and_dense() {
     };
     let mut rng = HdcRng::seed_from_u64(0x5165);
     let pm: HyperMatrix<f64> = hdc_core::random::bipolar_hypermatrix(ENC_DIM, FEATURES, &mut rng);
-    let signs = Value::bit_matrix(BitMatrix::from_bipolar(&pm).unwrap());
+    let signs = Value::bit_matrix(BitMatrix::from_bipolar(&Arc::new(pm.clone())).unwrap());
     let bits = |m: &HyperMatrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for samples in (1..=9).chain([64]) {
         let fm: HyperMatrix<f64> =
@@ -291,9 +293,20 @@ fn bit_projection_encoding_matches_sequential_and_dense() {
             assert_eq!(bits(&batched), bits(&sequential), "{context}");
             assert_eq!(bits(&batched), bits(&dense), "{context}");
             assert_eq!(b_stats.batched_kernel_ops, 1, "{context}");
-            assert_eq!(b_stats.sign_encoded_rows, samples, "{context}");
+            // Batches past the sign-bit leg's rows stream the expansion
+            // through the fused panel leg; the per-sample schedule never
+            // does.
+            let fused = if samples > SIGN_ENCODE_MAX_ROWS {
+                samples
+            } else {
+                0
+            };
+            assert_eq!(b_stats.sign_encoded_rows, samples - fused, "{context}");
+            assert_eq!(b_stats.fused_encoded_rows, fused, "{context}");
             assert_eq!(s_stats.sign_encoded_rows, samples, "{context}");
+            assert_eq!(s_stats.fused_encoded_rows, 0, "{context}");
             assert_eq!(d_stats.sign_encoded_rows, 0, "{context}");
+            assert_eq!(d_stats.fused_encoded_rows, 0, "{context}");
             // The batched sign encode neither unpacks the projection nor
             // copies the queries.
             assert_eq!(b_stats.tensor_bytes_copied, 0, "{context}");

@@ -24,17 +24,17 @@
 //! programs. Construction builds the 1-row program, so a model that cannot
 //! compile fails there, and the oracle's program is ready.
 //!
-//! A ±1 projection is held twice: as the harvested `f64` matrix and as its
-//! sign bits, built once at construction. A program for at most
-//! [`SIGN_ENCODE_MAX_ROWS`] rows declares `rp_matrix` as `Bit` and binds
-//! the bits, so a short window encodes through
-//! [`hdc_core::matmul::matmul_signs`]; longer windows keep the `f64`
-//! panel kernel. Both legs give the same bits.
+//! A ±1 projection is held as its sign bits, built once at construction,
+//! whose ±1 `f64` expansion is the harvested matrix itself (shared, not
+//! copied). Every program declares `rp_matrix` as `Bit` and binds the
+//! bits, so every window encodes through
+//! [`hdc_core::matmul::matmul_signs`], which picks its leg by the
+//! window's row count. A projection that is not ±1 stays an `f64` matrix.
+//! Every leg gives the same bits.
 
 use crate::{Result, ServeError};
 use hdc_apps::{ClassificationApp, ClusteringApp, MatchingApp};
 use hdc_core::element::ElementKind;
-use hdc_core::matmul::SIGN_ENCODE_MAX_ROWS;
 use hdc_core::{BitMatrix, HyperMatrix};
 use hdc_ir::builder::ProgramBuilder;
 use hdc_ir::program::Program;
@@ -76,42 +76,15 @@ pub struct WindowOutcome {
     pub stage_trace: Vec<StageTraceEntry>,
 }
 
-/// A model's projection in the forms a window encodes against: the `f64`
-/// matrix, and its sign bits when every entry is exactly ±1 (1 bit per
-/// entry instead of 64: 158 KB instead of 10 MB at 2048 x 617). The bits
-/// are built once, when the model is first built from its artifacts;
-/// every clone — window binds, the online trainer, each generation it
-/// publishes — shares both payloads by refcount.
-#[derive(Debug, Clone)]
-pub(crate) struct Projection {
-    dense: Value,
-    signs: Option<Value>,
-}
-
-impl Projection {
-    pub(crate) fn new(dense: Value) -> Self {
-        let signs = match &dense {
-            Value::Matrix(m) => BitMatrix::from_bipolar(m.as_ref()).map(Value::bit_matrix),
-            _ => None,
-        };
-        Projection { dense, signs }
-    }
-
-    /// The `f64` projection matrix.
-    pub(crate) fn dense(&self) -> &Value {
-        &self.dense
-    }
-
-    /// The element kind a program for `rows` queries declares its
-    /// projection with, and the value it binds: the sign bits when there
-    /// are at most [`SIGN_ENCODE_MAX_ROWS`] rows (fewer than one 8-row
-    /// panel, where the sign-bit encode is faster), the `f64` matrix
-    /// otherwise.
-    pub(crate) fn for_rows(&self, rows: usize) -> (ElementKind, &Value) {
-        match &self.signs {
-            Some(signs) if rows <= SIGN_ENCODE_MAX_ROWS => (ElementKind::Bit, signs),
-            _ => (ElementKind::F64, &self.dense),
-        }
+/// The form a window binds a projection in: the sign bits of a ±1
+/// matrix ([`BitMatrix::from_bipolar`], which keeps the matrix as the
+/// bits' expansion: 158 KB of bits beside the same 10 MB at 2048 x 617),
+/// anything else as it is. A bit matrix passes through without a rescan,
+/// so the online trainer's generations rebuild nothing.
+fn window_projection(rp: Value) -> Value {
+    match &rp {
+        Value::Matrix(m) => BitMatrix::from_bipolar(m).map_or(rp, Value::bit_matrix),
+        _ => rp,
     }
 }
 
@@ -124,8 +97,9 @@ pub struct ServableModel {
     scoring: Scoring,
     /// Query feature count (submission-time validation).
     features: usize,
-    /// The projection, bound as `rp_matrix`.
-    rp: Projection,
+    /// The projection as every window binds it to `rp_matrix`
+    /// ([`window_projection`]).
+    rp: Value,
     /// The class memory, centroids or encoded library queries are scored
     /// against.
     memory: Value,
@@ -162,6 +136,7 @@ impl ServableModel {
     /// signed from. This is the publication path of the online trainer:
     /// after shadow updates, a new generation is assembled from the same
     /// projection `Value` (a refcount bump) plus the re-frozen memory.
+    /// The projection may be the `f64` matrix or its sign bits.
     ///
     /// # Errors
     ///
@@ -174,19 +149,7 @@ impl ServableModel {
         classes: Value,
         train_state: Option<Value>,
     ) -> Result<Self> {
-        Self::classifier_from_projection(name, features, Projection::new(rp), classes, train_state)
-    }
-
-    /// [`ServableModel::classifier_from_artifacts`] over a projection
-    /// whose forms are already built: the online trainer's path, so no
-    /// generation rescans the projection.
-    pub(crate) fn classifier_from_projection(
-        name: &str,
-        features: usize,
-        rp: Projection,
-        classes: Value,
-        train_state: Option<Value>,
-    ) -> Result<Self> {
+        let rp = window_projection(rp);
         Self::new(name, Scoring::Hamming, features, rp, classes, train_state)
     }
 
@@ -202,7 +165,7 @@ impl ServableModel {
         let centroids = format!("centroids_{}", app.rounds());
         let [rp, centroids] = as_pair(app.harvest(&["rp_matrix", &centroids]))?;
         let features = app.dataset().meta.features;
-        let rp = Projection::new(rp);
+        let rp = window_projection(rp);
         Self::new(name, Scoring::Cosine, features, rp, centroids, None)
     }
 
@@ -218,7 +181,7 @@ impl ServableModel {
     pub fn matcher(name: &str, app: &MatchingApp) -> Result<Self> {
         let [rp, library] = as_pair(app.harvest(&["rp_matrix", "encode_library.encoded"]))?;
         let features = app.dataset().meta.features;
-        let rp = Projection::new(rp);
+        let rp = window_projection(rp);
         Self::new(name, Scoring::TopK(app.k()), features, rp, library, None)
     }
 
@@ -227,11 +190,11 @@ impl ServableModel {
         name: &str,
         scoring: Scoring,
         features: usize,
-        rp: Projection,
+        rp: Value,
         memory: Value,
         train_state: Option<Value>,
     ) -> Result<Self> {
-        let (dim, rp_cols) = matrix_shape(rp.dense(), "rp_matrix")?;
+        let (dim, rp_cols) = matrix_shape(&rp, "rp_matrix")?;
         if rp_cols != features {
             return Err(ServeError::ModelBuild(format!(
                 "projection matrix cols {rp_cols} != feature count {features}"
@@ -275,22 +238,11 @@ impl ServableModel {
         }
     }
 
-    /// The `f64` projection matrix artifact: bound to windows of more than
-    /// [`SIGN_ENCODE_MAX_ROWS`] rows, and to every window when the
-    /// projection has no sign bits.
+    /// The projection as every window binds it: a [`Value::BitMatrix`] of
+    /// sign bits when every entry is exactly ±1 (its
+    /// [`BitMatrix::expansion`] is the harvested `f64` matrix), the
+    /// [`Value::Matrix`] otherwise.
     pub fn projection(&self) -> &Value {
-        self.rp.dense()
-    }
-
-    /// The projection's sign bits, bound to windows of at most
-    /// [`SIGN_ENCODE_MAX_ROWS`] rows; `None` unless every projection entry
-    /// is exactly ±1.
-    pub fn projection_signs(&self) -> Option<&Value> {
-        self.rp.signs.as_ref()
-    }
-
-    /// Both forms of the projection, for the online trainer.
-    pub(crate) fn projection_forms(&self) -> &Projection {
         &self.rp
     }
 
@@ -362,9 +314,9 @@ impl ServableModel {
 
     /// Build and compile the inference program for `rows` queries.
     fn build(&self, rows: usize) -> Result<Program> {
-        let (dim, features) = matrix_shape(self.rp.dense(), "rp_matrix")?;
+        let (dim, features) = matrix_shape(&self.rp, "rp_matrix")?;
         let (memory_rows, _) = matrix_shape(&self.memory, "model memory")?;
-        let (rp_elem, _) = self.rp.for_rows(rows);
+        let rp_elem = element_kind(&self.rp);
         let binarized = self.binarized();
         let memory_elem = if binarized {
             ElementKind::Bit
@@ -436,8 +388,7 @@ impl ServableModel {
         exec.bind("queries", Value::matrix(queries))
             .map_err(exec_err)?;
         // Arc payloads: a refcount bump per window, never a copy.
-        let (_, rp) = self.rp.for_rows(rows.len());
-        exec.bind("rp_matrix", rp.clone()).map_err(exec_err)?;
+        exec.bind("rp_matrix", self.rp.clone()).map_err(exec_err)?;
         exec.bind(self.memory_input(), self.memory.clone())
             .map_err(exec_err)?;
         let out = exec.run().map_err(exec_err)?;
@@ -548,6 +499,15 @@ pub(crate) fn matrix_shape(value: &Value, what: &str) -> Result<(usize, usize)> 
             "{what}: expected a matrix artifact, got {}",
             other.kind_name()
         ))),
+    }
+}
+
+/// The element kind a program declares a matrix value with: `Bit` for a
+/// bit matrix, `F64` otherwise.
+pub(crate) fn element_kind(value: &Value) -> ElementKind {
+    match value {
+        Value::BitMatrix(_) => ElementKind::Bit,
+        _ => ElementKind::F64,
     }
 }
 

@@ -34,7 +34,7 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::model::{
-    compile_program, exec_err, matrix_shape, run_once, stack_rows, validate_row, Projection,
+    compile_program, element_kind, exec_err, matrix_shape, run_once, stack_rows, validate_row,
     ServableModel,
 };
 use crate::registry::ModelRegistry;
@@ -144,9 +144,9 @@ pub struct OnlineTrainer {
     features: usize,
     dim: usize,
     binarized: bool,
-    /// The projection in both forms, shared with every published
+    /// The projection as the model binds it, shared with every published
     /// generation by refcount bump.
-    rp: Projection,
+    rp: Value,
     /// The private dense class memory feedback updates accumulate into.
     shadow: HyperMatrix<f64>,
     /// Compiled `sign(class_hvs)` freeze program (fixed shape).
@@ -215,8 +215,8 @@ impl OnlineTrainer {
         let shadow = train_state
             .to_dense_matrix("train state")
             .map_err(|e| ServeError::ModelBuild(e.to_string()))?;
-        let rp = model.projection_forms().clone();
-        let (dim, _) = matrix_shape(rp.dense(), "rp_matrix")?;
+        let rp = model.projection().clone();
+        let (dim, _) = matrix_shape(&rp, "rp_matrix")?;
         if shadow.cols() != dim {
             return Err(ServeError::ModelBuild(format!(
                 "train state cols {} != projection dim {dim}",
@@ -301,7 +301,7 @@ impl OnlineTrainer {
         if let Some(p) = self.encode_programs.get(&rows) {
             return Ok(Arc::clone(p));
         }
-        let (rp_elem, _) = self.rp.for_rows(rows);
+        let rp_elem = element_kind(&self.rp);
         let mut b = ProgramBuilder::new(format!("online_encode_{}", self.key));
         let queries = b.input_matrix("queries", ElementKind::F64, rows, self.features);
         let rp_in = b.input_matrix("rp_matrix", rp_elem, self.dim, self.features);
@@ -408,7 +408,7 @@ impl OnlineTrainer {
             return self.registry.get(&self.key);
         }
         let class_bits = self.freeze()?;
-        let model = Arc::new(ServableModel::classifier_from_projection(
+        let model = Arc::new(ServableModel::classifier_from_artifacts(
             &format!("{}@gen{}", self.key, self.generation + 1),
             self.features,
             // The projection never changes: every generation shares the
@@ -450,9 +450,8 @@ impl OnlineTrainer {
     fn encode(&mut self, rows: &[Vec<f64>]) -> Result<HyperMatrix<f64>> {
         let program = self.encoding_program(rows.len())?;
         let queries = stack_rows(self.features, rows)?;
-        let (_, rp) = self.rp.for_rows(rows.len());
         let binds = [
-            ("rp_matrix", rp.clone()),
+            ("rp_matrix", self.rp.clone()),
             ("queries", Value::matrix(queries)),
         ];
         let out = run_once(&program, &binds).map_err(exec_err)?;

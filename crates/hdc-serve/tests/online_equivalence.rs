@@ -290,35 +290,40 @@ fn zero_update_publish_is_a_noop() {
     assert!(Arc::ptr_eq(&republished, &live));
 }
 
-/// Every published generation shares both projection payloads with the
-/// attach-time model — the `f64` matrix and its sign bits: publishing is a
-/// refcount bump on each, never a copy, and no generation rescans the
-/// matrix to rebuild its bits.
+/// Every published generation shares the projection with the attach-time
+/// model: the sign bits, and their ±1 expansion, which is the harvested
+/// `f64` matrix itself. Publishing is a refcount bump, never a copy, and
+/// no generation rescans the matrix or rebuilds its 10 MB expansion.
 #[test]
 fn generations_share_the_projection_payload() {
     let offline =
         ClassificationApp::with_options(dataset(), DIM, 1, &CompileOptions::default()).unwrap();
     let harvested = offline.harvest_artifacts().unwrap();
+    let Value::Matrix(matrix) = &harvested.rp_matrix else {
+        panic!("the harvested projection is an f64 matrix");
+    };
     let (registry, mut trainer) = seed_trainer(harvested.rp_matrix.clone(), true, None);
     let before = registry.get("m").unwrap();
-    let signs = |model: &ServableModel| match model.projection_signs() {
-        Some(Value::BitMatrix(bits)) => Arc::clone(bits),
+    let signs = |model: &ServableModel| match model.projection() {
+        Value::BitMatrix(bits) => Arc::clone(bits),
         other => panic!("a ±1 projection has sign bits, got {other:?}"),
     };
+    assert!(
+        Arc::ptr_eq(signs(&before).expansion().unwrap(), matrix),
+        "the expansion is the harvested matrix"
+    );
     let (rows, labels) = train_rows(&dataset());
     for generation in 1..=2 {
         trainer.feed(&rows, &labels).unwrap();
         let published = trainer.publish().unwrap();
         assert!(!Arc::ptr_eq(&published, &before));
-        let (rp_before, _) = before.projection().dense_matrix("rp").unwrap();
-        let (rp_after, _) = published.projection().dense_matrix("rp").unwrap();
-        assert!(
-            Arc::ptr_eq(&rp_before, &rp_after),
-            "generation {generation}: projection payload must be shared"
-        );
         assert!(
             Arc::ptr_eq(&signs(&before), &signs(&published)),
             "generation {generation}: sign bits must be shared"
+        );
+        assert!(
+            Arc::ptr_eq(signs(&published).expansion().unwrap(), matrix),
+            "generation {generation}: the expansion must be shared"
         );
     }
 }

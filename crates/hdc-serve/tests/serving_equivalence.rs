@@ -293,15 +293,23 @@ fn sequential_dispatch_matches_batched() {
     assert_eq!(batched.predictions, sequential.predictions);
 }
 
+/// Whether a model binds its projection as sign bits (a ±1 projection).
+fn has_sign_bits(model: &ServableModel) -> bool {
+    matches!(model.projection(), Value::BitMatrix(_))
+}
+
 /// Every query answers the same in a window of 1..=`SIGN_ENCODE_MAX_ROWS`
 /// rows as inside a window longer than one 8-row panel, and as the
-/// oracle. Short windows encode against the projection's sign bits when
-/// the model has them (`sign_encoded_rows` counts every row), long ones
-/// always against the `f64` matrix.
+/// oracle. When the model has sign bits, short windows encode on the
+/// sign-bit leg (`sign_encoded_rows` counts every row) and long ones on
+/// the fused leg (`fused_encoded_rows`); otherwise neither counts.
 fn check_short_windows_match_long(label: &str, model: &ServableModel, queries: &[Vec<f64>]) {
     assert!(queries.len() > 8, "{label}: a long window needs > 8 rows");
+    let has_signs = has_sign_bits(model);
     let long = model.infer_window(queries, true, None).unwrap();
     assert_eq!(long.stats.sign_encoded_rows, 0, "{label}: long window");
+    let fused = if has_signs { queries.len() } else { 0 };
+    assert_eq!(long.stats.fused_encoded_rows, fused, "{label}: long window");
     for (row, expected) in queries.iter().zip(&long.predictions) {
         assert_eq!(
             &model.oracle_infer(row).unwrap(),
@@ -309,12 +317,12 @@ fn check_short_windows_match_long(label: &str, model: &ServableModel, queries: &
             "{label}: oracle"
         );
     }
-    let has_signs = model.projection_signs().is_some();
     for n in 1..=SIGN_ENCODE_MAX_ROWS {
         for (w, window) in queries.chunks(n).enumerate() {
             let short = model.infer_window(window, true, None).unwrap();
             let signed = if has_signs { window.len() } else { 0 };
             assert_eq!(short.stats.sign_encoded_rows, signed, "{label}: size {n}");
+            assert_eq!(short.stats.fused_encoded_rows, 0, "{label}: size {n}");
             let expected = &long.predictions[w * n..w * n + window.len()];
             assert_eq!(
                 short.predictions, expected,
@@ -329,7 +337,7 @@ fn short_windows_on_sign_bits_match_long_windows_and_oracle() {
     for options in [CompileOptions::default(), CompileOptions::baseline()] {
         for (label, case) in all_cases(&options) {
             assert!(
-                case.model.projection_signs().is_some(),
+                has_sign_bits(&case.model),
                 "{label}: a ±1 projection has sign bits"
             );
             check_short_windows_match_long(label, &case.model, &case.queries);
@@ -337,15 +345,49 @@ fn short_windows_on_sign_bits_match_long_windows_and_oracle() {
     }
 }
 
+/// Windows from one full panel up, around the fused leg's 16-row tiles
+/// and 64-row blocks, answer every row as a 1-row window and the oracle
+/// do, for every model kind and both compile configurations.
+#[test]
+fn long_windows_on_the_fused_leg_match_one_row_windows_and_oracle() {
+    for options in [CompileOptions::default(), CompileOptions::baseline()] {
+        for (label, case) in all_cases(&options) {
+            let singles: Vec<Prediction> = case
+                .queries
+                .iter()
+                .map(|row| {
+                    let one = case
+                        .model
+                        .infer_window(std::slice::from_ref(row), true, None);
+                    let one = one.unwrap().predictions.remove(0);
+                    assert_eq!(case.model.oracle_infer(row).unwrap(), one, "{label}");
+                    one
+                })
+                .collect();
+            for n in [8, 9, 15, 16, 17, 63, 64] {
+                let picks: Vec<usize> = (0..n).map(|i| (i * 5 + n) % case.queries.len()).collect();
+                let rows: Vec<Vec<f64>> = picks.iter().map(|&i| case.queries[i].clone()).collect();
+                let window = case.model.infer_window(&rows, true, None).unwrap();
+                assert_eq!(window.stats.fused_encoded_rows, n, "{label}: size {n}");
+                assert_eq!(window.stats.sign_encoded_rows, 0, "{label}: size {n}");
+                for (row, (&i, answer)) in picks.iter().zip(&window.predictions).enumerate() {
+                    assert_eq!(answer, &singles[i], "{label}: size {n}, row {row}");
+                }
+            }
+        }
+    }
+}
+
 /// A projection that is not ±1 has no sign bits: every window encodes
-/// against the `f64` matrix and still agrees with the oracle.
+/// against the `f64` matrix, on neither sign leg, and still agrees with
+/// the oracle.
 #[test]
 fn gaussian_projection_builds_no_sign_bits_and_still_matches() {
     for options in [CompileOptions::default(), CompileOptions::baseline()] {
         let case = classifier_case(&options);
         let (dim, features) = match case.model.projection() {
-            Value::Matrix(m) => (m.rows(), m.cols()),
-            other => panic!("dense projection expected, got {}", other.kind_name()),
+            Value::BitMatrix(b) => (b.rows(), b.cols()),
+            other => panic!("sign bits expected, got {}", other.kind_name()),
         };
         let mut rng = HdcRng::seed_from_u64(0x6A55);
         let gaussian: HyperMatrix<f64> = gaussian_hypermatrix(dim, features, &mut rng);
@@ -358,14 +400,19 @@ fn gaussian_projection_builds_no_sign_bits_and_still_matches() {
             None,
         )
         .unwrap();
-        assert!(model.projection_signs().is_none());
+        assert!(matches!(model.projection(), Value::Matrix(_)));
         check_short_windows_match_long("gaussian classifier", &model, &case.queries);
+        let rows: Vec<Vec<f64>> = case.queries.iter().cycle().take(64).cloned().collect();
+        let full = model.infer_window(&rows, true, None).unwrap();
+        assert_eq!(full.stats.sign_encoded_rows, 0);
+        assert_eq!(full.stats.fused_encoded_rows, 0);
     }
 }
 
-/// The sign leg is observable: a one-row window (and the one-row oracle)
-/// encodes its row on it, a 64-row window never does. A silent fallback
-/// to the `f64` kernel or the per-sample path fails here.
+/// Each encode leg is observable: a one-row window (and the one-row
+/// oracle) encodes its row on the sign-bit leg, a 64-row window on the
+/// fused leg. A silent fallback to the `f64` kernel, or to the per-sample
+/// path, fails here.
 #[test]
 fn one_row_windows_take_the_sign_leg_and_64_row_windows_do_not() {
     let case = classifier_case(&CompileOptions::default());
@@ -374,6 +421,7 @@ fn one_row_windows_take_the_sign_leg_and_64_row_windows_do_not() {
         .infer_window(&case.queries[..1], true, None)
         .unwrap();
     assert_eq!(one.stats.sign_encoded_rows, 1);
+    assert_eq!(one.stats.fused_encoded_rows, 0);
     assert_eq!(
         one.stats.batched_kernel_ops, 2,
         "encode and score stay batched"
@@ -383,8 +431,11 @@ fn one_row_windows_take_the_sign_leg_and_64_row_windows_do_not() {
         .infer_window(&case.queries[..1], false, None)
         .unwrap();
     assert_eq!(oracle.stats.sign_encoded_rows, 1);
+    assert_eq!(oracle.stats.fused_encoded_rows, 0);
     let rows: Vec<Vec<f64>> = case.queries.iter().cycle().take(64).cloned().collect();
     let full = case.model.infer_window(&rows, true, None).unwrap();
     assert_eq!(full.stats.sign_encoded_rows, 0);
+    assert_eq!(full.stats.fused_encoded_rows, 64);
+    assert_eq!(full.stats.batched_kernel_ops, 2);
     assert_eq!(full.predictions[..1], one.predictions[..]);
 }
