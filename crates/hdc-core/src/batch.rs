@@ -32,7 +32,7 @@
 //! without changing any classification output.
 
 use crate::binary::BitMatrix;
-use crate::element::Element;
+use crate::element::{canonical_nan, Element};
 use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
@@ -40,7 +40,9 @@ use crate::ops::TotalOrd;
 use crate::perforation::Perforation;
 use crate::shard::ShardPlan;
 use crate::simd::{dot_panel_kernel, PANEL_LANES};
-use crate::similarity::{dot_perforated, hamming_count_perforated, norm_sq_perforated};
+use crate::similarity::{
+    cosine_from_parts, dot_perforated, hamming_count_perforated, norm_sq_perforated,
+};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -515,16 +517,6 @@ fn panel_norms(panel: &[f64]) -> [f64; PANEL_LANES] {
     acc.map(f64::sqrt)
 }
 
-/// A cosine score from its dot product and the two norms; a zero norm on
-/// either side scores `0`, as in [`crate::similarity::cosine_similarity`].
-fn cosine_from_parts(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
-    if query_norm == 0.0 || row_norm == 0.0 {
-        0.0
-    } else {
-        dot / (query_norm * row_norm)
-    }
-}
-
 /// The dense Hamming kernel over the row block `rows` of `queries`.
 fn dense_hamming_rows<T: Element>(
     queries: &HyperMatrix<T>,
@@ -587,7 +579,7 @@ pub fn score_rows_sharded<T: Element>(
 /// change ([`rescore_columns`]) can cache one norm per class row and
 /// refresh it when that row is updated.
 pub fn perforated_norm<T: Element>(row: &[T], perforation: Perforation) -> f64 {
-    norm_sq_perforated(row, perforation).sqrt()
+    canonical_nan(norm_sq_perforated(row, perforation).sqrt())
 }
 
 /// Re-score the entries `columns` of one score row against the live class

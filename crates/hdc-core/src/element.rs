@@ -206,6 +206,24 @@ impl Element for f64 {
     }
 }
 
+/// The value an `f64` reduction stores for its result `x`: `x` itself, or
+/// the one canonical quiet NaN ([`f64::NAN`]) when `x` is a NaN.
+///
+/// Whether a result is a NaN is fixed by the operations a chain runs, but
+/// which NaN it is is not: a chain that meets two NaN payloads keeps the
+/// one its compiled add (or a fused multiply-add) takes first, and a
+/// compiler may turn `x·(-1.0)` into a sign flip. So every matmul, dot,
+/// cosine and norm stores its output through this, and batched, SIMD and
+/// sequential paths agree on every bit, NaN outputs included.
+#[inline]
+pub(crate) fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,24 +1,11 @@
-//! Encoding schemes mapping raw input features into hyperdimensional space.
-//!
-//! The five evaluated applications use four different encoders (paper
-//! Table 2):
-//!
-//! * [`RandomProjection`] — HD-Classification, HD-Clustering: multiply the
-//!   feature vector by a random ±1 (or Gaussian) projection matrix.
-//! * [`LevelIdEncoder`] — HyperOMS: quantise each feature value into a level,
-//!   bind the level hypervector with the position (ID) hypervector, and
-//!   bundle across features.
-//! * [`GraphNeighborEncoder`] — RelHD: combine a node's feature hypervector
-//!   with its neighbours' hypervectors (1-hop relation encoding).
-//! * [`KmerEncoder`] — HD-Hashtable: slide a window of `k` bases over a
-//!   sequence, bind per-base hypervectors with positional shifts, bundle all
-//!   k-mers of the window into a sequence signature.
+//! Random-projection encoding, the encoder of the paper's HD-Classification
+//! and HD-Clustering applications (Table 2): multiply the feature vector by
+//! a random ±1 (or Gaussian) projection matrix.
 
 use crate::element::Element;
-use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
-use crate::matmul::{matmul_batch, matvec};
+use crate::matmul::matvec;
 use crate::perforation::Perforation;
 use crate::random::{bipolar_hypermatrix, gaussian_hypermatrix};
 use rand::Rng;
@@ -45,36 +32,7 @@ impl<T: Element> RandomProjection<T> {
         }
     }
 
-    /// Create a *cyclic* random projection as implemented by the digital HDC
-    /// ASIC: a single random base row is rotated by one position per output
-    /// dimension, which needs `O(in_dim)` storage instead of
-    /// `O(in_dim * dimension)`.
-    pub fn cyclic(dimension: usize, in_dim: usize, rng: &mut impl Rng) -> Self {
-        let base: HyperVector<T> = crate::random::bipolar_hypervector(in_dim, rng);
-        let rows = (0..dimension)
-            .map(|d| base.wrap_shift((d % in_dim.max(1)) as isize))
-            .collect();
-        RandomProjection {
-            matrix: HyperMatrix::from_rows(rows).expect("equal-length rows by construction"),
-        }
-    }
-
-    /// Wrap an existing projection matrix (`dimension x in_dim`).
-    pub fn from_matrix(matrix: HyperMatrix<T>) -> Self {
-        RandomProjection { matrix }
-    }
-
-    /// The output hypervector dimension.
-    pub fn dimension(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    /// The expected input feature count.
-    pub fn input_dimension(&self) -> usize {
-        self.matrix.cols()
-    }
-
-    /// Borrow the projection matrix.
+    /// Borrow the projection matrix (`dimension x in_dim`).
     pub fn matrix(&self) -> &HyperMatrix<T> {
         &self.matrix
     }
@@ -83,337 +41,11 @@ impl<T: Element> RandomProjection<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `features.dimension() != input_dimension()`; use
-    /// [`RandomProjection::try_encode`] for a fallible version.
+    /// Panics if `features.dimension()` differs from the projection's
+    /// column count.
     pub fn encode(&self, features: &HyperVector<T>) -> HyperVector<T> {
-        self.try_encode(features, Perforation::NONE)
+        matvec(&self.matrix, features, Perforation::NONE)
             .expect("feature dimension must match projection input dimension")
-    }
-
-    /// Encode a single feature vector, optionally perforating the reduction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension-mismatch error if the feature length differs from
-    /// [`RandomProjection::input_dimension`].
-    pub fn try_encode(
-        &self,
-        features: &HyperVector<T>,
-        perforation: Perforation,
-    ) -> Result<HyperVector<T>> {
-        matvec(&self.matrix, features, perforation)
-    }
-
-    /// Encode a batch of feature vectors (rows of `features`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension-mismatch error if `features.cols()` differs from
-    /// [`RandomProjection::input_dimension`].
-    pub fn encode_batch(
-        &self,
-        features: &HyperMatrix<T>,
-        perforation: Perforation,
-    ) -> Result<HyperMatrix<T>> {
-        matmul_batch(features, &self.matrix, perforation)
-    }
-}
-
-/// Level-ID encoder used by HyperOMS: each feature position has a random ID
-/// hypervector, each quantised value level has a level hypervector, and the
-/// encoding is the bundle (sum) of `id[i] * level[quantise(x[i])]` over all
-/// positions with non-zero value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelIdEncoder<T: Element> {
-    id_vectors: HyperMatrix<T>,
-    level_vectors: HyperMatrix<T>,
-    min_value: f64,
-    max_value: f64,
-}
-
-impl<T: Element> LevelIdEncoder<T> {
-    /// Create an encoder for `num_positions` feature positions and
-    /// `num_levels` quantisation levels over the value range
-    /// `[min_value, max_value]`.
-    ///
-    /// Level hypervectors are correlated: level 0 is random and each
-    /// subsequent level flips a progressively larger prefix of elements, so
-    /// nearby values stay similar in HD space (the standard level-encoding
-    /// construction).
-    pub fn new(
-        dimension: usize,
-        num_positions: usize,
-        num_levels: usize,
-        min_value: f64,
-        max_value: f64,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let id_vectors = bipolar_hypermatrix(num_positions, dimension, rng);
-        let base: HyperVector<T> = crate::random::bipolar_hypervector(dimension, rng);
-        let mut levels = Vec::with_capacity(num_levels);
-        let mut current = base;
-        let flips_per_level = if num_levels > 1 {
-            dimension / (num_levels - 1).max(1)
-        } else {
-            0
-        };
-        // Pre-select a random permutation of positions to flip so that each
-        // level flips a disjoint chunk.
-        let mut order: Vec<usize> = (0..dimension).collect();
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        levels.push(current.clone());
-        for level in 1..num_levels {
-            let start = (level - 1) * flips_per_level;
-            let end = (start + flips_per_level).min(dimension);
-            for &pos in &order[start..end] {
-                let v = current.get(pos).expect("pos in range");
-                current.set(pos, -v).expect("pos in range");
-            }
-            levels.push(current.clone());
-        }
-        LevelIdEncoder {
-            id_vectors,
-            level_vectors: HyperMatrix::from_rows(levels)
-                .expect("levels share the encoder dimension"),
-            min_value,
-            max_value,
-        }
-    }
-
-    /// The hypervector dimension produced by the encoder.
-    pub fn dimension(&self) -> usize {
-        self.id_vectors.cols()
-    }
-
-    /// Number of quantisation levels.
-    pub fn num_levels(&self) -> usize {
-        self.level_vectors.rows()
-    }
-
-    /// Number of feature positions.
-    pub fn num_positions(&self) -> usize {
-        self.id_vectors.rows()
-    }
-
-    /// Quantise a raw value into a level index.
-    pub fn quantise(&self, value: f64) -> usize {
-        if self.max_value <= self.min_value {
-            return 0;
-        }
-        let t = ((value - self.min_value) / (self.max_value - self.min_value)).clamp(0.0, 1.0);
-        ((t * (self.num_levels() - 1) as f64).round() as usize).min(self.num_levels() - 1)
-    }
-
-    /// Encode a sparse feature vector given as `(position, value)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::IndexOutOfBounds`] if a position is out of range.
-    pub fn encode_sparse(&self, features: &[(usize, f64)]) -> Result<HyperVector<T>> {
-        let mut acc = vec![0.0f64; self.dimension()];
-        for &(pos, value) in features {
-            if pos >= self.num_positions() {
-                return Err(HdcError::IndexOutOfBounds {
-                    index: pos,
-                    len: self.num_positions(),
-                });
-            }
-            let level = self.quantise(value);
-            let id_row = self.id_vectors.row(pos)?;
-            let level_row = self.level_vectors.row(level)?;
-            for ((slot, &idv), &lvl) in acc.iter_mut().zip(id_row).zip(level_row) {
-                *slot += idv.to_f64() * lvl.to_f64();
-            }
-        }
-        Ok(HyperVector::from_fn(self.dimension(), |i| {
-            T::from_f64(acc[i])
-        }))
-    }
-
-    /// Encode a dense feature vector (position `i` has value `features[i]`);
-    /// zero-valued positions are skipped, matching the sparse spectra usage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the feature length differs
-    /// from [`LevelIdEncoder::num_positions`].
-    pub fn encode_dense(&self, features: &HyperVector<f64>) -> Result<HyperVector<T>> {
-        if features.dimension() != self.num_positions() {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.num_positions(),
-                actual: features.dimension(),
-                context: "level-id encoding",
-            });
-        }
-        let sparse: Vec<(usize, f64)> = features
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.encode_sparse(&sparse)
-    }
-}
-
-/// Graph-neighbour encoder used by RelHD: a node's encoding is its own
-/// feature hypervector bundled with the (permuted) sum of its neighbours'
-/// feature hypervectors, capturing 1-hop relations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphNeighborEncoder<T: Element> {
-    projection: RandomProjection<T>,
-    /// Weight applied to the neighbour bundle relative to the node itself.
-    neighbor_weight: f64,
-}
-
-impl<T: Element> GraphNeighborEncoder<T> {
-    /// Create an encoder projecting `in_dim` node features into `dimension`
-    /// dimensional hypervectors; `neighbor_weight` scales the neighbour
-    /// contribution (the paper's RelHD uses an equal-weight bundle).
-    pub fn new(dimension: usize, in_dim: usize, neighbor_weight: f64, rng: &mut impl Rng) -> Self {
-        GraphNeighborEncoder {
-            projection: RandomProjection::bipolar(dimension, in_dim, rng),
-            neighbor_weight,
-        }
-    }
-
-    /// The output hypervector dimension.
-    pub fn dimension(&self) -> usize {
-        self.projection.dimension()
-    }
-
-    /// Encode node features alone (no relation information).
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension-mismatch error on wrong feature length.
-    pub fn encode_node(&self, features: &HyperVector<T>) -> Result<HyperVector<T>> {
-        self.projection.try_encode(features, Perforation::NONE)
-    }
-
-    /// Encode a node given its features and its neighbours' features.
-    ///
-    /// The neighbour bundle is wrap-shifted by one position before being
-    /// added so that "self" and "neighbourhood" information remain
-    /// distinguishable (the role/filler permutation trick).
-    ///
-    /// # Errors
-    ///
-    /// Returns a dimension-mismatch error on wrong feature length.
-    pub fn encode_with_neighbors(
-        &self,
-        features: &HyperVector<T>,
-        neighbors: &[&HyperVector<T>],
-    ) -> Result<HyperVector<T>> {
-        let own = self.projection.try_encode(features, Perforation::NONE)?;
-        if neighbors.is_empty() {
-            return Ok(own);
-        }
-        let mut bundle = vec![0.0f64; self.dimension()];
-        for n in neighbors {
-            let enc = self.projection.try_encode(n, Perforation::NONE)?;
-            for (slot, v) in bundle.iter_mut().zip(enc.iter()) {
-                *slot += v.to_f64();
-            }
-        }
-        let scale = self.neighbor_weight / neighbors.len() as f64;
-        let bundle_hv =
-            HyperVector::<T>::from_fn(self.dimension(), |i| T::from_f64(bundle[i] * scale));
-        let shifted = bundle_hv.wrap_shift(1);
-        own.zip_with(&shifted, |a, b| a + b)
-    }
-}
-
-/// K-mer encoder used by HD-Hashtable / GenieHD-style genome search: each
-/// base (A, C, G, T, plus N for unknown) has a random bipolar hypervector;
-/// a k-mer is the binding of its bases each wrap-shifted by its offset, and
-/// a sequence signature is the bundle of all its k-mers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KmerEncoder<T: Element> {
-    base_vectors: HyperMatrix<T>,
-    k: usize,
-}
-
-impl<T: Element> KmerEncoder<T> {
-    /// Number of distinct base symbols (A, C, G, T, N).
-    pub const NUM_BASES: usize = 5;
-
-    /// Create an encoder for k-mers of length `k` in `dimension`-dimensional
-    /// space.
-    pub fn new(dimension: usize, k: usize, rng: &mut impl Rng) -> Self {
-        KmerEncoder {
-            base_vectors: bipolar_hypermatrix(Self::NUM_BASES, dimension, rng),
-            k,
-        }
-    }
-
-    /// The k-mer length.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The output hypervector dimension.
-    pub fn dimension(&self) -> usize {
-        self.base_vectors.cols()
-    }
-
-    /// Map an ASCII base to its index.
-    pub fn base_index(base: u8) -> usize {
-        match base.to_ascii_uppercase() {
-            b'A' => 0,
-            b'C' => 1,
-            b'G' => 2,
-            b'T' => 3,
-            _ => 4,
-        }
-    }
-
-    /// Encode a single k-mer (must be exactly `k` bases).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if `kmer.len() != k`.
-    pub fn encode_kmer(&self, kmer: &[u8]) -> Result<HyperVector<T>> {
-        if kmer.len() != self.k {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.k,
-                actual: kmer.len(),
-                context: "k-mer encoding",
-            });
-        }
-        let mut acc = HyperVector::<T>::splat(self.dimension(), T::ONE);
-        for (offset, &base) in kmer.iter().enumerate() {
-            let row = self
-                .base_vectors
-                .row_vector(Self::base_index(base))
-                .expect("base index < NUM_BASES");
-            let shifted = row.wrap_shift(offset as isize);
-            acc = acc.zip_with(&shifted, |a, b| a * b)?;
-        }
-        Ok(acc)
-    }
-
-    /// Encode a whole sequence as the bundle of all of its k-mers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::EmptyInput`] if the sequence is shorter than `k`.
-    pub fn encode_sequence(&self, sequence: &[u8]) -> Result<HyperVector<T>> {
-        if sequence.len() < self.k {
-            return Err(HdcError::EmptyInput("sequence shorter than k"));
-        }
-        let mut acc = vec![0.0f64; self.dimension()];
-        for window in sequence.windows(self.k) {
-            let kmer = self.encode_kmer(window)?;
-            for (slot, v) in acc.iter_mut().zip(kmer.iter()) {
-                *slot += v.to_f64();
-            }
-        }
-        Ok(HyperVector::from_fn(self.dimension(), |i| {
-            T::from_f64(acc[i])
-        }))
     }
 }
 
@@ -428,15 +60,9 @@ mod tests {
     fn random_projection_shapes() {
         let mut rng = HdcRng::seed_from_u64(1);
         let rp = RandomProjection::<f32>::bipolar(256, 32, &mut rng);
-        assert_eq!(rp.dimension(), 256);
-        assert_eq!(rp.input_dimension(), 32);
+        assert_eq!((rp.matrix().rows(), rp.matrix().cols()), (256, 32));
         let features = HyperVector::from_fn(32, |i| i as f32 / 32.0);
-        let enc = rp.encode(&features);
-        assert_eq!(enc.dimension(), 256);
-        let batch = HyperMatrix::from_rows(vec![features.clone(), features.clone()]).unwrap();
-        let encoded = rp.encode_batch(&batch, Perforation::NONE).unwrap();
-        assert_eq!((encoded.rows(), encoded.cols()), (2, 256));
-        assert_eq!(encoded.row(0).unwrap(), enc.as_slice());
+        assert_eq!(rp.encode(&features).dimension(), 256);
     }
 
     #[test]
@@ -458,114 +84,5 @@ mod tests {
             "similar inputs should stay similar: {sim_ab}"
         );
         assert!(sim_ab > sim_ac, "ordering preserved: {sim_ab} vs {sim_ac}");
-    }
-
-    #[test]
-    fn cyclic_projection_rows_are_rotations() {
-        let mut rng = HdcRng::seed_from_u64(3);
-        let rp = RandomProjection::<f32>::cyclic(8, 16, &mut rng);
-        let m = rp.matrix();
-        let row0 = m.row_vector(0).unwrap();
-        let row3 = m.row_vector(3).unwrap();
-        assert_eq!(row0.wrap_shift(3).as_slice(), row3.as_slice());
-    }
-
-    #[test]
-    fn level_id_nearby_values_more_similar() {
-        let mut rng = HdcRng::seed_from_u64(4);
-        let enc = LevelIdEncoder::<f32>::new(2048, 10, 16, 0.0, 1.0, &mut rng);
-        assert_eq!(enc.dimension(), 2048);
-        assert_eq!(enc.num_levels(), 16);
-        let low = enc.encode_sparse(&[(3, 0.10)]).unwrap();
-        let near = enc.encode_sparse(&[(3, 0.15)]).unwrap();
-        let far = enc.encode_sparse(&[(3, 0.95)]).unwrap();
-        let sim_near = cosine_similarity(&low, &near, Perforation::NONE).unwrap();
-        let sim_far = cosine_similarity(&low, &far, Perforation::NONE).unwrap();
-        assert!(sim_near > sim_far, "{sim_near} vs {sim_far}");
-    }
-
-    #[test]
-    fn level_id_quantisation_bounds() {
-        let mut rng = HdcRng::seed_from_u64(5);
-        let enc = LevelIdEncoder::<f32>::new(64, 4, 8, 0.0, 100.0, &mut rng);
-        assert_eq!(enc.quantise(-10.0), 0);
-        assert_eq!(enc.quantise(0.0), 0);
-        assert_eq!(enc.quantise(100.0), 7);
-        assert_eq!(enc.quantise(1e9), 7);
-        assert!(enc.quantise(50.0) > 0 && enc.quantise(50.0) < 7);
-    }
-
-    #[test]
-    fn level_id_rejects_bad_positions() {
-        let mut rng = HdcRng::seed_from_u64(6);
-        let enc = LevelIdEncoder::<f32>::new(64, 4, 8, 0.0, 1.0, &mut rng);
-        assert!(enc.encode_sparse(&[(4, 0.5)]).is_err());
-        assert!(enc
-            .encode_dense(&HyperVector::from_vec(vec![0.0; 5]))
-            .is_err());
-    }
-
-    #[test]
-    fn graph_encoder_neighbors_affect_encoding() {
-        let mut rng = HdcRng::seed_from_u64(7);
-        let enc = GraphNeighborEncoder::<f32>::new(1024, 16, 1.0, &mut rng);
-        let node = crate::random::gaussian_hypervector::<f32>(16, &mut rng);
-        let n1 = crate::random::gaussian_hypervector::<f32>(16, &mut rng);
-        let n2 = crate::random::gaussian_hypervector::<f32>(16, &mut rng);
-        let alone = enc.encode_with_neighbors(&node, &[]).unwrap();
-        let with_n1 = enc.encode_with_neighbors(&node, &[&n1]).unwrap();
-        let with_n2 = enc.encode_with_neighbors(&node, &[&n2]).unwrap();
-        assert_eq!(alone.as_slice(), enc.encode_node(&node).unwrap().as_slice());
-        assert_ne!(with_n1.as_slice(), alone.as_slice());
-        assert_ne!(with_n1.as_slice(), with_n2.as_slice());
-        // The node's own information still dominates.
-        let sim = cosine_similarity(&alone, &with_n1, Perforation::NONE).unwrap();
-        assert!(sim > 0.5, "self similarity {sim}");
-    }
-
-    #[test]
-    fn kmer_encoder_basics() {
-        let mut rng = HdcRng::seed_from_u64(8);
-        let enc = KmerEncoder::<f32>::new(2048, 5, &mut rng);
-        assert_eq!(enc.k(), 5);
-        assert!(enc.encode_kmer(b"ACGT").is_err());
-        let a = enc.encode_kmer(b"ACGTA").unwrap();
-        let b = enc.encode_kmer(b"ACGTA").unwrap();
-        let c = enc.encode_kmer(b"ACGTC").unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert_ne!(a.as_slice(), c.as_slice());
-        assert!(a.iter().all(|&x| x == 1.0 || x == -1.0));
-    }
-
-    #[test]
-    fn kmer_sequence_signature_detects_shared_content() {
-        let mut rng = HdcRng::seed_from_u64(9);
-        let enc = KmerEncoder::<f32>::new(4096, 7, &mut rng);
-        let genome = b"ACGTACGGTTAACCGGTTACGATCGATCGTTAACCGTACG";
-        let read_same = &genome[5..30];
-        let read_other = b"GGGGGGCCCCCCAAAATTTTGGGGCC";
-        let sig_genome = enc.encode_sequence(genome).unwrap();
-        let sig_same = enc.encode_sequence(read_same).unwrap();
-        let sig_other = enc.encode_sequence(read_other).unwrap();
-        let sim_same = cosine_similarity(&sig_genome, &sig_same, Perforation::NONE).unwrap();
-        let sim_other = cosine_similarity(&sig_genome, &sig_other, Perforation::NONE).unwrap();
-        assert!(sim_same > sim_other, "{sim_same} vs {sim_other}");
-    }
-
-    #[test]
-    fn kmer_sequence_too_short() {
-        let mut rng = HdcRng::seed_from_u64(10);
-        let enc = KmerEncoder::<f32>::new(64, 9, &mut rng);
-        assert!(enc.encode_sequence(b"ACGT").is_err());
-    }
-
-    #[test]
-    fn base_index_mapping() {
-        assert_eq!(KmerEncoder::<f32>::base_index(b'a'), 0);
-        assert_eq!(KmerEncoder::<f32>::base_index(b'C'), 1);
-        assert_eq!(KmerEncoder::<f32>::base_index(b'g'), 2);
-        assert_eq!(KmerEncoder::<f32>::base_index(b'T'), 3);
-        assert_eq!(KmerEncoder::<f32>::base_index(b'N'), 4);
-        assert_eq!(KmerEncoder::<f32>::base_index(b'X'), 4);
     }
 }

@@ -1,6 +1,6 @@
 //! Dense hypermatrices (row-major collections of hypervectors).
 
-use crate::element::Element;
+use crate::element::{canonical_nan, Element};
 use crate::error::{HdcError, Result};
 use crate::hypervector::HyperVector;
 
@@ -284,13 +284,8 @@ impl<T: Element> HyperMatrix<T> {
     pub fn l2norm_rows(&self) -> HyperVector<f64> {
         self.iter_rows()
             .map(|row| {
-                row.iter()
-                    .map(|x| {
-                        let v = x.to_f64();
-                        v * v
-                    })
-                    .sum::<f64>()
-                    .sqrt()
+                let sum_sq: f64 = row.iter().map(|x| x.to_f64() * x.to_f64()).sum();
+                canonical_nan(sum_sq.sqrt())
             })
             .collect()
     }

@@ -1,6 +1,6 @@
 //! Dense hypervectors.
 
-use crate::element::Element;
+use crate::element::{canonical_nan, Element};
 use crate::error::{HdcError, Result};
 
 /// A dense hypervector: a high-dimensional vector of [`Element`]s.
@@ -181,18 +181,16 @@ impl<T: Element> HyperVector<T> {
 
     /// Sum of all elements, accumulated in `f64`.
     pub fn sum(&self) -> f64 {
-        self.data.iter().map(|x| x.to_f64()).sum()
+        canonical_nan(self.data.iter().map(|x| x.to_f64()).sum())
     }
 
     /// L2 norm of the hypervector (the `l2norm` primitive).
     pub fn l2norm(&self) -> f64 {
-        self.data
-            .iter()
-            .fold(0.0, |acc, x| {
-                let v = x.to_f64();
-                acc + v * v
-            })
-            .sqrt()
+        let sum_sq = self.data.iter().fold(0.0, |acc, x| {
+            let v = x.to_f64();
+            acc + v * v
+        });
+        canonical_nan(sum_sq.sqrt())
     }
 }
 

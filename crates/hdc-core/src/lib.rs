@@ -14,9 +14,8 @@
 //!   `sign`, `wrap_shift`, `l2norm`, `arg_min`/`arg_max`, `matmul`,
 //!   `cossim`, `hamming_distance`, …), including *reduction perforated*
 //!   variants controlled by a [`Perforation`] descriptor.
-//! * The encoding schemes used by the evaluated applications
-//!   ([`encoding::RandomProjection`], [`encoding::LevelIdEncoder`],
-//!   [`encoding::GraphNeighborEncoder`], [`encoding::KmerEncoder`]).
+//! * The random-projection encoder of the classification and clustering
+//!   applications ([`encoding::RandomProjection`]).
 //!
 //! # Example
 //!
@@ -78,9 +77,7 @@ pub mod prelude {
     pub use crate::batch::{arg_top_k_batch, cosine_similarity_batch, hamming_distance_batch};
     pub use crate::binary::{BitMatrix, BitVector};
     pub use crate::element::Element;
-    pub use crate::encoding::{
-        GraphNeighborEncoder, KmerEncoder, LevelIdEncoder, RandomProjection,
-    };
+    pub use crate::encoding::RandomProjection;
     pub use crate::error::{HdcError, Result};
     pub use crate::hypermatrix::HyperMatrix;
     pub use crate::hypervector::HyperVector;

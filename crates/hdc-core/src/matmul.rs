@@ -9,7 +9,7 @@
 
 use crate::batch::{pack_panel, StreamedRows};
 use crate::binary::{BitMatrix, BitVector};
-use crate::element::Element;
+use crate::element::{canonical_nan, Element};
 use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
@@ -39,7 +39,7 @@ fn check(expected: usize, actual: usize, context: &'static str) -> Result<()> {
 ///
 /// When `perforation` restricts the reduction, only the selected input
 /// elements are accumulated and the result is divided by the visited
-/// fraction.
+/// fraction. A NaN output is stored as the canonical [`f64::NAN`].
 ///
 /// # Errors
 ///
@@ -73,7 +73,7 @@ pub fn matvec<T: Element>(
                     .indices(row.len())
                     .fold(0.0, |acc, i| acc + row[i].to_f64() * v[i].to_f64())
             };
-            T::from_f64(acc * scale)
+            T::from_f64(canonical_nan(acc * scale))
         })
         .collect();
     Ok(HyperVector::from_vec(out))
@@ -94,13 +94,9 @@ const MATVEC_SIGN_ROWS: usize = 4;
 /// This is the per-sample oracle of [`matmul_signs`], with [`matvec`]'s
 /// arithmetic: one chain per output from `+0.0`, each visited feature
 /// multiplied by its sign and then added, in ascending order. So it is
-/// bit-identical to [`matvec`] on `signs.to_dense()`. It walks 4 output
-/// rows' chains side by side, which makes it faster than [`matvec`].
-///
-/// Which payload a chain keeps when it meets two NaNs depends on how the
-/// compiler orders each add's operands, so an output that holds a NaN is
-/// computed again by [`matvec`] over the bits' ±1 matrix (the one
-/// [`BitMatrix::expansion`] holds, or else [`BitMatrix::to_dense`]).
+/// bit-identical to [`matvec`] on `signs.to_dense()`, a NaN output being
+/// the canonical [`f64::NAN`] on both. It walks 4 output rows' chains side
+/// by side, which makes it faster than [`matvec`].
 ///
 /// # Errors
 ///
@@ -118,7 +114,6 @@ pub fn matvec_signs<T: Element>(
     let dense = perforation.is_dense_over(v.len());
     let rows: Vec<&[u64]> = signs.iter().map(BitVector::as_words).collect();
     let mut out = Vec::with_capacity(rows.len());
-    let mut nan = false;
     for block in rows.chunks(MATVEC_SIGN_ROWS) {
         // A short last block repeats its last row; those chains are dropped.
         let block: [&[u64]; MATVEC_SIGN_ROWS] =
@@ -144,12 +139,7 @@ pub fn matvec_signs<T: Element>(
                 }
             }
         }
-        out.extend(acc.iter().map(|a| T::from_f64(a * scale)));
-        nan |= acc.iter().any(|a| a.is_nan());
-    }
-    if nan {
-        let v = vector.map(|x| x.to_f64());
-        return Ok(matvec(&expanded(signs), &v, perforation)?.map(T::from_f64));
+        out.extend(acc.iter().map(|a| T::from_f64(canonical_nan(a * scale))));
     }
     out.truncate(rows.len());
     Ok(HyperVector::from_vec(out))
@@ -199,13 +189,9 @@ pub fn sign_encode_is_fused(rows: usize) -> bool {
 ///
 /// Every output is one chain from `+0.0` of `x·(±1.0)` then `+`, in
 /// ascending feature order — the operations [`matmul_batch`] runs on
-/// `signs.to_dense()` — so the two are bit-identical on every backend, and
-/// each row equals [`matvec_signs`]. Which payload a chain keeps when it
-/// meets two NaNs is the one exception: a fused multiply-add keeps the
-/// other one, and the compiler orders each add's operands its own way in
-/// each kernel. So the fused leg recomputes a tile whose outputs hold a
-/// NaN on the mul+add leg, and a sign-bit encode whose output holds a NaN
-/// is computed again as [`matmul_batch`] computes it.
+/// `signs.to_dense()` — and a NaN output is stored as the canonical
+/// [`f64::NAN`], whichever payload its chain kept. So the two are
+/// bit-identical on every backend, and each row equals [`matvec_signs`].
 ///
 /// # Errors
 ///
@@ -226,15 +212,7 @@ pub fn matmul_signs<T: Element>(
         let kernel = signed_dot_panel_kernel();
         encode_panels::<T, FUSED_ROWS>(queries, &streamed, perforation, kernel, scale, d)
     } else {
-        let data = sign_dots_encode(queries, signs, perforation, scale);
-        if data.iter().any(|x| x.to_f64().is_nan()) {
-            let expanded = expanded(signs);
-            let streamed = StreamedRows::new(&expanded, perforation);
-            let kernel = dot_panel_kernel();
-            encode_panels::<T, ROW_TILE>(queries, &streamed, perforation, kernel, scale, d)
-        } else {
-            data
-        }
+        sign_dots_encode(queries, signs, perforation, scale)
     };
     HyperMatrix::from_flat(n, d, data)
 }
@@ -278,7 +256,7 @@ fn sign_dots_encode<T: Element>(
                 let mut dots = vec![0.0; out.len()];
                 kernel(&rows, span.clone(), perforation.stride, &qrows, &mut dots);
                 for (slot, dot) in out.iter_mut().zip(dots) {
-                    *slot = T::from_f64(dot * scale);
+                    *slot = T::from_f64(canonical_nan(dot * scale));
                 }
             })
             .collect::<()>();
@@ -316,8 +294,8 @@ fn item_rows(queries: usize) -> usize {
 /// stream against them through the dispatched panel kernel, a tile at a
 /// time, at the reduction's stride. Each work item writes its own rows of
 /// one preallocated output. Every output element sums its visited features
-/// in ascending order, so each output row is bit-identical to [`matvec`]
-/// on that query.
+/// in ascending order, and a NaN output is the canonical [`f64::NAN`], so
+/// each output row is bit-identical to [`matvec`] on that query.
 ///
 /// # Errors
 ///
@@ -376,7 +354,7 @@ fn encode_panels<T: Element, const TILE: usize>(
                         for (k, out_row) in panel_out.chunks_mut(d).enumerate() {
                             let slots = &mut out_row[t * TILE..];
                             for (slot, lanes) in slots.iter_mut().zip(dots.iter()) {
-                                *slot = T::from_f64(lanes[k] * scale);
+                                *slot = T::from_f64(canonical_nan(lanes[k] * scale));
                             }
                         }
                     }
@@ -406,7 +384,7 @@ pub fn l2norm_perforated<T: Element>(
         let v = vector.as_slice()[i].to_f64();
         acc + v * v
     });
-    Ok((sum_sq * scale).sqrt())
+    Ok(canonical_nan((sum_sq * scale).sqrt()))
 }
 
 #[cfg(test)]

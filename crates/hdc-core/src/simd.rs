@@ -243,47 +243,6 @@ fn note_simd_dispatch() {
     SIMD_DISPATCHES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// CPU features runtime detection reports on this host, for perf-report
-/// metadata (a stable subset relevant to the kernels, not an exhaustive
-/// CPUID dump).
-pub fn detected_features() -> Vec<&'static str> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let probes = [
-            ("sse4.2", std::arch::is_x86_feature_detected!("sse4.2")),
-            ("popcnt", std::arch::is_x86_feature_detected!("popcnt")),
-            ("avx", std::arch::is_x86_feature_detected!("avx")),
-            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
-            ("fma", std::arch::is_x86_feature_detected!("fma")),
-            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
-            (
-                "avx512vpopcntdq",
-                std::arch::is_x86_feature_detected!("avx512vpopcntdq"),
-            ),
-        ];
-        return probes
-            .into_iter()
-            .filter_map(|(name, have)| have.then_some(name))
-            .collect();
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        let probes = [
-            ("neon", std::arch::is_aarch64_feature_detected!("neon")),
-            (
-                "dotprod",
-                std::arch::is_aarch64_feature_detected!("dotprod"),
-            ),
-        ];
-        return probes
-            .into_iter()
-            .filter_map(|(name, have)| have.then_some(name))
-            .collect();
-    }
-    #[allow(unreachable_code)]
-    Vec::new()
-}
-
 /// ±1.0 lookup for a nibble of packed sign bits: lane `k` of entry `n` is
 /// `-1.0` when bit `k` of `n` is set (a set bit encodes the bipolar value
 /// `-1`, matching [`crate::BitVector::to_dense`]).
@@ -408,12 +367,12 @@ pub(crate) const FUSED_ROWS: usize = 16;
 /// `1.0` or `-1.0`. Each product `x·(±1.0)` is exact, so a fused
 /// multiply-add rounds every step of a chain as the separate multiply and
 /// add do, for half the floating-point operations. The outputs are those
-/// of [`dot_panel_kernel`], bit for bit, with one exception the fused leg
-/// repairs: when a chain meets two NaN payloads, `fma` keeps the
-/// multiplicand's, and the mul+add leg whichever operand its compiled add
-/// takes first. So a tile whose outputs hold a NaN is recomputed on the
-/// mul+add leg. AVX-512 runs the fused leg; the other backends run their
-/// [`DotPanel`] as is.
+/// of [`dot_panel_kernel`], bit for bit, except which payload a NaN output
+/// carries: `fma` keeps the multiplicand's where the mul+add leg keeps
+/// whichever operand its compiled add takes first. The caller stores every
+/// NaN output as the canonical one ([`crate::element::canonical_nan`]), so
+/// that difference never reaches a result. AVX-512 runs the fused leg; the
+/// other backends run their [`DotPanel`] as is.
 pub(crate) fn signed_dot_panel_kernel() -> DotPanel {
     match selected() {
         #[cfg(target_arch = "x86_64")]
@@ -907,9 +866,8 @@ mod avx2 {
         out: &mut [f64],
     ) {
         let dims = signs.len();
-        // Opaque ±1.0, as in the AVX-512 leg.
-        let plus = std::hint::black_box(_mm256_set1_pd(1.0));
-        let minus = std::hint::black_box(_mm256_set1_pd(-1.0));
+        let plus = _mm256_set1_pd(1.0);
+        let minus = _mm256_set1_pd(-1.0);
         let groups = dims.div_ceil(SIGN_LANES);
         for first in (0..groups).step_by(G) {
             let mut rows = [[signs[0]; SIGN_LANES]; G];
@@ -1047,8 +1005,7 @@ mod avx512 {
     }
 
     /// The fused ±1 leg of [`super::signed_dot_panel_kernel`]: tiles of
-    /// [`FUSED_ROWS`] rows, and a tile with a NaN among its outputs
-    /// computed again by [`dot_panel`].
+    /// [`FUSED_ROWS`] rows.
     #[allow(unsafe_code)]
     pub(super) fn signed_dot_panel(
         rows: &[&[f64]],
@@ -1058,13 +1015,7 @@ mod avx512 {
     ) {
         for_each_tile::<FUSED_ROWS>(rows, stride, out, |tile| {
             // SAFETY: only dispatched on hosts where avx512f is detected.
-            let dots = unsafe { fused_tile_impl(tile, stride, panel) };
-            if !dots.as_flattened().iter().any(|x| x.is_nan()) {
-                return dots;
-            }
-            let mut again = [[0.0; PANEL_LANES]; FUSED_ROWS];
-            dot_panel(tile, stride, panel, &mut again);
-            again
+            unsafe { fused_tile_impl(tile, stride, panel) }
         });
     }
 
@@ -1119,10 +1070,8 @@ mod avx512 {
         out: &mut [f64],
     ) {
         let dims = signs.len();
-        // Opaque ±1.0: a compiler that sees them folds `x·(±1.0)` into a
-        // sign flip, which flips a NaN's sign where the multiply keeps it.
-        let plus = std::hint::black_box(_mm512_set1_pd(1.0));
-        let minus = std::hint::black_box(_mm512_set1_pd(-1.0));
+        let plus = _mm512_set1_pd(1.0);
+        let minus = _mm512_set1_pd(-1.0);
         let groups = dims.div_ceil(SIGN_LANES);
         for first in (0..groups).step_by(G) {
             let mut rows = [[signs[0]; SIGN_LANES]; G];
@@ -1145,8 +1094,9 @@ mod avx512 {
                 if Q == 1 {
                     // One row: form both products once per feature and let
                     // each group's mask pick per lane, a blend where the
-                    // general path multiplies per group. Opaque, or the
-                    // compiler folds the pick back into that multiply.
+                    // general path multiplies per group. `black_box` is for
+                    // speed: without it the compiler folds the pick back
+                    // into that slower per-group multiply.
                     let x = _mm512_set1_pd(queries[0][c]);
                     let [up, down] =
                         std::hint::black_box([_mm512_mul_pd(plus, x), _mm512_mul_pd(minus, x)]);

@@ -9,7 +9,7 @@
 //! `matmul`/`l2norm` results are scaled by the visited fraction (see
 //! [`crate::matmul`]).
 
-use crate::element::Element;
+use crate::element::{canonical_nan, Element};
 use crate::error::{HdcError, Result};
 use crate::hypermatrix::HyperMatrix;
 use crate::hypervector::HyperVector;
@@ -66,6 +66,18 @@ pub(crate) fn hamming_count_perforated<T: Element>(
     }
 }
 
+/// A cosine score from its dot product and the two norms: `0` when either
+/// norm is zero, and a NaN score stored as the canonical [`f64::NAN`]
+/// ([`canonical_nan`]). Shared with [`crate::batch`] (see
+/// [`dot_perforated`]).
+pub(crate) fn cosine_from_parts(dot: f64, a_norm: f64, b_norm: f64) -> f64 {
+    if a_norm == 0.0 || b_norm == 0.0 {
+        0.0
+    } else {
+        canonical_nan(dot / (a_norm * b_norm))
+    }
+}
+
 fn check_dims(a: usize, b: usize, context: &'static str) -> Result<()> {
     if a != b {
         return Err(HdcError::DimensionMismatch {
@@ -96,10 +108,7 @@ pub fn cosine_similarity<T: Element>(
     let dot = dot_perforated(a.as_slice(), b.as_slice(), perforation);
     let na = norm_sq_perforated(a.as_slice(), perforation).sqrt();
     let nb = norm_sq_perforated(b.as_slice(), perforation).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(dot / (na * nb))
+    Ok(cosine_from_parts(dot, na, nb))
 }
 
 /// Cosine similarity between a query hypervector and every row of a
@@ -122,11 +131,7 @@ pub fn cosine_similarity_matrix<T: Element>(
         .map(|row| {
             let dot = dot_perforated(query.as_slice(), row, perforation);
             let rn = norm_sq_perforated(row, perforation).sqrt();
-            if qn == 0.0 || rn == 0.0 {
-                0.0
-            } else {
-                dot / (qn * rn)
-            }
+            cosine_from_parts(dot, qn, rn)
         })
         .collect();
     Ok(sims)
@@ -196,11 +201,7 @@ pub fn cosine_similarity_all_pairs<T: Element>(
         let ln = norm_sq_perforated(lrow, perforation).sqrt();
         for (j, rrow) in rhs.iter_rows().enumerate() {
             let dot = dot_perforated(lrow, rrow, perforation);
-            let v = if ln == 0.0 || rhs_norms[j] == 0.0 {
-                0.0
-            } else {
-                dot / (ln * rhs_norms[j])
-            };
+            let v = cosine_from_parts(dot, ln, rhs_norms[j]);
             out.set(i, j, v).expect("indices in range");
         }
     }

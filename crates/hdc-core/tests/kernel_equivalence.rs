@@ -621,8 +621,8 @@ const SPECIALS: [f64; 10] = [
 /// Two NaNs with distinct payloads (and signs), planted in one row. Which
 /// one a chain that meets both keeps is the kernel's choice: a fused
 /// multiply-add keeps the multiplicand's, and a mul+add whichever operand
-/// its compiled add takes first. So the fused leg of `matmul_signs` is
-/// right on these rows only through its NaN recompute.
+/// its compiled add takes first. Every path must still store the one
+/// canonical NaN, `f64::NAN`, for such an output.
 const NAN_PAYLOADS: [u64; 2] = [0x7ff8_0000_0000_0a0a, 0xfff8_0000_0000_0b0b];
 
 /// Gaussian queries with special values planted: every fourth row is all
@@ -679,10 +679,10 @@ fn meets_two_nans(queries: &HyperMatrix<f64>, r: usize) -> bool {
 }
 
 /// `matmul_signs` must equal `matmul_batch` on the unpacked ±1 matrix
-/// under the same backend, and `matvec_signs` must equal `matvec`, bit for
-/// bit (NaN payloads and the sign of zero included), on every backend and
-/// under every perforation of `perfs` (all of [`fuzz_perforations`] when
-/// `None`).
+/// under the same backend, `matvec_signs` must equal `matvec`, and every
+/// row of `matmul_signs` must equal `matvec_signs`, bit for bit (NaN bits
+/// and the sign of zero included), on every backend and under every
+/// perforation of `perfs` (all of [`fuzz_perforations`] when `None`).
 fn check_sign_encode(rows: usize, dims: usize, features: usize, perfs: Option<&[Perforation]>) {
     let seed = (rows * 1_000_003 + dims * 1009 + features) as u64;
     let signs = bit_matrix(dims, features, seed);
@@ -710,15 +710,104 @@ fn check_sign_encode(rows: usize, dims: usize, features: usize, perfs: Option<&[
                 "matmul_signs {backend} rows={rows} dims={dims} features={features} perf={perf:?}"
             );
             assert_bits_eq(out.as_slice(), expected.as_slice(), &context);
-            // Batched equals sequential, up to which of two NaN payloads a
-            // chain keeps: there each kernel's compiled add decides.
             for (r, row) in sequential.iter().enumerate() {
-                if !meets_two_nans(&queries, r) {
-                    assert_bits_eq(row.as_slice(), out.row(r).unwrap(), &context);
-                }
+                assert_bits_eq(row.as_slice(), out.row(r).unwrap(), &context);
             }
         }
     }
+}
+
+/// [`sign_queries`] with one more row holding `+inf` at feature 0 and
+/// `-inf` at the last feature: a chain that meets both with one sign is an
+/// invalid `inf - inf`, whose NaN x86 makes negative (`0xfff8…`).
+fn nan_queries(rows: usize, features: usize, seed: u64) -> HyperMatrix<f64> {
+    let mut flat = sign_queries(rows, features, seed).into_vec();
+    let mut inf_row = vec![0.5; features];
+    inf_row[0] = f64::INFINITY;
+    inf_row[features - 1] = f64::NEG_INFINITY;
+    flat.extend(inf_row);
+    HyperMatrix::from_flat(rows + 1, features, flat).unwrap()
+}
+
+/// Every NaN in `values` is the canonical `f64::NAN`; returns how many
+/// NaNs there were.
+fn assert_nans_canonical(values: &[f64], context: &str) -> usize {
+    let nans: Vec<u64> = values
+        .iter()
+        .filter(|x| x.is_nan())
+        .map(|x| x.to_bits())
+        .collect();
+    assert!(
+        nans.iter().all(|&bits| bits == f64::NAN.to_bits()),
+        "{context}: NaN bits {nans:x?}"
+    );
+    nans.len()
+}
+
+/// On rows that make a reduction NaN ([`nan_queries`]: both
+/// [`NAN_PAYLOADS`] on one chain, `+inf` and `-inf` on one chain, and every
+/// special), `matmul_batch` equals the per-row `matvec`, and the sharded
+/// cosine kernels equal the per-row `cosine_similarity_matrix`, bit for
+/// bit, on every backend; and every NaN output is `f64::NAN`.
+#[test]
+fn nan_outputs_are_canonical_and_batched_equals_sequential() {
+    let _guard = lock_backend();
+    let (mut encode_nans, mut score_nans) = (0, 0);
+    for features in [2, 65, 617] {
+        let seed = 0x4A4 ^ features as u64;
+        let queries = nan_queries(17, features, seed);
+        let rows = queries.rows();
+        for (kind, streamed) in streamed_matrices(17, features, seed) {
+            for perf in fuzz_perforations(features) {
+                let context = format!("{kind} features={features} perf={perf:?}");
+                let query = |r| queries.row_vector(r).unwrap();
+                let encodes: Vec<HyperVector<f64>> = (0..rows)
+                    .map(|r| matvec(&streamed, &query(r), perf).unwrap())
+                    .collect();
+                let scores: Vec<HyperVector<f64>> = (0..rows)
+                    .map(|r| cosine_similarity_matrix(&query(r), &streamed, perf).unwrap())
+                    .collect();
+                for (encode, score) in encodes.iter().zip(&scores) {
+                    encode_nans += assert_nans_canonical(encode.as_slice(), &context);
+                    score_nans += assert_nans_canonical(score.as_slice(), &context);
+                }
+                for backend in supported_backends() {
+                    simd::set_backend(backend).unwrap();
+                    let context = format!("{backend} {context}");
+                    let encoded = matmul_batch(&queries, &streamed, perf).unwrap();
+                    let mut batches = vec![("matmul_batch", encoded, &encodes)];
+                    for &shards in FUZZ_SHARDS {
+                        let plan = ShardPlan::split(17, shards);
+                        let sharded =
+                            cosine_similarity_batch_sharded(&queries, &streamed, perf, &plan);
+                        batches.push(("cosine_batch_sharded", sharded.unwrap(), &scores));
+                        let cosine = SimilarityMetric::Cosine;
+                        let scored =
+                            score_rows_sharded(&queries, 0..rows, &streamed, cosine, perf, &plan);
+                        batches.push(("score_rows_sharded", scored.unwrap(), &scores));
+                    }
+                    for (name, batch, expected) in batches {
+                        for (r, expect) in expected.iter().enumerate() {
+                            let context = format!("{name} {context} row={r}");
+                            assert_bits_eq(batch.row(r).unwrap(), expect.as_slice(), &context);
+                        }
+                    }
+                }
+            }
+        }
+        // Some streamed row has one sign at both of the inf row's
+        // features, so its dense encode meets `inf - inf`.
+        let last = queries.row_vector(rows - 1).unwrap();
+        for (kind, streamed) in streamed_matrices(17, features, seed) {
+            let encode = matvec(&streamed, &last, Perforation::NONE).unwrap();
+            assert!(encode.iter().any(|x| x.is_nan()), "{kind} {features}");
+        }
+    }
+    assert!(
+        encode_nans > 0 && score_nans > 0,
+        "{encode_nans} {score_nans}"
+    );
+    simd::set_backend(simd::detected()).unwrap();
 }
 
 /// Dense and strided: the perforations the 2048-dim cases run, which

@@ -36,7 +36,7 @@ pub mod target_assign;
 pub use binarize::{binarize, BinarizeOptions, BinarizeReport};
 pub use data_movement::{hoist_data_movement, DataMovementReport};
 pub use dce::{eliminate_dead_code, DceReport};
-pub use lowering::{lower_instr, lower_program, LoopDim, LoopNest};
+pub use lowering::{lower_instr, LoopDim, LoopNest};
 pub use perforation::{apply_perforation, PerforationConfig, PerforationReport, PerforationSite};
 pub use pipeline::{compile, CompileOptions, CompileReport, PipelineError};
 pub use target_assign::{

@@ -9,8 +9,7 @@
 //! instruction is described as a [`LoopNest`] — the loop extents, which
 //! loops are parallel, and the per-iteration work. The CPU and GPU back
 //! ends use these nests to decide thread mappings and to estimate kernel
-//! cost; the `ablation` benchmarks compare library-call lowering against
-//! loop lowering.
+//! cost.
 
 use hdc_core::element::ElementKind;
 use hdc_ir::instr::HdcInstr;
@@ -316,15 +315,6 @@ pub fn lower_instr(program: &Program, instr: &HdcInstr) -> LoopNest {
     }
 }
 
-/// Lower every instruction of a program, returning the nests in program
-/// order. Useful for whole-program cost estimates and IR inspection.
-pub fn lower_program(program: &Program) -> Vec<LoopNest> {
-    program
-        .iter_instrs()
-        .map(|i| lower_instr(program, i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,15 +380,13 @@ mod tests {
         let d = b.hamming_distance(qs, cs);
         b.mark_output(d);
         let mut p = b.finish();
-        let dense_nest = lower_program(&p)
-            .into_iter()
-            .find(|n| n.op == HdcOp::HammingDistance)
-            .unwrap();
+        let hamming_nest = |p: &Program| {
+            let instr = p.iter_instrs().find(|i| i.op == HdcOp::HammingDistance);
+            lower_instr(p, instr.unwrap())
+        };
+        let dense_nest = hamming_nest(&p);
         crate::binarize::binarize(&mut p, &crate::binarize::BinarizeOptions::default());
-        let bit_nest = lower_program(&p)
-            .into_iter()
-            .find(|n| n.op == HdcOp::HammingDistance)
-            .unwrap();
+        let bit_nest = hamming_nest(&p);
         assert!(bit_nest.total_flops() < dense_nest.total_flops());
         assert!(bit_nest.total_bytes() < dense_nest.total_bytes());
     }
@@ -413,18 +401,5 @@ mod tests {
         let nest = lower_instr(&p, p.iter_instrs().next().unwrap());
         assert!(!nest.has_reduction);
         assert_eq!(nest.parallelism(), 8 * 1024);
-    }
-
-    #[test]
-    fn lower_program_covers_all_instrs() {
-        let mut b = ProgramBuilder::new("all");
-        let a = b.input_vector("a", ElementKind::F32, 64);
-        let m = b.input_matrix("m", ElementKind::F32, 4, 64);
-        let s = b.sign(a);
-        let d = b.hamming_distance(s, m);
-        let l = b.arg_min(d);
-        b.mark_output(l);
-        let p = b.finish();
-        assert_eq!(lower_program(&p).len(), p.instr_count());
     }
 }
