@@ -2,8 +2,10 @@
 //!
 //! The workspace uses rayon for one pattern — `vec.into_par_iter().map(f)
 //! .collect()` on the batched kernel hot paths — so that is what this crate
-//! provides. Work is split into one chunk per worker thread and executed on
-//! scoped `std::thread`s; order is preserved. Unlike upstream rayon the
+//! provides. Work is split into one chunk per worker thread: the calling
+//! thread runs the first chunk itself, as upstream rayon's caller works,
+//! and every other chunk runs on a scoped `std::thread`. Results are joined
+//! in chunk order, so order is preserved. Unlike upstream rayon the
 //! `map` adapter is **eager** (it runs when called, not at `collect`), which
 //! is observationally identical for the map-then-collect pattern.
 //!
@@ -132,22 +134,27 @@ where
         chunks.push(std::mem::replace(&mut rest, tail));
     }
     chunks.push(rest);
-    let mut out: Vec<U> = Vec::new();
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("two or more items make a chunk");
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
-            .into_iter()
             .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
+        let mut out: Vec<U> = first.into_iter().map(f).collect();
         for handle in handles {
             out.extend(handle.join().expect("parallel map worker panicked"));
         }
-    });
-    out
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::Mutex;
+
+    /// Held by every test that sets the process-wide thread override.
+    static KNOB: Mutex<()> = Mutex::new(());
 
     #[test]
     fn map_collect_preserves_order() {
@@ -176,8 +183,31 @@ mod tests {
     }
 
     #[test]
+    fn caller_runs_the_first_chunk_and_order_holds() {
+        let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        let caller = std::thread::current().id();
+        let xs: Vec<usize> = (0..10).collect();
+        for threads in [1, 2, 3] {
+            super::set_num_threads(threads);
+            let ran: Vec<(usize, std::thread::ThreadId)> = xs
+                .clone()
+                .into_par_iter()
+                .map(|x| (x, std::thread::current().id()))
+                .collect();
+            let order: Vec<usize> = ran.iter().map(|&(x, _)| x).collect();
+            assert_eq!(order, xs, "threads {threads}");
+            let chunk = xs.len().div_ceil(threads);
+            for (i, &(_, id)) in ran.iter().enumerate() {
+                assert_eq!(id == caller, i < chunk, "threads {threads}, item {i}");
+            }
+        }
+        super::set_num_threads(0);
+    }
+
+    #[test]
     fn thread_override_is_respected_and_clearable() {
         // Serialize against any other test touching the process-wide knob.
+        let _knob = KNOB.lock().unwrap_or_else(|e| e.into_inner());
         super::set_num_threads(3);
         assert_eq!(super::current_num_threads(), 3);
         // Parallel results are identical regardless of the worker count.

@@ -1,6 +1,6 @@
 //! Dense hypermatrices (row-major collections of hypervectors).
 
-use crate::element::{canonical_nan, Element};
+use crate::element::Element;
 use crate::error::{HdcError, Result};
 use crate::hypervector::HyperVector;
 
@@ -279,16 +279,6 @@ impl<T: Element> HyperMatrix<T> {
             data,
         }
     }
-
-    /// Per-row L2 norms (the hypermatrix form of `l2norm`).
-    pub fn l2norm_rows(&self) -> HyperVector<f64> {
-        self.iter_rows()
-            .map(|row| {
-                let sum_sq: f64 = row.iter().map(|x| x.to_f64() * x.to_f64()).sum();
-                canonical_nan(sum_sq.sqrt())
-            })
-            .collect()
-    }
 }
 
 impl<T: Element> Default for HyperMatrix<T> {
@@ -378,14 +368,6 @@ mod tests {
         assert_eq!(m.sign().as_slice(), &[-1.0, 1.0, 1.0]);
         assert_eq!(m.sign_flip().as_slice(), &[3.0, 0.0, -2.0]);
         assert_eq!(m.absolute_value().as_slice(), &[3.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn l2norm_rows() {
-        let m = HyperMatrix::from_flat(2, 2, vec![3.0f32, 4.0, 0.0, 2.0]).unwrap();
-        let norms = m.l2norm_rows();
-        assert!((norms.get(0).unwrap() - 5.0).abs() < 1e-12);
-        assert!((norms.get(1).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -179,9 +179,10 @@ impl<T: Element> HyperVector<T> {
         HyperVector { data: out }
     }
 
-    /// Sum of all elements, accumulated in `f64`.
+    /// Sum of all elements, accumulated in `f64` from `+0.0` in index
+    /// order, like every other reduction chain here.
     pub fn sum(&self) -> f64 {
-        canonical_nan(self.data.iter().map(|x| x.to_f64()).sum())
+        canonical_nan(self.data.iter().fold(0.0, |acc, x| acc + x.to_f64()))
     }
 
     /// L2 norm of the hypervector (the `l2norm` primitive).
@@ -286,6 +287,15 @@ mod tests {
     fn sign_flip_negates() {
         let hv = HyperVector::from_vec(vec![-2i32, 0, 3]);
         assert_eq!(hv.sign_flip().as_slice(), &[2, 0, -3]);
+    }
+
+    #[test]
+    fn sum_folds_from_positive_zero() {
+        let empty = HyperVector::<f64>::zeros(0);
+        assert_eq!(empty.sum().to_bits(), 0.0f64.to_bits());
+        let negative_zeros = HyperVector::from_vec(vec![-0.0f64; 3]);
+        assert_eq!(negative_zeros.sum().to_bits(), 0.0f64.to_bits());
+        assert_eq!(HyperVector::from_vec(vec![1i32, 2, 3]).sum(), 6.0);
     }
 
     #[test]

@@ -39,12 +39,25 @@ use crate::ops::TotalOrd;
 /// win from the extra parallel axis.
 pub const MIN_ROWS_PER_SHARD: usize = 8;
 
-/// How many class-memory shards to use for a class matrix of `class_rows`
-/// rows on `threads` worker threads: one shard per thread, capped so every
-/// shard keeps at least [`MIN_ROWS_PER_SHARD`] rows, and never zero. With
-/// one thread or a small class memory this returns 1 and the unsharded
-/// kernels run unchanged.
-pub fn default_shard_count(class_rows: usize, threads: usize) -> usize {
+/// Calls that score fewer `(query row, class row)` pairs than this run on
+/// one shard: a one-row call against a 26-class memory is a few µs of
+/// work, less than the thread hand-off a second shard costs (on a 2-vCPU
+/// AVX-512 host, a one-row window or feedback at 2 threads took 1.5–2×
+/// its one-shard time). Every 64-row serve window and training block, and
+/// one query against 512 or more classes, stays sharded.
+pub const MIN_PAIRS_TO_SHARD: usize = 512;
+
+/// How many class-memory shards a call that scores `query_rows` queries
+/// against `class_rows` class rows uses on `threads` worker threads: one
+/// when the call scores fewer than [`MIN_PAIRS_TO_SHARD`] pairs, else one
+/// shard per thread, capped so every shard keeps at least
+/// [`MIN_ROWS_PER_SHARD`] rows, and never zero. With one thread, a small
+/// class memory or a small call this returns 1 and the unsharded kernels
+/// run unchanged.
+pub fn default_shard_count(query_rows: usize, class_rows: usize, threads: usize) -> usize {
+    if query_rows.saturating_mul(class_rows) < MIN_PAIRS_TO_SHARD {
+        return 1;
+    }
     threads.min(class_rows / MIN_ROWS_PER_SHARD).max(1)
 }
 
@@ -334,11 +347,25 @@ mod tests {
 
     #[test]
     fn default_shard_count_heuristic() {
-        assert_eq!(default_shard_count(100, 1), 1);
-        assert_eq!(default_shard_count(100, 4), 4);
-        assert_eq!(default_shard_count(100, 64), 12, "8-row floor");
-        assert_eq!(default_shard_count(7, 8), 1, "small class memory");
-        assert_eq!(default_shard_count(0, 8), 1);
+        assert_eq!(default_shard_count(64, 100, 1), 1);
+        assert_eq!(default_shard_count(64, 100, 4), 4);
+        assert_eq!(default_shard_count(64, 100, 64), 12, "8-row floor");
+        assert_eq!(default_shard_count(64, 7, 8), 1, "small class memory");
+        assert_eq!(default_shard_count(64, 0, 8), 1);
+    }
+
+    #[test]
+    fn default_shard_count_follows_the_call_size() {
+        assert_eq!(default_shard_count(1, 26, 2), 1, "one row, 26 classes");
+        assert_eq!(default_shard_count(64, 26, 2), 2, "64-row window");
+        assert_eq!(
+            default_shard_count(1, 4096, 4),
+            4,
+            "a large class memory shards for one query"
+        );
+        assert_eq!(default_shard_count(0, 4096, 4), 1, "no rows, no work");
+        assert_eq!(default_shard_count(1, MIN_PAIRS_TO_SHARD - 1, 4), 1);
+        assert_eq!(default_shard_count(1, MIN_PAIRS_TO_SHARD, 4), 4);
     }
 
     #[test]

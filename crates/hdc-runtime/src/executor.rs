@@ -375,8 +375,9 @@ pub struct Executor<'p> {
     stats: ExecStats,
     mode: ExecMode,
     /// `Some(n)` forces every sharded batched kernel to split the class
-    /// memory into `n` row-blocks; `None` picks the count from worker
-    /// threads × class-matrix size ([`hdc_core::shard::default_shard_count`]).
+    /// memory into `n` row-blocks; `None` picks the count per call from the
+    /// rows it scores, the class-matrix size and the worker threads
+    /// ([`hdc_core::shard::default_shard_count`]).
     class_shard_override: Option<usize>,
     row_log: Option<RowLog>,
     stage_trace: Vec<StageTraceEntry>,
@@ -419,11 +420,11 @@ impl<'p> Executor<'p> {
         self
     }
 
-    /// The shard plan for a class memory of `class_rows` rows: the
-    /// override if set, else one shard per worker thread with at least
-    /// [`hdc_core::shard::MIN_ROWS_PER_SHARD`] rows each.
-    fn shard_plan(&self, class_rows: usize) -> hdc_core::ShardPlan {
-        shard_plan(self.class_shard_override, class_rows)
+    /// The shard plan for a call scoring `query_rows` rows against a class
+    /// memory of `class_rows` rows: the override if set, else
+    /// [`hdc_core::shard::default_shard_count`].
+    fn shard_plan(&self, query_rows: usize, class_rows: usize) -> hdc_core::ShardPlan {
+        shard_plan(self.class_shard_override, query_rows, class_rows)
     }
 
     /// Select the schedule (default: [`ExecMode::Batched`]).
@@ -1276,10 +1277,12 @@ impl<'p> Executor<'p> {
             } => {
                 let queries = self.value(stage.interface.queries)?.clone();
                 let classes_val = self.value(classes)?.clone();
-                let Some(class_rows) = matrix_rows(&classes_val) else {
+                let (Some(query_rows), Some(class_rows)) =
+                    (matrix_rows(&queries), matrix_rows(&classes_val))
+                else {
                     return Ok(false);
                 };
-                let plan = self.shard_plan(class_rows);
+                let plan = self.shard_plan(query_rows, class_rows);
                 // Mixed packed/dense operands: sequential oracle.
                 let Some(scores) = score_all_pairs(&queries, &classes_val, metric, perf, &plan)?
                 else {
@@ -1896,7 +1899,7 @@ impl<'p> Executor<'p> {
                     // The candidate axis (score columns) is the class
                     // memory here; shard it like the scoring kernels and
                     // merge per-shard top-k lists through the tree.
-                    let plan = self.shard_plan(m.cols());
+                    let plan = self.shard_plan(m.rows(), m.cols());
                     let (flat, merge_ops) =
                         hdc_core::batch::arg_top_k_batch_sharded(m.as_ref(), k, &plan)?;
                     self.stats.batched_kernel_ops += 1;
@@ -1976,7 +1979,8 @@ impl<'p> Executor<'p> {
                     (Value::Matrix(a), Value::Matrix(b))
                 };
                 self.stats.batched_kernel_ops += 1;
-                let plan = self.shard_plan(matrix_rows(&b).expect("matched as a matrix"));
+                let rows = |v: &Value| matrix_rows(v).expect("matched as a matrix");
+                let plan = self.shard_plan(rows(&a), rows(&b));
                 if plan.shard_count() > 1 {
                     self.stats.class_shards += plan.shard_count();
                 }
@@ -2038,12 +2042,19 @@ fn matrix_rows(value: &Value) -> Option<usize> {
     }
 }
 
-/// The shard plan for a class memory of `class_rows` rows: the override if
-/// set, else one shard per worker thread with at least
-/// [`hdc_core::shard::MIN_ROWS_PER_SHARD`] rows each.
-pub(crate) fn shard_plan(class_shards: Option<usize>, class_rows: usize) -> hdc_core::ShardPlan {
-    let shards = class_shards
-        .unwrap_or_else(|| hdc_core::default_shard_count(class_rows, rayon::current_num_threads()));
+/// The shard plan for a call scoring `query_rows` rows against a class
+/// memory of `class_rows` rows: the override if set, else
+/// [`hdc_core::shard::default_shard_count`] — one shard for a call under
+/// [`hdc_core::shard::MIN_PAIRS_TO_SHARD`] pairs, otherwise one per worker
+/// thread with at least [`hdc_core::shard::MIN_ROWS_PER_SHARD`] rows each.
+pub(crate) fn shard_plan(
+    class_shards: Option<usize>,
+    query_rows: usize,
+    class_rows: usize,
+) -> hdc_core::ShardPlan {
+    let shards = class_shards.unwrap_or_else(|| {
+        hdc_core::default_shard_count(query_rows, class_rows, rayon::current_num_threads())
+    });
     hdc_core::ShardPlan::split(class_rows, shards)
 }
 

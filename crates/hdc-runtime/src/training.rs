@@ -72,8 +72,10 @@ pub fn replay_epoch(
     class_shards: Option<usize>,
 ) -> Result<EpochCounts> {
     let class_count = classes.rows();
-    let plan = shard_plan(class_shards, class_count);
     let n = queries.rows().min(labels.len());
+    // Every block scores at most `TRAIN_BLOCK_ROWS` rows, so that is the
+    // call size the plan is sized for.
+    let plan = shard_plan(class_shards, n.min(TRAIN_BLOCK_ROWS), class_count);
     let mut counts = EpochCounts {
         samples: n,
         class_shards: plan.shard_count(),

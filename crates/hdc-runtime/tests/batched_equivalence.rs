@@ -1131,7 +1131,7 @@ fn thread_sweep_with_auto_shard_plan_matches_sequential_oracle() {
                 exec.bind("classes", classes.clone()).unwrap();
                 let out = exec.run().unwrap();
                 assert_eq!(out.indices(preds).unwrap(), sequential.as_slice(), "{case}");
-                let auto = hdc_core::default_shard_count(SWEEP_CLASSES, threads);
+                let auto = hdc_core::default_shard_count(QUERIES, SWEEP_CLASSES, threads);
                 assert_eq!(auto, threads, "{case}: the sweep must reach every count");
                 let stats = exec.stats();
                 assert_eq!(

@@ -13,12 +13,16 @@
 //!   submission order or which window a request landed in.
 
 use hdc_apps::{ClassificationApp, ClusteringApp, ExecMode, MatchingApp};
+use hdc_core::batch::SimilarityMetric;
 use hdc_core::matmul::SIGN_ENCODE_MAX_ROWS;
 use hdc_core::prelude::{HdcRng, HyperMatrix, SeedableRng};
-use hdc_core::random::gaussian_hypermatrix;
+use hdc_core::random::{bipolar_hypermatrix, gaussian_hypermatrix};
+use hdc_core::similarity::cosine_similarity_matrix;
+use hdc_core::Perforation;
 use hdc_datasets::synthetic::{hyperoms_like, isolet_like, HyperOmsParams, IsoletParams};
+use hdc_ir::stage::ScorePolarity;
 use hdc_passes::CompileOptions;
-use hdc_runtime::Value;
+use hdc_runtime::{replay_epoch, Value};
 use hdc_serve::{
     ModelRegistry, Prediction, ServableModel, ServeError, Service, ServiceConfig, WindowConfig,
 };
@@ -438,4 +442,86 @@ fn one_row_windows_take_the_sign_leg_and_64_row_windows_do_not() {
     assert_eq!(full.stats.fused_encoded_rows, 64);
     assert_eq!(full.stats.batched_kernel_ops, 2);
     assert_eq!(full.predictions[..1], one.predictions[..]);
+}
+
+/// The work-size shard rule at two worker threads, on a 16-class model:
+/// a one-row window and the one-row feedback replay
+/// [`OnlineTrainer::feed_one`](hdc_serve::OnlineTrainer::feed_one) makes
+/// score on one shard (no merge), a 64-row window still splits the class
+/// memory in two, and every answer equals the sequential oracle.
+#[test]
+fn one_row_calls_score_on_one_shard_at_two_threads() {
+    let dataset = isolet_like(&IsoletParams {
+        classes: 16,
+        features: 32,
+        train_per_class: 4,
+        test_per_class: 4,
+        noise: 1.2,
+        seed: 11,
+    });
+    let queries: Vec<Vec<f64>> = dataset
+        .test
+        .features
+        .iter_rows()
+        .map(|r| r.to_vec())
+        .collect();
+    assert_eq!(queries.len(), 64);
+    let app = ClassificationApp::new(dataset, 256, 1).unwrap();
+    let model = ServableModel::classifier("wide", &app).unwrap();
+    let (classes, _) = model
+        .train_state()
+        .expect("a trained classifier keeps its accumulator")
+        .dense_matrix("classes")
+        .unwrap();
+    let oracle: Vec<Prediction> = queries
+        .iter()
+        .map(|row| model.oracle_infer(row).unwrap())
+        .collect();
+
+    rayon::set_num_threads(2);
+    let one = model.infer_window(&queries[..1], true, None).unwrap();
+    let full = model.infer_window(&queries, true, None).unwrap();
+
+    // The one-row feedback replay, against the per-pair reference scores
+    // and the perceptron update spelled out.
+    let mut rng = HdcRng::seed_from_u64(0x5AD);
+    let sample: HyperMatrix<f64> = bipolar_hypermatrix(1, classes.cols(), &mut rng);
+    let row = sample.row_vector(0).unwrap();
+    let sims = cosine_similarity_matrix(&row, &classes, Perforation::NONE).unwrap();
+    let pred = hdc_core::ops::arg_max(sims.as_slice()).unwrap();
+    let label = (pred + 1) % classes.rows();
+    let mut expected = classes.as_ref().clone();
+    for (c, sign) in [(label, 1.0), (pred, -1.0)] {
+        let updated = expected
+            .row_vector(c)
+            .unwrap()
+            .zip_with(&row, |x, s| x + sign * s);
+        expected.set_row(c, &updated.unwrap()).unwrap();
+    }
+    let mut trained = classes.as_ref().clone();
+    let counts = replay_epoch(
+        &sample,
+        &[label],
+        &mut trained,
+        SimilarityMetric::Cosine,
+        ScorePolarity::Similarity,
+        Perforation::NONE,
+        None,
+    )
+    .unwrap();
+    rayon::set_num_threads(0);
+
+    assert_eq!(one.predictions, oracle[..1]);
+    assert_eq!(one.stats.class_shards, 0, "one row scores unsharded");
+    assert_eq!(one.stats.shard_merge_ops, 0);
+    assert_eq!(full.predictions, oracle);
+    assert_eq!(full.stats.class_shards, 2, "64 rows × 16 classes shard");
+    assert_eq!(full.stats.shard_merge_ops, queries.len());
+    assert_eq!(
+        counts.class_shards, 1,
+        "one-row feedback scores on one shard"
+    );
+    assert_eq!(counts.shard_merge_ops, 0);
+    assert_eq!(counts.updates, 1);
+    assert_eq!(trained, expected);
 }
