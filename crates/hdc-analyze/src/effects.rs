@@ -35,7 +35,6 @@
 //! usually a surprise worth flagging even though copy-on-write protects
 //! the host's own handle.
 
-use crate::dataflow::DefUse;
 use crate::diag::{Diagnostic, DiagnosticCode, Location, Severity};
 use hdc_core::element::ElementKind;
 use hdc_ir::instr::HdcInstr;
@@ -166,7 +165,7 @@ pub fn classify(program: &Program) -> Effects {
 }
 
 /// Run the effect analysis and collect its diagnostics.
-pub fn check(program: &Program, _du: &DefUse) -> (Effects, Vec<Diagnostic>) {
+pub fn check(program: &Program) -> (Effects, Vec<Diagnostic>) {
     let effects = classify(program);
     let mut diags = Vec::new();
     for node in program.nodes() {
@@ -259,8 +258,7 @@ mod tests {
         let out = b.get_matrix_row(host, 0);
         b.mark_output(out);
         let p = b.finish();
-        let du = DefUse::new(&p);
-        let (effects, diags) = check(&p, &du);
+        let (effects, diags) = check(&p);
         assert_eq!(effects.per_node, vec![EffectClass::InPlaceMutating]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, DiagnosticCode::InPlaceOnInput);

@@ -7,12 +7,12 @@
 //! illegal perforation descriptors, mis-sized stage interfaces, racy
 //! parallel loops.
 //!
-//! The crate is built from four pieces:
+//! Its analyses are transfer functions over [`hdc_ir::dataflow`]: def-use
+//! chains with explicit *structural* sites for the stage-interface flows
+//! the instruction list does not show (`queries → body_query`,
+//! `body_result → output`), and the worklist engine
+//! ([`hdc_ir::dataflow::solve`]) that binarization and DCE run on too.
 //!
-//! * [`dataflow`] — def-use chains over the IR, with explicit *structural*
-//!   sites for the stage-interface flows the instruction list does not
-//!   show (`queries → body_query`, `body_result → output`), plus the
-//!   shared worklist engine ([`dataflow::solve`]).
 //! * [`liveness`] — backward analysis flagging dead values (`HDA001`) and
 //!   dead stage outputs (`HDA002`).
 //! * [`shape`] — abstract shape/dtype interpretation of stage interfaces
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dataflow;
 pub mod diag;
 pub mod effects;
 pub mod liveness;
@@ -49,13 +48,13 @@ use hdc_ir::program::Program;
 /// Diagnostics are ordered by analysis (liveness, then shape/taint/
 /// legality, then effects); within one analysis they follow program order.
 pub fn analyze(program: &Program) -> AnalysisReport {
-    let du = dataflow::DefUse::new(program);
+    let du = hdc_ir::dataflow::DefUse::new(program);
     let mut diagnostics = Vec::new();
     let (_liveness, mut d) = liveness::check(program, &du);
     diagnostics.append(&mut d);
     let (_taint, mut d) = shape::check(program, &du);
     diagnostics.append(&mut d);
-    let (_effects, mut d) = effects::check(program, &du);
+    let (_effects, mut d) = effects::check(program);
     diagnostics.append(&mut d);
     AnalysisReport {
         program: program.name.clone(),

@@ -3,19 +3,19 @@
 //!
 //! Roots are the `Output`-role values. Liveness flows backward through
 //! instruction sites and through the structural stage flows of
-//! [`crate::dataflow::DefUse`], so a value inside a stage body is live
-//! exactly when the stage output it feeds is. Two diagnostics come out:
+//! [`DefUse`] ([`live_values`], which DCE runs with its own roots), so a
+//! value inside a stage body is live exactly when the stage output it
+//! feeds is. Two diagnostics come out:
 //!
 //! * [`DiagnosticCode::DeadValue`] (`HDA001`, warning): an instruction
 //!   computes a `Temp` result that never reaches an output. These are the
-//!   values DCE should have removed — inside stage bodies, the pre-PR-10
-//!   DCE could not see them at all.
+//!   values DCE should have removed.
 //! * [`DiagnosticCode::DeadStageOutput`] (`HDA002`, error): a whole stage's
 //!   interface output is dead. Stages are the expensive part of an HDC
 //!   program; running one for nothing is treated as an error.
 
-use crate::dataflow::{solve, DefUse, Direction, Site, SiteKind};
 use crate::diag::{Diagnostic, DiagnosticCode, Location, Severity};
+use hdc_ir::dataflow::{live_values, DefUse, SiteKind};
 use hdc_ir::ops::HdcOp;
 use hdc_ir::program::{NodeBody, Program, ValueId, ValueRole};
 
@@ -35,26 +35,10 @@ impl Liveness {
 
 /// Compute liveness for `program` over prebuilt def-use chains.
 pub fn compute(program: &Program, du: &DefUse) -> Liveness {
-    let seeds: Vec<(ValueId, bool)> = program
-        .values_with_role(ValueRole::Output)
-        .into_iter()
-        .map(|v| (v, true))
-        .collect();
-    let live = solve(
-        du,
-        program.values().len(),
-        &seeds,
-        Direction::Backward,
-        |site: &Site, facts: &[bool]| {
-            let any_write_live = site.writes.iter().any(|w| facts[w.index()]);
-            if any_write_live {
-                site.reads.iter().map(|r| (*r, true)).collect()
-            } else {
-                Vec::new()
-            }
-        },
-    );
-    Liveness { live }
+    let roots = program.values_with_role(ValueRole::Output);
+    Liveness {
+        live: live_values(program, du, roots),
+    }
 }
 
 /// Run liveness and collect its diagnostics.

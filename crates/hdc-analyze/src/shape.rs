@@ -28,10 +28,10 @@
 //!   a shift amount that is a multiple of the dimension is a no-op
 //!   warning.
 
-use crate::dataflow::{solve, DefUse, Direction, Site, SiteKind};
 use crate::diag::{Diagnostic, DiagnosticCode, Location, Severity};
 use hdc_core::element::ElementKind;
 use hdc_core::ops::ElementwiseOp;
+use hdc_ir::dataflow::{solve, DefUse, Direction, Site, SiteKind};
 use hdc_ir::instr::HdcInstr;
 use hdc_ir::ops::{HdcOp, OpCategory};
 use hdc_ir::program::{NodeBody, Program, ValueId};
@@ -431,7 +431,7 @@ fn check_wrap_shift(program: &Program, du: &DefUse, diags: &mut Vec<Diagnostic>)
 }
 
 fn check_parallel_for(program: &Program, du: &DefUse, diags: &mut Vec<Diagnostic>) {
-    for (ni, node) in program.nodes().iter().enumerate() {
+    for node in program.nodes() {
         let NodeBody::ParallelFor { count, index, body } = &node.body else {
             continue;
         };
@@ -496,7 +496,6 @@ fn check_parallel_for(program: &Program, du: &DefUse, diags: &mut Vec<Diagnostic
                 });
             }
         }
-        let _ = ni;
     }
 }
 

@@ -3,18 +3,22 @@
 //! entry point (the same path `hdc-lint` takes), asserting the *exact*
 //! stable code each program trips. This pins the catalog: a new analysis
 //! that changes which code fires for a known-bad shape is a breaking
-//! change, not a refinement.
+//! change, not a refinement. The `HDA001` and `HDA002` programs also pin
+//! DCE to liveness: it removes exactly the dead values, and keeps a dead
+//! stage's body.
 
-use hdc_analyze::{analyze, AnalysisReport, DiagnosticCode, Severity};
+use hdc_analyze::{analyze, liveness, AnalysisReport, DiagnosticCode, Severity};
 use hdc_core::element::ElementKind;
 use hdc_core::Perforation;
 use hdc_ir::builder::ProgramBuilder;
+use hdc_ir::dataflow::DefUse;
 use hdc_ir::instr::HdcInstr;
 use hdc_ir::ops::HdcOp;
-use hdc_ir::program::{Node, NodeBody, ValueInfo, ValueRole};
+use hdc_ir::program::{Node, NodeBody, ValueId, ValueInfo, ValueRole};
 use hdc_ir::stage::ScorePolarity;
 use hdc_ir::types::ValueType;
 use hdc_ir::{Program, Target};
+use hdc_passes::{compile, eliminate_dead_code, CompileOptions};
 
 /// The one diagnostic of `code` in the report, asserting its severity and
 /// stable code string. Extra diagnostics of *other* kinds fail the test:
@@ -37,14 +41,34 @@ fn expect_only(report: &AnalysisReport, code: DiagnosticCode, severity: Severity
     );
 }
 
-#[test]
-fn hda001_dead_value() {
+fn dead_value_program() -> Program {
     let mut b = ProgramBuilder::new("neg_dead_value");
     let a = b.input_vector("a", ElementKind::F64, 16);
     let keep = b.sign(a);
     let _dead = b.sign_flip(a);
     b.mark_output(keep);
-    let report = analyze(&b.finish());
+    b.finish()
+}
+
+fn dead_stage_program() -> Program {
+    let mut b = ProgramBuilder::new("neg_dead_stage");
+    let queries = b.input_matrix("q", ElementKind::F64, 4, 32);
+    let classes = b.input_matrix("c", ElementKind::F64, 3, 32);
+    let _labels = b.inference_loop(
+        "infer",
+        queries,
+        classes,
+        ScorePolarity::Distance,
+        |body, sample| body.hamming_distance(sample, classes),
+    );
+    let keep = b.sign(queries);
+    b.mark_output(keep);
+    b.finish()
+}
+
+#[test]
+fn hda001_dead_value() {
+    let report = analyze(&dead_value_program());
     expect_only(
         &report,
         DiagnosticCode::DeadValue,
@@ -59,19 +83,7 @@ fn hda001_dead_value() {
 
 #[test]
 fn hda002_dead_stage_output() {
-    let mut b = ProgramBuilder::new("neg_dead_stage");
-    let queries = b.input_matrix("q", ElementKind::F64, 4, 32);
-    let classes = b.input_matrix("c", ElementKind::F64, 3, 32);
-    let _labels = b.inference_loop(
-        "infer",
-        queries,
-        classes,
-        ScorePolarity::Distance,
-        |body, sample| body.hamming_distance(sample, classes),
-    );
-    let keep = b.sign(queries);
-    b.mark_output(keep);
-    let report = analyze(&b.finish());
+    let report = analyze(&dead_stage_program());
     expect_only(
         &report,
         DiagnosticCode::DeadStageOutput,
@@ -314,4 +326,63 @@ fn every_code_has_a_battery_entry() {
         assert_eq!(code.as_str(), format!("HDA{:03}", i + 1));
         assert!(!code.description().is_empty());
     }
+}
+
+/// DCE removes exactly what liveness marks dead: afterwards no `HDA001` is
+/// left, and every removed instruction's result was dead before.
+fn assert_dce_matches_liveness(mut program: Program) {
+    let (liveness, diags) = liveness::check(&program, &DefUse::new(&program));
+    assert!(
+        diags.iter().any(|d| d.code == DiagnosticCode::DeadValue),
+        "{diags:?}"
+    );
+    let results =
+        |p: &Program| -> Vec<ValueId> { p.iter_instrs().filter_map(|i| i.result).collect() };
+    let before = results(&program);
+    let report = eliminate_dead_code(&mut program);
+    let after = results(&program);
+    let removed: Vec<ValueId> = before.into_iter().filter(|r| !after.contains(r)).collect();
+    assert_eq!(removed.len(), report.removed_instrs);
+    for r in removed {
+        assert!(
+            !liveness.is_live(r),
+            "DCE removed live `{}`",
+            program.value(r).name
+        );
+    }
+    let (_, diags) = liveness::check(&program, &DefUse::new(&program));
+    assert!(diags.is_empty(), "left after DCE: {diags:?}");
+}
+
+#[test]
+fn dce_removes_exactly_the_dead_values() {
+    assert_dce_matches_liveness(dead_value_program());
+    let mut b = ProgramBuilder::new("dead_in_stage_body");
+    let feats = b.input_matrix("feats", ElementKind::F64, 4, 8);
+    let proj = b.input_matrix("proj", ElementKind::F64, 32, 8);
+    let enc = b.encoding_loop("encode", feats, 32, |body, sample| {
+        let e = body.matmul(sample, proj);
+        let _dead = body.sign_flip(e);
+        body.sign(e)
+    });
+    b.mark_output(enc);
+    assert_dce_matches_liveness(b.finish());
+}
+
+#[test]
+fn dead_stage_program_compiles_with_its_body_kept() {
+    // Nothing reads the stage's labels, but DCE keeps the body that
+    // computes `body_result`: the stage semantics consume it, and the
+    // verifier rejects a stage body that no longer writes it.
+    let mut program = dead_stage_program();
+    let instrs = program.instr_count();
+    let report = compile(&mut program, &CompileOptions::default()).expect("compiles");
+    assert_eq!(report.dce.removed_instrs, 0);
+    assert_eq!(program.instr_count(), instrs);
+    expect_only(
+        &analyze(&program),
+        DiagnosticCode::DeadStageOutput,
+        Severity::Error,
+        "HDA002",
+    );
 }

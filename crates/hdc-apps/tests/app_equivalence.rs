@@ -306,10 +306,9 @@ fn batched_mode_never_runs_a_reference_kernel() {
             .zip(stats)
         {
             assert_eq!(
-                stats.reference_kernel_ops,
-                0,
+                stats.reference_kernel_ops, 0,
                 "{app}, binarized={}: {stats:?}",
-                options.binarize.is_some()
+                options.binarize
             );
             assert!(stats.batched_kernel_ops > 0, "{app}");
         }

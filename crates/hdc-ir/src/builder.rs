@@ -739,7 +739,29 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::DefUse;
+    use crate::program::NodeId;
     use crate::verify::verify;
+
+    /// The `(def node, use node)` pairs of values that cross from an
+    /// earlier node into a later one.
+    fn cross_node_edges(p: &Program) -> Vec<(NodeId, NodeId)> {
+        let du = DefUse::new(p);
+        let node = |si: usize| du.sites[si].kind.node();
+        let mut edges: Vec<_> = du
+            .defs
+            .iter()
+            .zip(&du.uses)
+            .flat_map(|(defs, uses)| {
+                defs.iter()
+                    .flat_map(move |&d| uses.iter().map(move |&u| (node(d), node(u))))
+            })
+            .filter(|(d, u)| d < u)
+            .collect();
+        edges.sort();
+        edges.dedup();
+        edges
+    }
 
     #[test]
     fn listing1_builds_and_verifies() {
@@ -827,8 +849,12 @@ mod tests {
             .filter(|n| matches!(n.body, NodeBody::Stage(_)))
             .count();
         assert_eq!(stage_count, 3);
-        // dataflow edges connect encode -> train -> infer through shared values
-        assert!(!p.dataflow_edges().is_empty());
+        // encode feeds train and infer; train feeds infer its classes
+        let n = NodeId::new;
+        assert_eq!(
+            cross_node_edges(&p),
+            vec![(n(0), n(1)), (n(0), n(2)), (n(1), n(2))]
+        );
     }
 
     #[test]
@@ -860,7 +886,7 @@ mod tests {
         b.mark_output(f);
         let p = b.finish();
         assert_eq!(p.nodes().len(), 2);
-        assert_eq!(p.dataflow_edges().len(), 1);
+        assert_eq!(cross_node_edges(&p), vec![(NodeId::new(0), NodeId::new(1))]);
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Def-use chains over the IR and the worklist engine the analyses share.
+//! Def-use chains over the IR and the one worklist engine every dataflow
+//! problem over it is solved with.
 //!
-//! The IR's own [`Node::read_values`]/[`Node::written_values`] flatten a
-//! stage to "reads everything, writes everything", which is correct for
-//! scheduling but too coarse for dataflow analysis: inside a stage, data
-//! flows *structurally* — the executor copies one row of
+//! An instruction reads its value operands and writes its result (and, for
+//! `set_matrix_row` / `accumulate_row`, its first operand in place). A
+//! stage also moves data *structurally*: the executor copies one row of
 //! `interface.queries` into `body_query` before each body run, and the
 //! stage semantics consume `body_result` to produce `interface.output`.
 //! [`DefUse`] models those structural flows as explicit sites alongside the
-//! per-instruction ones, which is what lets liveness and taint propagate
-//! *through* stage interfaces instead of stopping at the node boundary.
+//! per-instruction ones, so facts propagate *through* stage interfaces
+//! instead of stopping at the node boundary.
 //!
-//! [`Node::read_values`]: hdc_ir::program::Node::read_values
-//! [`Node::written_values`]: hdc_ir::program::Node::written_values
+//! Three clients pose their problems as seeds plus a transfer function
+//! over [`solve`]: automatic binarization (`hdc-passes`, both directions),
+//! dead-code elimination and the analyzer's liveness (both through
+//! [`live_values`]), and the analyzer's bit-taint (`hdc-analyze`, forward).
 
-use hdc_ir::program::{NodeBody, NodeId, Program, ValueId};
+use crate::program::{NodeBody, NodeId, Program, ValueId};
 use std::collections::VecDeque;
 
 /// What kind of dataflow site this is.
@@ -47,6 +49,18 @@ pub enum SiteKind {
     },
 }
 
+impl SiteKind {
+    /// The node this site belongs to.
+    pub fn node(self) -> NodeId {
+        match self {
+            SiteKind::Instr { node, .. }
+            | SiteKind::StageQueryFlow { node }
+            | SiteKind::StageResultFlow { node }
+            | SiteKind::ParallelForIndex { node } => node,
+        }
+    }
+}
+
 /// One dataflow site: something that reads values and writes values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
@@ -78,64 +92,37 @@ impl DefUse {
         for (ni, node) in program.nodes().iter().enumerate() {
             let node_id = NodeId::new(ni);
             match &node.body {
-                NodeBody::Leaf { instrs } => {
-                    for (ii, instr) in instrs.iter().enumerate() {
-                        sites.push(Site {
-                            kind: SiteKind::Instr {
-                                node: node_id,
-                                index: ii,
-                            },
-                            reads: instr.read_values().collect(),
-                            writes: instr.written_values(),
-                        });
-                    }
-                }
-                NodeBody::ParallelFor { index, body, .. } => {
-                    sites.push(Site {
-                        kind: SiteKind::ParallelForIndex { node: node_id },
-                        reads: Vec::new(),
-                        writes: vec![*index],
-                    });
-                    for (ii, instr) in body.iter().enumerate() {
-                        sites.push(Site {
-                            kind: SiteKind::Instr {
-                                node: node_id,
-                                index: ii,
-                            },
-                            reads: instr.read_values().collect(),
-                            writes: instr.written_values(),
-                        });
-                    }
-                }
-                NodeBody::Stage(stage) => {
-                    sites.push(Site {
-                        kind: SiteKind::StageQueryFlow { node: node_id },
-                        reads: vec![stage.interface.queries],
-                        writes: vec![stage.body_query],
-                    });
-                    for (ii, instr) in stage.body.iter().enumerate() {
-                        sites.push(Site {
-                            kind: SiteKind::Instr {
-                                node: node_id,
-                                index: ii,
-                            },
-                            reads: instr.read_values().collect(),
-                            writes: instr.written_values(),
-                        });
-                    }
-                    let mut result_reads = vec![stage.body_result];
-                    if let Some(c) = stage.interface.classes {
-                        result_reads.push(c);
-                    }
-                    if let Some(l) = stage.interface.labels {
-                        result_reads.push(l);
-                    }
-                    sites.push(Site {
-                        kind: SiteKind::StageResultFlow { node: node_id },
-                        reads: result_reads,
-                        writes: vec![stage.interface.output],
-                    });
-                }
+                NodeBody::Leaf { .. } => {}
+                NodeBody::ParallelFor { index, .. } => sites.push(Site {
+                    kind: SiteKind::ParallelForIndex { node: node_id },
+                    reads: Vec::new(),
+                    writes: vec![*index],
+                }),
+                NodeBody::Stage(stage) => sites.push(Site {
+                    kind: SiteKind::StageQueryFlow { node: node_id },
+                    reads: vec![stage.interface.queries],
+                    writes: vec![stage.body_query],
+                }),
+            }
+            for (ii, instr) in node.instrs().iter().enumerate() {
+                sites.push(Site {
+                    kind: SiteKind::Instr {
+                        node: node_id,
+                        index: ii,
+                    },
+                    reads: instr.read_values().collect(),
+                    writes: instr.written_values(),
+                });
+            }
+            if let NodeBody::Stage(stage) = &node.body {
+                let mut reads = vec![stage.body_result];
+                reads.extend(stage.interface.classes);
+                reads.extend(stage.interface.labels);
+                sites.push(Site {
+                    kind: SiteKind::StageResultFlow { node: node_id },
+                    reads,
+                    writes: vec![stage.interface.output],
+                });
             }
         }
         let n = program.values().len();
@@ -160,6 +147,9 @@ pub enum Direction {
     Forward,
     /// Writes feed reads (liveness).
     Backward,
+    /// Each side feeds the other (binarization: a later use can taint an
+    /// earlier def through an element-wise op).
+    Both,
 }
 
 /// A join-semilattice fact attached to each value.
@@ -182,8 +172,9 @@ impl Fact for bool {
 /// `facts` starts from `seeds`; every site is visited at least once, and
 /// `transfer` returns `(value, fact)` updates the engine joins in. When a
 /// value's fact grows, the sites that depend on it (its uses for
-/// [`Direction::Forward`], its defs for [`Direction::Backward`]) are
-/// re-queued. Monotone transfer functions make this terminate.
+/// [`Direction::Forward`], its defs for [`Direction::Backward`], both for
+/// [`Direction::Both`]) are re-queued. Monotone transfer functions make
+/// this terminate at the least fixpoint.
 pub fn solve<F: Fact>(
     du: &DefUse,
     value_count: usize,
@@ -195,11 +186,13 @@ pub fn solve<F: Fact>(
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut queued = vec![false; du.sites.len()];
     let enqueue_dependents = |v: ValueId, queue: &mut VecDeque<usize>, queued: &mut Vec<bool>| {
-        let dependents = match direction {
-            Direction::Forward => &du.uses[v.index()],
-            Direction::Backward => &du.defs[v.index()],
+        let (uses, defs) = (&du.uses[v.index()], &du.defs[v.index()]);
+        let dependents: &[&Vec<usize>] = match direction {
+            Direction::Forward => &[uses],
+            Direction::Backward => &[defs],
+            Direction::Both => &[uses, defs],
         };
-        for &si in dependents {
+        for &si in dependents.iter().copied().flatten() {
             if !queued[si] {
                 queued[si] = true;
                 queue.push_back(si);
@@ -231,11 +224,34 @@ pub fn solve<F: Fact>(
     facts
 }
 
+/// Backward liveness from `roots`: `live[v]` is true when `v` is a root or
+/// a site that reads `v` writes a live value.
+pub fn live_values(
+    program: &Program,
+    du: &DefUse,
+    roots: impl IntoIterator<Item = ValueId>,
+) -> Vec<bool> {
+    let seeds: Vec<(ValueId, bool)> = roots.into_iter().map(|v| (v, true)).collect();
+    solve(
+        du,
+        program.values().len(),
+        &seeds,
+        Direction::Backward,
+        |site, live| {
+            if site.writes.iter().any(|w| live[w.index()]) {
+                site.reads.iter().map(|r| (*r, true)).collect()
+            } else {
+                Vec::new()
+            }
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::ProgramBuilder;
     use hdc_core::element::ElementKind;
-    use hdc_ir::builder::ProgramBuilder;
 
     fn chain_program() -> (Program, ValueId, ValueId, ValueId) {
         let mut b = ProgramBuilder::new("chain");
@@ -279,17 +295,43 @@ mod tests {
     fn backward_liveness_via_worklist() {
         let (p, a, x, y) = chain_program();
         let du = DefUse::new(&p);
-        let facts = solve(
-            &du,
-            p.values().len(),
-            &[(y, true)],
-            Direction::Backward,
-            |site, facts| {
-                let any_write_live = site.writes.iter().any(|w| facts[w.index()]);
-                site.reads.iter().map(|r| (*r, any_write_live)).collect()
-            },
-        );
-        assert!(facts[y.index()] && facts[x.index()] && facts[a.index()]);
+        let live = live_values(&p, &du, [y]);
+        assert!(live[y.index()] && live[x.index()] && live[a.index()]);
+        let live = live_values(&p, &du, [x]);
+        assert!(!live[y.index()] && live[x.index()] && live[a.index()]);
+    }
+
+    #[test]
+    fn both_directions_reach_an_earlier_def_through_a_later_use() {
+        // `y = flip(a)` runs before the fact reaches `y` through the later
+        // `z = y + t`. Only re-queueing y's defs carries it back to `a`.
+        let mut b = ProgramBuilder::new("both");
+        let a = b.input_vector("a", ElementKind::F64, 16);
+        let c = b.input_vector("c", ElementKind::F64, 16);
+        let y = b.sign_flip(a);
+        let seed = b.sign_flip(c);
+        let t = b.absolute_value(seed);
+        let z = b.add(y, t);
+        b.mark_output(z);
+        let p = b.finish();
+        let du = DefUse::new(&p);
+        let spread = |direction| {
+            solve(
+                &du,
+                p.values().len(),
+                &[(seed, true)],
+                direction,
+                |site, f| {
+                    let touched = || site.reads.iter().chain(&site.writes);
+                    let any = touched().any(|v| f[v.index()]);
+                    touched().map(|v| (*v, any)).collect()
+                },
+            )
+        };
+        let both = spread(Direction::Both);
+        assert!(both[a.index()] && both[y.index()] && both[z.index()]);
+        let forward = spread(Direction::Forward);
+        assert!(forward[y.index()] && !forward[a.index()]);
     }
 
     #[test]
@@ -301,19 +343,14 @@ mod tests {
             "infer",
             queries,
             classes,
-            hdc_ir::stage::ScorePolarity::Distance,
+            crate::stage::ScorePolarity::Distance,
             |body, sample| body.hamming_distance(sample, classes),
         );
         let p = b.finish();
         let du = DefUse::new(&p);
-        let has_query_flow = du
-            .sites
-            .iter()
-            .any(|s| matches!(s.kind, SiteKind::StageQueryFlow { .. }));
-        let has_result_flow = du
-            .sites
-            .iter()
-            .any(|s| matches!(s.kind, SiteKind::StageResultFlow { .. }));
-        assert!(has_query_flow && has_result_flow);
+        let kinds: Vec<_> = du.sites.iter().map(|s| s.kind).collect();
+        assert!(matches!(kinds[0], SiteKind::StageQueryFlow { .. }));
+        assert!(matches!(kinds[1], SiteKind::Instr { index: 0, .. }));
+        assert!(matches!(kinds[2], SiteKind::StageResultFlow { .. }));
     }
 }

@@ -17,6 +17,8 @@
 //! * [`ProgramBuilder`] — the HDC++-like embedded DSL used by applications
 //!   to construct programs without referring to any hardware target.
 //! * [`verify::verify`] — the IR verifier (type/shape/def-use checking).
+//! * [`dataflow`] — def-use chains (with the structural stage flows) and
+//!   the worklist engine that binarization, DCE and the analyzer share.
 //! * [`printer`] — a human-readable textual dump of the IR.
 //! * [`Target`] — the hardware targets nodes may be annotated with.
 //!
@@ -46,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod dataflow;
 pub mod instr;
 pub mod ops;
 pub mod printer;

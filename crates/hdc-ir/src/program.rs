@@ -97,49 +97,6 @@ pub struct Node {
 }
 
 impl Node {
-    /// Values read by this node.
-    pub fn read_values(&self) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        match &self.body {
-            NodeBody::Leaf { instrs } => {
-                for i in instrs {
-                    out.extend(i.read_values());
-                }
-            }
-            NodeBody::ParallelFor { body, .. } => {
-                for i in body {
-                    out.extend(i.read_values());
-                }
-            }
-            NodeBody::Stage(stage) => out.extend(stage.read_values()),
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Values written by this node.
-    pub fn written_values(&self) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        match &self.body {
-            NodeBody::Leaf { instrs } => {
-                for i in instrs {
-                    out.extend(i.written_values());
-                }
-            }
-            NodeBody::ParallelFor { index, body, .. } => {
-                out.push(*index);
-                for i in body {
-                    out.extend(i.written_values());
-                }
-            }
-            NodeBody::Stage(stage) => out.extend(stage.written_values()),
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// All instructions contained in this node (stage bodies included).
     pub fn instrs(&self) -> &[HdcInstr] {
         match &self.body {
@@ -255,31 +212,6 @@ impl Program {
         self.iter_instrs().count()
     }
 
-    /// Compute the explicit dataflow edges of the top-level graph: an edge
-    /// `(a, b)` means node `b` reads a value that node `a` was the most
-    /// recent writer of. This is the logical-data-transfer edge set of the
-    /// HPVM DAG; back ends use it to determine which values must move
-    /// between devices.
-    pub fn dataflow_edges(&self) -> Vec<(NodeId, NodeId)> {
-        let mut last_writer: std::collections::HashMap<ValueId, NodeId> =
-            std::collections::HashMap::new();
-        let mut edges = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let this = NodeId(i);
-            for read in node.read_values() {
-                if let Some(&writer) = last_writer.get(&read) {
-                    if writer != this && !edges.contains(&(writer, this)) {
-                        edges.push((writer, this));
-                    }
-                }
-            }
-            for written in node.written_values() {
-                last_writer.insert(written, this);
-            }
-        }
-        edges
-    }
-
     /// Number of values whose element kind is `Bit` (a binarization metric).
     pub fn binarized_value_count(&self) -> usize {
         self.values
@@ -298,6 +230,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::DefUse;
     use crate::ops::HdcOp;
     use crate::types::ValueType;
     use hdc_core::element::ElementKind;
@@ -357,8 +290,12 @@ mod tests {
                 instrs: vec![HdcInstr::new(HdcOp::SignFlip, vec![b.into()], Some(c))],
             },
         });
-        let edges = p.dataflow_edges();
-        assert_eq!(edges, vec![(NodeId(0), NodeId(1))]);
+        let du = DefUse::new(&p);
+        let node_of = |sites: &[usize]| -> Vec<NodeId> {
+            sites.iter().map(|&si| du.sites[si].kind.node()).collect()
+        };
+        assert_eq!(node_of(&du.defs[b.index()]), vec![NodeId(0)]);
+        assert_eq!(node_of(&du.uses[b.index()]), vec![NodeId(1)]);
         assert_eq!(p.instr_count(), 2);
     }
 
@@ -375,7 +312,11 @@ mod tests {
                 ],
             },
         });
-        assert!(p.dataflow_edges().is_empty());
+        let du = DefUse::new(&p);
+        let def = du.defs[b.index()][0];
+        let used = du.uses[b.index()][0];
+        assert_eq!(du.sites[def].kind.node(), du.sites[used].kind.node());
+        assert!(def < used, "sites are in program order");
     }
 
     #[test]

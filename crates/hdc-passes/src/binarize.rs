@@ -5,34 +5,18 @@
 //! bipolar ±1 data are rewritten to the 1-bit element kind, which shrinks
 //! data movement by up to 32× and lets the back ends dispatch XOR/popcount
 //! kernels for Hamming distance.
+//!
+//! The taint is a transfer function over [`hdc_ir::dataflow::solve`],
+//! flowing both ways through element-wise and data-movement ops. The
+//! target kind is always [`ElementKind::Bit`], and Algorithm 1's
+//! `BinarizeReduce?` is fixed off: the inputs of a reduction keep their
+//! precision.
 
 use hdc_core::element::ElementKind;
+use hdc_ir::dataflow::{solve, DefUse, Direction, SiteKind};
 use hdc_ir::ops::HdcOp;
 use hdc_ir::program::{NodeBody, Program, ValueId};
 use hdc_ir::stage::StageKind;
-use std::collections::HashSet;
-
-/// Options controlling the binarization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinarizeOptions {
-    /// The element kind tainted tensors are rewritten to. The paper's
-    /// evaluation uses single-bit elements; `i8` is also supported for
-    /// studying intermediate precisions.
-    pub binarized_type: ElementKind,
-    /// `BinarizeReduce?` in Algorithm 1: when set, the *inputs* of reducing
-    /// operations (matmul, cossim, hamming_distance, l2norm) that consume
-    /// tainted values are binarized too (more aggressive, larger error).
-    pub binarize_reduce_inputs: bool,
-}
-
-impl Default for BinarizeOptions {
-    fn default() -> Self {
-        BinarizeOptions {
-            binarized_type: ElementKind::Bit,
-            binarize_reduce_inputs: false,
-        }
-    }
-}
 
 /// Statistics reported by the binarization pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,102 +46,15 @@ impl BinarizeReport {
 ///
 /// Only hypervector and hypermatrix values are ever rewritten; scalars,
 /// index vectors and the raw (pre-`sign`) feature tensors keep their types.
-pub fn binarize(program: &mut Program, options: &BinarizeOptions) -> BinarizeReport {
+pub fn binarize(program: &mut Program) -> BinarizeReport {
     let bytes_before = program.total_value_bytes();
+    let tainted = bipolar_values(program);
 
-    // --- taint analysis -------------------------------------------------
-    let mut tainted: HashSet<ValueId> = HashSet::new();
-
-    // Seed: results of sign instructions hold bipolar values by definition.
-    for instr in program.iter_instrs() {
-        if matches!(instr.op, HdcOp::Sign) {
-            if let Some(r) = instr.result {
-                if program.value(r).ty.is_tensor() {
-                    tainted.insert(r);
-                }
-            }
-        }
-    }
-
-    // Fixpoint propagation. Element-wise and data-movement operations
-    // preserve bipolarity, so taint flows through both their inputs and
-    // outputs. Reducing operations produce counts/accumulations, so taint
-    // does not flow through them by default; with `binarize_reduce_inputs`
-    // their tensor inputs are additionally reduced in precision.
-    loop {
-        let mut changed = false;
-        for instr in program.iter_instrs() {
-            let tensor_inputs: Vec<ValueId> = instr
-                .read_values()
-                .filter(|v| program.value(*v).ty.is_tensor())
-                .collect();
-            let tensor_outputs: Vec<ValueId> = instr
-                .written_values()
-                .into_iter()
-                .filter(|v| program.value(*v).ty.is_tensor())
-                .collect();
-            let any_tainted = tensor_inputs
-                .iter()
-                .chain(tensor_outputs.iter())
-                .any(|v| tainted.contains(v));
-            if !any_tainted {
-                continue;
-            }
-            match instr.op {
-                // Taint never enters through `sign` inputs (they are real
-                // valued) and never leaves reductions by default.
-                HdcOp::Sign => {}
-                op if op.is_reduce_op() => {
-                    if options.binarize_reduce_inputs {
-                        for v in &tensor_inputs {
-                            changed |= tainted.insert(*v);
-                        }
-                    }
-                }
-                // Selection and indexing produce indices/scalars, not
-                // bipolar tensors; taint stops here.
-                HdcOp::ArgMin | HdcOp::ArgMax | HdcOp::ArgTopK { .. } | HdcOp::GetElement => {}
-                // Type casts are precision barriers: the user explicitly
-                // requested a representation.
-                HdcOp::TypeCast { .. } => {}
-                _ => {
-                    for v in tensor_inputs.iter().chain(tensor_outputs.iter()) {
-                        changed |= tainted.insert(*v);
-                    }
-                }
-            }
-        }
-        // Taint also flows through stage interfaces, which connect values
-        // structurally rather than through instructions: the executor copies
-        // rows of `interface.queries` into `body_query` every iteration, and
-        // an encoding stage assembles `interface.output` from the per-sample
-        // `body_result`. (Inference/training outputs are index vectors /
-        // aliases of the class matrix, so only encoding propagates to its
-        // output.)
-        for node in program.nodes() {
-            if let NodeBody::Stage(stage) = &node.body {
-                let mut flow = |from: ValueId, to: ValueId, changed: &mut bool| {
-                    if tainted.contains(&from) && program.value(to).ty.is_tensor() {
-                        *changed |= tainted.insert(to);
-                    }
-                };
-                flow(stage.interface.queries, stage.body_query, &mut changed);
-                if matches!(stage.kind, StageKind::Encoding) {
-                    flow(stage.body_result, stage.interface.output, &mut changed);
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // --- rewrite ----------------------------------------------------------
     let mut binarized_values = 0;
-    for v in &tainted {
-        let info = program.value_mut(*v);
-        if info.ty.element_kind() != Some(options.binarized_type) {
-            info.ty = info.ty.with_element_kind(options.binarized_type);
+    for v in (0..tainted.len()).filter(|&v| tainted[v]) {
+        let info = program.value_mut(ValueId::new(v));
+        if info.ty.element_kind() != Some(ElementKind::Bit) {
+            info.ty = info.ty.with_element_kind(ElementKind::Bit);
             binarized_values += 1;
         }
     }
@@ -167,7 +64,7 @@ pub fn binarize(program: &mut Program, options: &BinarizeOptions) -> BinarizeRep
         .filter(|i| {
             i.read_values()
                 .chain(i.written_values())
-                .any(|v| tainted.contains(&v))
+                .any(|v| tainted[v.index()])
         })
         .count();
 
@@ -177,6 +74,84 @@ pub fn binarize(program: &mut Program, options: &BinarizeOptions) -> BinarizeRep
         bytes_before,
         bytes_after: program.total_value_bytes(),
     }
+}
+
+/// Whether an instruction passes bipolarity between its tensors. Sign
+/// inputs are real valued; reductions produce counts and accumulations;
+/// selection and indexing produce indices and scalars; a type cast is a
+/// precision the user asked for.
+fn propagates(op: &HdcOp) -> bool {
+    !op.is_reduce_op()
+        && !matches!(
+            op,
+            HdcOp::Sign
+                | HdcOp::ArgMin
+                | HdcOp::ArgMax
+                | HdcOp::ArgTopK { .. }
+                | HdcOp::GetElement
+                | HdcOp::TypeCast { .. }
+        )
+}
+
+/// The taint analysis: `tainted[v]` when value `v` only ever holds ±1 data.
+fn bipolar_values(program: &Program) -> Vec<bool> {
+    let is_tensor = |v: &ValueId| program.value(*v).ty.is_tensor();
+    // Seed: results of sign instructions hold bipolar values by definition.
+    let seeds: Vec<(ValueId, bool)> = program
+        .iter_instrs()
+        .filter(|i| matches!(i.op, HdcOp::Sign))
+        .filter_map(|i| i.result)
+        .filter(is_tensor)
+        .map(|v| (v, true))
+        .collect();
+    let du = DefUse::new(program);
+    solve(
+        &du,
+        program.values().len(),
+        &seeds,
+        Direction::Both,
+        |site, tainted| {
+            let flow = |from: ValueId, to: ValueId| {
+                if tainted[from.index()] && is_tensor(&to) {
+                    vec![(to, true)]
+                } else {
+                    Vec::new()
+                }
+            };
+            match site.kind {
+                // Element-wise and data-movement operations preserve
+                // bipolarity, so taint flows through both their inputs and
+                // outputs.
+                SiteKind::Instr { node, index } => {
+                    let tensors = site
+                        .reads
+                        .iter()
+                        .chain(&site.writes)
+                        .filter(|v| is_tensor(v));
+                    if propagates(&program.node(node).instrs()[index].op)
+                        && tensors.clone().any(|v| tainted[v.index()])
+                    {
+                        tensors.map(|v| (*v, true)).collect()
+                    } else {
+                        Vec::new()
+                    }
+                }
+                // The executor copies rows of `queries` into `body_query`
+                // every iteration.
+                SiteKind::StageQueryFlow { .. } => flow(site.reads[0], site.writes[0]),
+                // An encoding stage assembles its output from the
+                // per-sample `body_result`. Inference and training outputs
+                // are index vectors / aliases of the class matrix.
+                SiteKind::StageResultFlow { node } => match &program.node(node).body {
+                    NodeBody::Stage(stage) if matches!(stage.kind, StageKind::Encoding) => {
+                        flow(stage.body_result, stage.interface.output)
+                    }
+                    _ => Vec::new(),
+                },
+                SiteKind::ParallelForIndex { .. } => Vec::new(),
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -204,7 +179,7 @@ mod tests {
     #[test]
     fn sign_outputs_become_bit() {
         let (mut p, encoded_b, classes_b, dists, features) = classification_program();
-        let report = binarize(&mut p, &BinarizeOptions::default());
+        let report = binarize(&mut p);
         assert!(report.binarized_values >= 2);
         assert_eq!(p.value(encoded_b).ty.element_kind(), Some(ElementKind::Bit));
         assert_eq!(p.value(classes_b).ty.element_kind(), Some(ElementKind::Bit));
@@ -226,7 +201,7 @@ mod tests {
         let flipped = b.sign_flip(shifted);
         b.mark_output(flipped);
         let mut p = b.finish();
-        binarize(&mut p, &BinarizeOptions::default());
+        binarize(&mut p);
         assert_eq!(p.value(s).ty.element_kind(), Some(ElementKind::Bit));
         assert_eq!(p.value(shifted).ty.element_kind(), Some(ElementKind::Bit));
         assert_eq!(p.value(flipped).ty.element_kind(), Some(ElementKind::Bit));
@@ -234,39 +209,42 @@ mod tests {
     }
 
     #[test]
-    fn reduce_inputs_untouched_by_default_binarized_when_aggressive() {
-        // matmul consumes a signed projection matrix: by default its other
-        // input (the feature vector) stays full precision; with
-        // binarize_reduce_inputs it is reduced too.
-        let build = || {
-            let mut b = ProgramBuilder::new("agg");
-            let features = b.input_vector("features", ElementKind::F32, 617);
-            let rp = b.input_matrix("rp", ElementKind::F32, 2048, 617);
-            let rp_b = b.sign(rp);
-            let encoded = b.matmul(features, rp_b);
-            b.mark_output(encoded);
-            (b.finish(), features)
-        };
+    fn reduce_inputs_stay_full_precision() {
+        // matmul consumes a signed projection matrix: its other input (the
+        // feature vector) stays full precision.
+        let mut b = ProgramBuilder::new("agg");
+        let features = b.input_vector("features", ElementKind::F32, 617);
+        let rp = b.input_matrix("rp", ElementKind::F32, 2048, 617);
+        let rp_b = b.sign(rp);
+        let encoded = b.matmul(features, rp_b);
+        b.mark_output(encoded);
+        let mut p = b.finish();
+        binarize(&mut p);
+        assert_eq!(p.value(rp_b).ty.element_kind(), Some(ElementKind::Bit));
+        assert_eq!(p.value(features).ty.element_kind(), Some(ElementKind::F32));
+    }
 
-        let (mut default_p, features) = build();
-        binarize(&mut default_p, &BinarizeOptions::default());
-        assert_eq!(
-            default_p.value(features).ty.element_kind(),
-            Some(ElementKind::F32)
-        );
-
-        let (mut aggressive_p, features) = build();
-        binarize(
-            &mut aggressive_p,
-            &BinarizeOptions {
-                binarize_reduce_inputs: true,
-                ..BinarizeOptions::default()
-            },
-        );
-        assert_eq!(
-            aggressive_p.value(features).ty.element_kind(),
-            Some(ElementKind::Bit)
-        );
+    #[test]
+    fn taint_flows_back_to_an_earlier_def() {
+        // `y = a ⊙ b` is built before the sign it meets two ops later, so
+        // `a` and `b` are tainted only by flowing backward from that use.
+        let mut b = ProgramBuilder::new("backward");
+        let a = b.input_vector("a", ElementKind::F32, 256);
+        let c = b.input_vector("b", ElementKind::F32, 256);
+        let x = b.input_vector("x", ElementKind::F32, 256);
+        let y = b.mul(a, c);
+        let s = b.sign(x);
+        let shifted = b.wrap_shift(s, 1);
+        let z = b.mul(y, shifted);
+        b.mark_output(z);
+        let mut p = b.finish();
+        let report = binarize(&mut p);
+        for v in [a, c, y, s, shifted, z] {
+            assert_eq!(p.value(v).ty.element_kind(), Some(ElementKind::Bit));
+        }
+        assert_eq!(p.value(x).ty.element_kind(), Some(ElementKind::F32));
+        assert_eq!(report.binarized_values, 6);
+        verify(&p).unwrap();
     }
 
     #[test]
@@ -278,23 +256,10 @@ mod tests {
         b.mark_output(d);
         let mut p = b.finish();
         let before = p.clone();
-        let report = binarize(&mut p, &BinarizeOptions::default());
+        let report = binarize(&mut p);
         assert_eq!(report.binarized_values, 0);
         assert_eq!(report.bytes_before, report.bytes_after);
         assert_eq!(p, before);
-    }
-
-    #[test]
-    fn alternate_binarized_type() {
-        let (mut p, encoded_b, _, _, _) = classification_program();
-        binarize(
-            &mut p,
-            &BinarizeOptions {
-                binarized_type: ElementKind::I8,
-                binarize_reduce_inputs: false,
-            },
-        );
-        assert_eq!(p.value(encoded_b).ty.element_kind(), Some(ElementKind::I8));
     }
 
     #[test]
@@ -315,7 +280,7 @@ mod tests {
         );
         b.mark_output(preds);
         let mut p = b.finish();
-        let report = binarize(&mut p, &BinarizeOptions::default());
+        let report = binarize(&mut p);
         assert!(report.binarized_values >= 2);
         assert_eq!(p.value(classes_b).ty.element_kind(), Some(ElementKind::Bit));
         verify(&p).unwrap();
@@ -344,7 +309,7 @@ mod tests {
         );
         b.mark_output(preds);
         let mut p = b.finish();
-        binarize(&mut p, &BinarizeOptions::default());
+        binarize(&mut p);
         assert_eq!(p.value(encoded).ty.element_kind(), Some(ElementKind::Bit));
         // Raw features and the projection stay full precision.
         assert_eq!(p.value(features).ty.element_kind(), Some(ElementKind::F64));
@@ -355,7 +320,7 @@ mod tests {
     #[test]
     fn report_counts_value_types() {
         let (mut p, ..) = classification_program();
-        let report = binarize(&mut p, &BinarizeOptions::default());
+        let report = binarize(&mut p);
         assert_eq!(report.binarized_values, p.binarized_value_count());
         assert!(report.affected_instrs >= 3, "sign, sign, hamming at least");
     }

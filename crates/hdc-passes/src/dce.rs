@@ -1,17 +1,17 @@
 //! Dead code elimination over every node body.
 //!
-//! Removes instructions whose results are never read (transitively) and
-//! that have no side effects. Stage and parallel-for bodies are cleaned
-//! too: only the values their *semantics* consume are protected — the
-//! stage interface, the `body_query`/`body_result` slots, the persistent
-//! set populated by data-movement hoisting, and the loop index — so a
-//! dead intermediate inside an encoding body no longer survives to
-//! execution (it used to: the earlier DCE treated whole stage bodies
-//! as opaque and kept everything they wrote).
+//! Removes instructions whose results never reach a live value and that
+//! have no side effects. Liveness is [`hdc_ir::dataflow::live_values`], the
+//! same backward solve the analyzer's `HDA001` runs, from a wider root
+//! set: besides the program outputs, the values a node's *semantics*
+//! consume (the stage interface, the `body_query`/`body_result` slots, the
+//! persistent set populated by data-movement hoisting, the loop index) and
+//! the reads of in-place updates are live. Stage and parallel-for bodies
+//! are cleaned like leaves.
 
+use hdc_ir::dataflow::{live_values, DefUse};
 use hdc_ir::ops::HdcOp;
 use hdc_ir::program::{Node, NodeBody, Program, ValueId, ValueRole};
-use std::collections::HashSet;
 
 /// Statistics reported by [`eliminate_dead_code`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,44 +45,24 @@ fn protected_values(node: &Node) -> Vec<ValueId> {
     }
 }
 
-/// Remove dead instructions from every node body, iterating to a fixpoint.
+/// Remove dead instructions from every node body.
 pub fn eliminate_dead_code(program: &mut Program) -> DceReport {
-    let mut report = DceReport::default();
-    loop {
-        // Live set: program outputs, the values each node's semantics
-        // consume (stage interfaces, body_query/body_result, persistent
-        // sets, loop indices), and everything any instruction reads.
-        let mut live: HashSet<ValueId> = program
-            .values_with_role(ValueRole::Output)
-            .into_iter()
-            .collect();
-        for node in program.nodes() {
-            live.extend(protected_values(node));
-            for instr in node.instrs() {
-                live.extend(instr.read_values());
-            }
-        }
-        let mut removed_this_round = 0;
-        for node in program.nodes_mut() {
-            let instrs = node.instrs_mut();
-            let before = instrs.len();
-            instrs.retain(|i| {
-                if has_side_effect(&i.op) {
-                    return true;
-                }
-                match i.result {
-                    Some(r) => live.contains(&r),
-                    None => true,
-                }
-            });
-            removed_this_round += before - instrs.len();
-        }
-        report.removed_instrs += removed_this_round;
-        if removed_this_round == 0 {
-            break;
+    let mut roots = program.values_with_role(ValueRole::Output);
+    for node in program.nodes() {
+        roots.extend(protected_values(node));
+        for instr in node.instrs().iter().filter(|i| has_side_effect(&i.op)) {
+            roots.extend(instr.read_values());
         }
     }
-    report
+    let live = live_values(program, &DefUse::new(program), roots);
+    let mut removed_instrs = 0;
+    for node in program.nodes_mut() {
+        let instrs = node.instrs_mut();
+        let before = instrs.len();
+        instrs.retain(|i| has_side_effect(&i.op) || i.result.is_none_or(|r| live[r.index()]));
+        removed_instrs += before - instrs.len();
+    }
+    DceReport { removed_instrs }
 }
 
 #[cfg(test)]
@@ -139,9 +119,8 @@ mod tests {
 
     #[test]
     fn dead_value_inside_stage_body_is_removed() {
-        // The regression this PR fixes: DCE used to treat stage bodies as
-        // opaque (keeping everything they write), so a dead intermediate
-        // inside an encoding body survived to execution.
+        // A dead intermediate inside an encoding body does not survive to
+        // execution.
         let mut b = ProgramBuilder::new("stage_dce");
         let feats = b.input_matrix("feats", ElementKind::F32, 4, 8);
         let proj = b.input_matrix("proj", ElementKind::F32, 32, 8);

@@ -5,6 +5,7 @@
 //! * [`binarize`](mod@binarize) — automatic binarization propagation (Algorithm 1): a
 //!   taint analysis seeded at `sign` operations that rewrites tainted
 //!   hypervectors and hypermatrices to a 1-bit element representation.
+//!   It and DCE are transfer functions over [`hdc_ir::dataflow`].
 //! * [`perforation`] — reduction perforation: attach `red_perf` descriptors
 //!   to similarity / matmul / l2norm reductions from a compile-time
 //!   configuration, without touching application source.
@@ -16,7 +17,8 @@
 //! * [`target_assign`] — mapping of dataflow-graph nodes onto hardware
 //!   targets with legality checks (accelerators only accept stage nodes and
 //!   reject the approximation optimizations).
-//! * [`dce`] — dead code elimination for leaf nodes.
+//! * [`dce`] — dead code elimination over every node body (leaf,
+//!   `parallel_for` and stage).
 //! * [`pipeline`] — [`compile`], which runs the five transformations above
 //!   (all but lowering) in one fixed order and re-verifies the IR after
 //!   every pass; [`CompileOptions`] holds the
@@ -33,7 +35,7 @@ pub mod perforation;
 pub mod pipeline;
 pub mod target_assign;
 
-pub use binarize::{binarize, BinarizeOptions, BinarizeReport};
+pub use binarize::{binarize, BinarizeReport};
 pub use data_movement::{hoist_data_movement, DataMovementReport};
 pub use dce::{eliminate_dead_code, DceReport};
 pub use lowering::{lower_instr, LoopDim, LoopNest};

@@ -385,7 +385,7 @@ mod tests {
             lower_instr(p, instr.unwrap())
         };
         let dense_nest = hamming_nest(&p);
-        crate::binarize::binarize(&mut p, &crate::binarize::BinarizeOptions::default());
+        crate::binarize::binarize(&mut p);
         let bit_nest = hamming_nest(&p);
         assert!(bit_nest.total_flops() < dense_nest.total_flops());
         assert!(bit_nest.total_bytes() < dense_nest.total_bytes());

@@ -9,7 +9,7 @@
 //! on the input and after each pass, so a transformation bug is reported
 //! against the pass that introduced it rather than at execution time.
 
-use crate::binarize::{binarize, BinarizeOptions, BinarizeReport};
+use crate::binarize::{binarize, BinarizeReport};
 use crate::data_movement::{hoist_data_movement, DataMovementReport};
 use crate::dce::{eliminate_dead_code, DceReport};
 use crate::perforation::{apply_perforation, PerforationConfig, PerforationReport};
@@ -47,9 +47,9 @@ impl std::error::Error for PipelineError {}
 /// them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileOptions {
-    /// Automatic binarization; `None` disables the pass (Table 3 configs
+    /// Automatic binarization; `false` disables the pass (Table 3 configs
     /// I–II).
-    pub binarize: Option<BinarizeOptions>,
+    pub binarize: bool,
     /// Reduction-perforation rules; an empty config leaves reductions dense.
     pub perforation: PerforationConfig,
 }
@@ -57,7 +57,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            binarize: Some(BinarizeOptions::default()),
+            binarize: true,
             perforation: PerforationConfig::none(),
         }
     }
@@ -67,7 +67,7 @@ impl CompileOptions {
     /// The paper's baseline configuration: no approximations.
     pub fn baseline() -> Self {
         CompileOptions {
-            binarize: None,
+            binarize: false,
             perforation: PerforationConfig::none(),
         }
     }
@@ -175,9 +175,10 @@ pub fn compile(
     options: &CompileOptions,
 ) -> Result<CompileReport, PipelineError> {
     verified(program, "<input>")?;
-    let binarized = match &options.binarize {
-        Some(o) => Some(step(program, "binarize", |p| binarize(p, o))?),
-        None => None,
+    let binarized = if options.binarize {
+        Some(step(program, "binarize", binarize)?)
+    } else {
+        None
     };
     let perforated = if options.perforation.rules.is_empty() {
         None

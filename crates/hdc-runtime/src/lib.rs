@@ -352,7 +352,7 @@ mod tests {
         b.mark_output(label);
         let mut p = b.finish();
         // Binarize the program, so the sign results become Bit slots.
-        let report = hdc_passes::binarize(&mut p, &hdc_passes::BinarizeOptions::default());
+        let report = hdc_passes::binarize(&mut p);
         assert!(report.binarized_values >= 2);
         let mut rng = HdcRng::seed_from_u64(9);
         let qv: HyperVector<f64> = hdc_core::random::random_hypervector(128, &mut rng);
@@ -378,7 +378,7 @@ mod tests {
         let bound = b.mul(xs, ys);
         b.mark_output(bound);
         let mut p = b.finish();
-        hdc_passes::binarize(&mut p, &hdc_passes::BinarizeOptions::default());
+        hdc_passes::binarize(&mut p);
         let mut rng = HdcRng::seed_from_u64(4);
         let xv: HyperVector<f64> = hdc_core::random::random_hypervector(64, &mut rng);
         let yv: HyperVector<f64> = hdc_core::random::random_hypervector(64, &mut rng);

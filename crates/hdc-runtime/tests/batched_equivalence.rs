@@ -1038,7 +1038,7 @@ fn binarized_pipeline_equivalence_through_passes() {
     });
     b.mark_output(preds);
     let mut program = b.finish();
-    hdc_passes::binarize(&mut program, &hdc_passes::BinarizeOptions::default());
+    hdc_passes::binarize(&mut program);
 
     let mut rng = HdcRng::seed_from_u64(0xB1AB);
     let qm: HyperMatrix<f64> = hdc_core::random::gaussian_hypermatrix(QUERIES, DIM, &mut rng);

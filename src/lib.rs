@@ -29,13 +29,13 @@
 //!   micro-batching request coalescer dispatching through the batched
 //!   kernels (every window bit-identical to the sequential oracle),
 //!   health/stats endpoints, and an open-loop load generator.
-//! * [`analyze`] — the static-analysis layer: def-use chains and a
-//!   worklist engine over the IR, liveness, abstract shape/dtype and
-//!   bit-taint interpretation, perforation/`wrap_shift`/`parallel_for`
-//!   legality, and effect/alias classification of the `Arc`-backed value
-//!   store — surfaced as an `AnalysisReport` (stable `HDA0xx` codes,
-//!   JSON), the `hdc-lint` binary, and `compile_audited`, which analyzes a
-//!   program before and after compilation.
+//! * [`analyze`] — the static-analysis layer over the IR's def-use
+//!   chains and worklist engine (`ir::dataflow`): liveness, abstract
+//!   shape/dtype and bit-taint interpretation, perforation/`wrap_shift`/
+//!   `parallel_for` legality, and effect/alias classification of the
+//!   `Arc`-backed value store — surfaced as an `AnalysisReport` (stable
+//!   `HDA0xx` codes, JSON), the `hdc-lint` binary, and `compile_audited`,
+//!   which analyzes a program before and after compilation.
 //!
 //! See `README.md` for the workspace layout and a quickstart,
 //! `docs/architecture.md` for the IR → passes → executor walkthrough,
