@@ -49,37 +49,25 @@ const NAMES: &[&str] = &[
 ];
 
 fn build(name: &str) -> Result<Vec<Program>, String> {
-    let default = CompileOptions::default();
-    let baseline = CompileOptions::baseline();
+    let options = if name.ends_with("-baseline") {
+        CompileOptions::baseline()
+    } else {
+        CompileOptions::default()
+    };
     let err = |e: &dyn std::fmt::Display| format!("building `{name}`: {e}");
     match name {
         "classification" | "classification-baseline" => {
-            let options = if name.ends_with("baseline") {
-                &baseline
-            } else {
-                &default
-            };
-            let app = ClassificationApp::with_options(small_dataset(11), DIM, 2, options)
+            let app = ClassificationApp::with_options(small_dataset(11), DIM, 2, &options)
                 .map_err(|e| err(&e))?;
             Ok(vec![app.program().clone()])
         }
         "clustering" | "clustering-baseline" => {
-            let options = if name.ends_with("baseline") {
-                &baseline
-            } else {
-                &default
-            };
-            let app = ClusteringApp::with_options(small_dataset(12), DIM, 3, options)
+            let app = ClusteringApp::with_options(small_dataset(12), DIM, 3, &options)
                 .map_err(|e| err(&e))?;
             Ok(vec![app.program().clone()])
         }
         "matching" | "matching-baseline" => {
-            let options = if name.ends_with("baseline") {
-                &baseline
-            } else {
-                &default
-            };
-            let app = MatchingApp::with_options(small_dataset(13), DIM, 3, options)
+            let app = MatchingApp::with_options(small_dataset(13), DIM, 3, &options)
                 .map_err(|e| err(&e))?;
             Ok(vec![app.program().clone()])
         }
@@ -171,6 +159,7 @@ fn main() {
         names = NAMES.iter().map(|s| s.to_string()).collect();
     }
 
+    let mut linted = 0usize;
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
     for name in &names {
@@ -183,6 +172,7 @@ fn main() {
         };
         for program in &programs {
             let report = analyze(program);
+            linted += 1;
             total_errors += report.error_count();
             total_warnings += report.warning_count();
             if json {
@@ -195,10 +185,7 @@ fn main() {
         }
     }
     if !json {
-        println!(
-            "hdc-lint: {} program(s), {total_errors} errors, {total_warnings} warnings",
-            names.len()
-        );
+        println!("hdc-lint: {linted} program(s), {total_errors} errors, {total_warnings} warnings");
     }
     if total_errors > 0 {
         std::process::exit(1);

@@ -241,11 +241,6 @@ impl AnalysisReport {
         self.diagnostics.iter().any(|d| d.code == code)
     }
 
-    /// All findings with the given code.
-    pub fn with_code(&self, code: DiagnosticCode) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.code == code).collect()
-    }
-
     /// One-line summary (`N errors, M warnings, K notes`).
     pub fn summary(&self) -> String {
         let notes = self.diagnostics.len() - self.error_count() - self.warning_count();
@@ -343,7 +338,10 @@ mod tests {
         assert!(r.has_errors());
         assert!(r.has_code(DiagnosticCode::DeadValue));
         assert!(!r.has_code(DiagnosticCode::WrapShiftNoop));
-        assert_eq!(r.with_code(DiagnosticCode::BitTaintLeak).len(), 1);
+        assert_eq!(
+            r.errors().map(|d| d.code).collect::<Vec<_>>(),
+            [DiagnosticCode::BitTaintLeak]
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Static dataflow analysis for HPVM-HDC IR.
 //!
-//! `hdc-analyze` is the diagnostic layer of the compiler: where the
-//! [`hdc_ir::verify`] verifier rejects programs that are structurally
-//! malformed, this crate finds programs that are well-formed but *wrong* —
-//! dead stages, binarized values leaking into full-precision kernels,
-//! illegal perforation descriptors, mis-sized stage interfaces, racy
-//! parallel loops.
+//! `hdc-analyze` is the diagnostic layer of the compiler. It finds dead
+//! stages, binarized values leaking into full-precision kernels, racy
+//! parallel loops and other programs that run but compute the wrong thing,
+//! and reports every finding under a stable code. The [`hdc_ir::verify`]
+//! verifier owns the stage-interface and perforation rules; this crate
+//! reports its `StageShape` violations as `HDA003` and its `Perforation`
+//! violations as `HDA005`, so those two errors always mean `verify`
+//! rejects the program.
 //!
 //! Its analyses are transfer functions over [`hdc_ir::dataflow`]: def-use
 //! chains with explicit *structural* sites for the stage-interface flows
@@ -15,9 +17,10 @@
 //!
 //! * [`liveness`] — backward analysis flagging dead values (`HDA001`) and
 //!   dead stage outputs (`HDA002`).
-//! * [`shape`] — abstract shape/dtype interpretation of stage interfaces
-//!   (`HDA003`), bit-taint (`HDA004`), perforation legality (`HDA005`,
-//!   `HDA010`), `wrap_shift` placement (`HDA006`, `HDA007`) and
+//! * [`shape`] — the verifier's stage-interface (`HDA003`) and perforation
+//!   (`HDA005`) violations, element-kind drift across an encoding stage
+//!   (an `HDA003` warning), bit-taint (`HDA004`), mixed perforation
+//!   (`HDA010`), `wrap_shift` placement (`HDA006`, `HDA007`) and
 //!   `parallel_for` independence (`HDA008`, `HDA009`).
 //! * [`effects`] — per-node effect/alias classification over the
 //!   `Arc`-backed runtime store (`HDA011` plus the one-directional

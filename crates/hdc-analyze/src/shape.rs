@@ -1,15 +1,16 @@
 //! Abstract shape / dtype interpretation and legality rules.
 //!
-//! The IR verifier checks per-instruction operand typing; what it cannot
-//! see is how values flow *across* stage interfaces and loop boundaries.
-//! This module closes that gap with four families of checks:
+//! The IR verifier ([`hdc_ir::verify`]) owns the stage-interface and
+//! perforation rules; this module reports its typed violations under the
+//! analyzer's stable codes and adds the rules the verifier does not hold:
 //!
-//! * **Stage-interface shapes** (`HDA003`): the per-sample `body_result`
-//!   must agree with what the stage semantics do with it — an encoding
-//!   body must produce one output row (`dim == output.cols`), a training
-//!   or inference body must produce one score per class
-//!   (`dim == classes.rows`), and the output length must match the query
-//!   count. Element-kind drift across an interface is a warning.
+//! * **Stage-interface shapes** (`HDA003`): every [`Rule::StageShape`]
+//!   violation is an error — an encoding body must produce one output row
+//!   (`dim == output.cols`), a training or inference body one score per
+//!   class (`dim == classes.rows`), and the output length must match the
+//!   query count. Element-kind drift from an encoding body result to the
+//!   stage output is a warning, reported here: the executor converts the
+//!   rows.
 //! * **Bit-taint** (`HDA004`): a forward dataflow tracks which values are
 //!   binarized (±1 / packed-bit contents). Feeding a tainted value into
 //!   an `hdc.div` or element-wise `cosine` — kernels that are only
@@ -17,11 +18,12 @@
 //!   selections launder taint (collapsing the hypervector dimension
 //!   produces full-precision scores), as does a `type_cast` to a dense
 //!   kind; that mirrors Algorithm 1's `IsHDCReduceOp` rule.
-//! * **Perforation legality** (`HDA005`, `HDA010`): a `red_perf`
-//!   annotation on an op that does not support it, or a descriptor that
-//!   is invalid for the op's reduction dimension, is an error. Mixing
-//!   different descriptors on the same op within one node is a warning —
-//!   the scores are no longer comparable.
+//! * **Perforation legality** (`HDA005`, `HDA010`): every
+//!   [`Rule::Perforation`] violation (a `red_perf` annotation on an op
+//!   that does not support it, or a descriptor invalid for the op's
+//!   reduction dimension) is an error. Mixing different descriptors on the
+//!   same op within one node is a warning — the scores are no longer
+//!   comparable.
 //! * **`wrap_shift` position** (`HDA006`, `HDA007`): wrap-shift is a
 //!   permutation *encoding* primitive. Applying it to a reduction or
 //!   selection result (scores, labels) or to a non-tensor is an error;
@@ -32,11 +34,10 @@ use crate::diag::{Diagnostic, DiagnosticCode, Location, Severity};
 use hdc_core::element::ElementKind;
 use hdc_core::ops::ElementwiseOp;
 use hdc_ir::dataflow::{solve, DefUse, Direction, Site, SiteKind};
-use hdc_ir::instr::HdcInstr;
 use hdc_ir::ops::{HdcOp, OpCategory};
 use hdc_ir::program::{NodeBody, Program, ValueId};
 use hdc_ir::stage::StageKind;
-use hdc_ir::types::ValueType;
+use hdc_ir::verify::{verify, Rule, Violation};
 
 /// Result of the bit-taint analysis.
 #[derive(Debug, Clone)]
@@ -117,120 +118,81 @@ fn transfer_taint(program: &Program, site: &Site, facts: &[bool]) -> Vec<(ValueI
 /// Run all shape / taint / perforation / wrap-shift checks.
 pub fn check(program: &Program, du: &DefUse) -> (BitTaint, Vec<Diagnostic>) {
     let taint = compute_taint(program, du);
+    let violations = verify(program)
+        .err()
+        .map_or_else(Vec::new, |e| e.violations);
     let mut diags = Vec::new();
-    check_stage_interfaces(program, &mut diags);
+    report_violations(program, &violations, Rule::StageShape, &mut diags);
+    check_element_kind_drift(program, &mut diags);
     check_taint_leaks(program, du, &taint, &mut diags);
-    check_perforation(program, du, &mut diags);
+    report_violations(program, &violations, Rule::Perforation, &mut diags);
+    check_mixed_perforation(program, &mut diags);
     check_wrap_shift(program, du, &mut diags);
     check_parallel_for(program, du, &mut diags);
     (taint, diags)
 }
 
-fn rows_of(ty: &ValueType) -> Option<usize> {
-    match ty {
-        ValueType::HyperMatrix { rows, .. } => Some(*rows),
-        _ => None,
+/// The verifier's `rule` violations as error diagnostics: `StageShape` is
+/// `HDA003`, `Perforation` is `HDA005`.
+fn report_violations(
+    program: &Program,
+    violations: &[Violation],
+    rule: Rule,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let (code, suggestion) = match rule {
+        Rule::StageShape => (
+            DiagnosticCode::StageShapeMismatch,
+            "produce one output row per query, one encoded row of the output width, \
+             and one score per class row",
+        ),
+        Rule::Perforation => (
+            DiagnosticCode::IllegalPerforation,
+            "red_perf is legal on hamming_distance, cossim, matmul and l2norm only, \
+             with a range inside the reduction dimension",
+        ),
+        Rule::Malformed => return,
+    };
+    for v in violations.iter().filter(|v| v.rule == rule) {
+        diags.push(Diagnostic {
+            code,
+            severity: Severity::Error,
+            location: Location {
+                node: Some(v.node.clone()),
+                instr: v.instr,
+                value: v.value.map(|id| program.value(id).name.clone()),
+            },
+            message: v.message.clone(),
+            suggestion: Some(suggestion.into()),
+        });
     }
 }
 
-fn output_len(ty: &ValueType) -> Option<usize> {
-    match ty {
-        ValueType::IndexVector { len } => Some(*len),
-        ValueType::HyperMatrix { rows, .. } => Some(*rows),
-        _ => None,
-    }
-}
-
-fn check_stage_interfaces(program: &Program, diags: &mut Vec<Diagnostic>) {
+/// `HDA003` warning: an encoding body result whose element kind differs
+/// from the stage output's. It is advisory: the executor converts every
+/// row.
+fn check_element_kind_drift(program: &Program, diags: &mut Vec<Diagnostic>) {
     for node in program.nodes() {
         let NodeBody::Stage(stage) = &node.body else {
             continue;
         };
-        let result_ty = program.value(stage.body_result).ty;
-        let result_name = &program.value(stage.body_result).name;
-        let result_dim = result_ty.reduction_dim();
-        let loc = || Location::node(&node.name).with_value(result_name);
-        match stage.kind {
-            StageKind::Encoding => {
-                let out_ty = program.value(stage.interface.output).ty;
-                if let (Some(dim), ValueType::HyperMatrix { cols, .. }) = (result_dim, out_ty) {
-                    if dim != cols {
-                        diags.push(Diagnostic {
-                            code: DiagnosticCode::StageShapeMismatch,
-                            severity: Severity::Error,
-                            location: loc(),
-                            message: format!(
-                                "encoding body produces a {dim}-element result but the stage \
-                                 output has {cols} columns"
-                            ),
-                            suggestion: Some(
-                                "make the body return one encoded row of the output width".into(),
-                            ),
-                        });
-                    }
-                }
-                if let (Some(re), Some(oe)) = (result_ty.element_kind(), out_ty.element_kind()) {
-                    if re != oe {
-                        diags.push(Diagnostic {
-                            code: DiagnosticCode::StageShapeMismatch,
-                            severity: Severity::Warning,
-                            location: loc(),
-                            message: format!(
-                                "encoding body result is {re} but the stage output stores \
-                                 {oe}; the executor will convert every row"
-                            ),
-                            suggestion: Some("cast inside the body or retype the output".into()),
-                        });
-                    }
-                }
-            }
-            StageKind::Training { .. } | StageKind::Inference => {
-                let classes_rows = stage
-                    .interface
-                    .classes
-                    .and_then(|c| rows_of(&program.value(c).ty));
-                if let (Some(dim), Some(rows)) = (result_dim, classes_rows) {
-                    if dim != rows {
-                        diags.push(Diagnostic {
-                            code: DiagnosticCode::StageShapeMismatch,
-                            severity: Severity::Error,
-                            location: loc(),
-                            message: format!(
-                                "{} body produces {dim} scores but the class memory has \
-                                 {rows} rows; {} selects over one score per class",
-                                stage.kind,
-                                match stage.polarity {
-                                    hdc_ir::stage::ScorePolarity::Similarity => "arg_max",
-                                    hdc_ir::stage::ScorePolarity::Distance => "arg_min",
-                                },
-                            ),
-                            suggestion: Some(
-                                "score against the stage's class matrix so lengths agree".into(),
-                            ),
-                        });
-                    }
-                }
-            }
+        if stage.kind != StageKind::Encoding {
+            continue;
         }
-        // Output length vs query count, for every stage kind that maps one
-        // query row to one output row/label.
-        let q_ty = program.value(stage.interface.queries).ty;
+        let result = program.value(stage.body_result);
         let out_ty = program.value(stage.interface.output).ty;
-        if !matches!(stage.kind, StageKind::Training { .. }) {
-            if let (Some(q_rows), Some(out_rows)) = (rows_of(&q_ty), output_len(&out_ty)) {
-                if q_rows != out_rows {
-                    diags.push(Diagnostic {
-                        code: DiagnosticCode::StageShapeMismatch,
-                        severity: Severity::Error,
-                        location: Location::node(&node.name)
-                            .with_value(&program.value(stage.interface.output).name),
-                        message: format!(
-                            "{} maps {q_rows} query rows to an output of length {out_rows}",
-                            stage.kind
-                        ),
-                        suggestion: Some("size the stage output to the query count".into()),
-                    });
-                }
+        if let (Some(re), Some(oe)) = (result.ty.element_kind(), out_ty.element_kind()) {
+            if re != oe {
+                diags.push(Diagnostic {
+                    code: DiagnosticCode::StageShapeMismatch,
+                    severity: Severity::Warning,
+                    location: Location::node(&node.name).with_value(&result.name),
+                    message: format!(
+                        "encoding body result is {re} but the stage output stores \
+                         {oe}; the executor will convert every row"
+                    ),
+                    suggestion: Some("cast inside the body or retype the output".into()),
+                });
             }
         }
     }
@@ -277,54 +239,9 @@ fn check_taint_leaks(
     }
 }
 
-fn reduction_dim_of_first_operand(program: &Program, instr: &HdcInstr) -> Option<usize> {
-    let first = instr.operands.first()?.as_value()?;
-    program.value(first).ty.reduction_dim()
-}
-
-fn check_perforation(program: &Program, du: &DefUse, diags: &mut Vec<Diagnostic>) {
-    for site in &du.sites {
-        let SiteKind::Instr { node, index } = site.kind else {
-            continue;
-        };
-        let instr = &program.node(node).instrs()[index];
-        let Some(perf) = instr.perforation else {
-            continue;
-        };
-        let loc = Location::instr(&program.node(node).name, index);
-        if !instr.op.supports_perforation() {
-            diags.push(Diagnostic {
-                code: DiagnosticCode::IllegalPerforation,
-                severity: Severity::Error,
-                location: loc,
-                message: format!(
-                    "`{}` carries a red_perf annotation but is not a perforable reduction",
-                    instr.op
-                ),
-                suggestion: Some(
-                    "red_perf is legal on hamming_distance, cossim, matmul and l2norm only".into(),
-                ),
-            });
-            continue;
-        }
-        if let Some(dim) = reduction_dim_of_first_operand(program, instr) {
-            if let Err(e) = perf.validate(dim) {
-                diags.push(Diagnostic {
-                    code: DiagnosticCode::IllegalPerforation,
-                    severity: Severity::Error,
-                    location: loc,
-                    message: format!(
-                        "red_perf [{}, {}) stride {} is invalid for reduction dimension \
-                         {dim}: {e}",
-                        perf.begin, perf.end, perf.stride
-                    ),
-                    suggestion: Some("fix the descriptor range/stride".into()),
-                });
-            }
-        }
-    }
-    // HDA010: the same op perforated differently within one node produces
-    // scores that are not comparable with each other.
+/// `HDA010`: the same op perforated differently within one node produces
+/// scores that are not comparable with each other.
+fn check_mixed_perforation(program: &Program, diags: &mut Vec<Diagnostic>) {
     for node in program.nodes() {
         let mut seen: Vec<(HdcOp, Option<hdc_core::Perforation>)> = Vec::new();
         for instr in node.instrs() {
@@ -503,8 +420,10 @@ fn check_parallel_for(program: &Program, du: &DefUse, diags: &mut Vec<Diagnostic
 mod tests {
     use super::*;
     use hdc_ir::builder::ProgramBuilder;
+    use hdc_ir::instr::HdcInstr;
     use hdc_ir::program::{Node, ValueInfo, ValueRole};
     use hdc_ir::stage::ScorePolarity;
+    use hdc_ir::types::ValueType;
     use hdc_ir::Target;
 
     fn analyze(p: &Program) -> Vec<Diagnostic> {
@@ -577,13 +496,7 @@ mod tests {
         b.mark_output(enc);
         let mut p = b.finish();
         // Shrink the stage output width behind the body's back.
-        let out = {
-            let NodeBody::Stage(stage) = &p.nodes()[0].body else {
-                panic!("expected stage")
-            };
-            stage.interface.output
-        };
-        p.value_mut(out).ty = ValueType::HyperMatrix {
+        p.value_mut(enc).ty = ValueType::HyperMatrix {
             elem: ElementKind::F64,
             rows: 4,
             cols: 16,
@@ -595,6 +508,42 @@ mod tests {
                 .any(|d| d.code == DiagnosticCode::StageShapeMismatch
                     && d.severity == Severity::Error),
             "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn class_rows_mismatch_is_an_error() {
+        // An inference body that scores against a 5-row memory while the
+        // stage's class memory has 3 rows: arg_min would select over
+        // scores that do not belong to the stage's classes.
+        let mut b = ProgramBuilder::new("class_rows");
+        let queries = b.input_matrix("q", ElementKind::F64, 4, 32);
+        let classes = b.input_matrix("cls", ElementKind::F64, 3, 32);
+        let other = b.input_matrix("other", ElementKind::F64, 5, 32);
+        let labels = b.inference_loop(
+            "infer",
+            queries,
+            classes,
+            ScorePolarity::Distance,
+            |body, q| body.hamming_distance(q, other),
+        );
+        b.mark_output(labels);
+        let p = b.finish();
+        let diags = analyze(&p);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        let d = &diags[0];
+        assert_eq!(
+            (d.code, d.severity),
+            (DiagnosticCode::StageShapeMismatch, Severity::Error)
+        );
+        let NodeBody::Stage(stage) = &p.nodes()[0].body else {
+            panic!("expected stage")
+        };
+        let result = &p.value(stage.body_result).name;
+        assert_eq!(d.location, Location::node("infer").with_value(result));
+        assert!(
+            verify(&p).is_err(),
+            "verify must reject what HDA003 errors on"
         );
     }
 

@@ -3,11 +3,14 @@
 //! entry point (the same path `hdc-lint` takes), asserting the *exact*
 //! stable code each program trips. This pins the catalog: a new analysis
 //! that changes which code fires for a known-bad shape is a breaking
-//! change, not a refinement. The `HDA001` and `HDA002` programs also pin
-//! DCE to liveness: it removes exactly the dead values, and keeps a dead
-//! stage's body.
+//! change, not a refinement. Every program also pins the verifier to the
+//! analyzer: `hdc_ir::verify` owns the stage-shape and perforation rules,
+//! so its `StageShape` and `Perforation` violations are exactly the
+//! `HDA003` errors and `HDA005` findings. The `HDA001` and `HDA002`
+//! programs also pin DCE to liveness: it removes exactly the dead values,
+//! and keeps a dead stage's body.
 
-use hdc_analyze::{analyze, liveness, AnalysisReport, DiagnosticCode, Severity};
+use hdc_analyze::{analyze, liveness, AnalysisReport, DiagnosticCode, Location, Severity};
 use hdc_core::element::ElementKind;
 use hdc_core::Perforation;
 use hdc_ir::builder::ProgramBuilder;
@@ -17,13 +20,22 @@ use hdc_ir::ops::HdcOp;
 use hdc_ir::program::{Node, NodeBody, ValueId, ValueInfo, ValueRole};
 use hdc_ir::stage::ScorePolarity;
 use hdc_ir::types::ValueType;
+use hdc_ir::verify::{verify, Rule};
 use hdc_ir::{Program, Target};
 use hdc_passes::{compile, eliminate_dead_code, CompileOptions};
 
-/// The one diagnostic of `code` in the report, asserting its severity and
-/// stable code string. Extra diagnostics of *other* kinds fail the test:
-/// each battery program is built to trip exactly one rule.
-fn expect_only(report: &AnalysisReport, code: DiagnosticCode, severity: Severity, hda: &str) {
+/// Analyze `program` and return its report, asserting that it holds one
+/// diagnostic, of `code`, with its severity and stable code string.
+/// Extra diagnostics of *other* kinds fail the test: each battery program
+/// is built to trip exactly one rule. The verifier must agree with it
+/// (see [`assert_verify_agrees`]).
+fn expect_only(
+    program: &Program,
+    code: DiagnosticCode,
+    severity: Severity,
+    hda: &str,
+) -> AnalysisReport {
+    let report = analyze(program);
     assert_eq!(
         report.diagnostics.len(),
         1,
@@ -38,6 +50,61 @@ fn expect_only(report: &AnalysisReport, code: DiagnosticCode, severity: Severity
         report.to_json().contains(hda),
         "JSON lost the code: {}",
         report.to_json()
+    );
+    assert_verify_agrees(program, &report);
+    report
+}
+
+/// The verifier owns the stage-shape and perforation rules: its
+/// `StageShape` and `Perforation` violations are, one for one and in
+/// order, the report's `HDA003` errors and `HDA005` findings, at the same
+/// node, instruction and value.
+fn assert_verify_agrees(program: &Program, report: &AnalysisReport) {
+    let violations = verify(program)
+        .err()
+        .map_or_else(Vec::new, |e| e.violations);
+    let from_verify: Vec<(DiagnosticCode, Location)> = violations
+        .iter()
+        .filter_map(|v| {
+            let code = match v.rule {
+                Rule::StageShape => DiagnosticCode::StageShapeMismatch,
+                Rule::Perforation => DiagnosticCode::IllegalPerforation,
+                Rule::Malformed => return None,
+            };
+            let location = Location {
+                node: Some(v.node.clone()),
+                instr: v.instr,
+                value: v.value.map(|id| program.value(id).name.clone()),
+            };
+            Some((code, location))
+        })
+        .collect();
+    let from_report: Vec<(DiagnosticCode, Location)> = report
+        .errors()
+        .filter(|d| {
+            matches!(
+                d.code,
+                DiagnosticCode::StageShapeMismatch | DiagnosticCode::IllegalPerforation
+            )
+        })
+        .map(|d| (d.code, d.location.clone()))
+        .collect();
+    assert_eq!(from_verify, from_report, "{report}");
+}
+
+/// `verify` rejects `program` with exactly one violation, of `rule`, at the
+/// node, instruction and value of the report's one diagnostic.
+fn expect_one_violation(program: &Program, report: &AnalysisReport, rule: Rule) {
+    let violations = verify(program).unwrap_err().violations;
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let v = &violations[0];
+    assert_eq!(v.rule, rule, "{v:?}");
+    let location = &report.diagnostics[0].location;
+    assert_eq!(location.node.as_ref(), Some(&v.node));
+    assert_eq!(location.instr, v.instr);
+    assert_eq!(
+        location.value.as_ref(),
+        v.value.map(|id| &program.value(id).name)
     );
 }
 
@@ -68,9 +135,8 @@ fn dead_stage_program() -> Program {
 
 #[test]
 fn hda001_dead_value() {
-    let report = analyze(&dead_value_program());
-    expect_only(
-        &report,
+    let report = expect_only(
+        &dead_value_program(),
         DiagnosticCode::DeadValue,
         Severity::Warning,
         "HDA001",
@@ -83,9 +149,8 @@ fn hda001_dead_value() {
 
 #[test]
 fn hda002_dead_stage_output() {
-    let report = analyze(&dead_stage_program());
-    expect_only(
-        &report,
+    let report = expect_only(
+        &dead_stage_program(),
         DiagnosticCode::DeadStageOutput,
         Severity::Error,
         "HDA002",
@@ -118,13 +183,13 @@ fn hda003_stage_shape_mismatch() {
         rows: 4,
         cols: 16,
     };
-    let report = analyze(&p);
-    expect_only(
-        &report,
+    let report = expect_only(
+        &p,
         DiagnosticCode::StageShapeMismatch,
         Severity::Error,
         "HDA003",
     );
+    expect_one_violation(&p, &report, Rule::StageShape);
 }
 
 #[test]
@@ -135,9 +200,8 @@ fn hda004_bit_taint_leak() {
     let s = b.sign(a);
     let bad = b.div(s, norms); // binarized value into an f64-only kernel
     b.mark_output(bad);
-    let report = analyze(&b.finish());
     expect_only(
-        &report,
+        &b.finish(),
         DiagnosticCode::BitTaintLeak,
         Severity::Error,
         "HDA004",
@@ -174,13 +238,13 @@ fn hda005_illegal_perforation() {
             instrs: vec![instr],
         },
     });
-    let report = analyze(&p);
-    expect_only(
-        &report,
+    let report = expect_only(
+        &p,
         DiagnosticCode::IllegalPerforation,
         Severity::Error,
         "HDA005",
     );
+    expect_one_violation(&p, &report, Rule::Perforation);
 }
 
 #[test]
@@ -191,9 +255,8 @@ fn hda006_wrap_shift_position() {
     let scores = b.cossim(a, m);
     let bad = b.wrap_shift(scores, 1); // permuting scores, not a hypervector
     b.mark_output(bad);
-    let report = analyze(&b.finish());
     expect_only(
-        &report,
+        &b.finish(),
         DiagnosticCode::WrapShiftPosition,
         Severity::Error,
         "HDA006",
@@ -206,9 +269,8 @@ fn hda007_wrap_shift_noop() {
     let a = b.input_vector("a", ElementKind::F64, 16);
     let noop = b.wrap_shift(a, 32); // 32 % 16 == 0: the identity permutation
     b.mark_output(noop);
-    let report = analyze(&b.finish());
     expect_only(
-        &report,
+        &b.finish(),
         DiagnosticCode::WrapShiftNoop,
         Severity::Warning,
         "HDA007",
@@ -226,9 +288,8 @@ fn hda008_parallel_for_collision() {
     });
     let out = b.get_matrix_row(acc, 2);
     b.mark_output(out);
-    let report = analyze(&b.finish());
     expect_only(
-        &report,
+        &b.finish(),
         DiagnosticCode::ParallelForCollision,
         Severity::Error,
         "HDA008",
@@ -248,7 +309,8 @@ fn hda009_parallel_for_index_unused() {
     });
     let out = b.get_matrix_row(acc, 0);
     b.mark_output(out);
-    let report = analyze(&b.finish());
+    let program = b.finish();
+    let report = analyze(&program);
     // Two warnings fire: the unused index, and the warning-tier
     // accumulate collision. Pin the index one exactly.
     let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
@@ -264,6 +326,7 @@ fn hda009_parallel_for_index_unused() {
     assert_eq!(diag.severity, Severity::Warning);
     assert_eq!(diag.code.as_str(), "HDA009");
     assert!(!report.has_errors(), "{report}");
+    assert_verify_agrees(&program, &report);
 }
 
 #[test]
@@ -277,9 +340,8 @@ fn hda010_mixed_perforation() {
     b.red_perf(d2, 0, 32, 2); // same op, different stride, same node
     b.mark_output(d1);
     b.mark_output(d2);
-    let report = analyze(&b.finish());
     expect_only(
-        &report,
+        &b.finish(),
         DiagnosticCode::MixedPerforation,
         Severity::Warning,
         "HDA010",
@@ -294,9 +356,8 @@ fn hda011_in_place_on_input() {
     b.set_matrix_row(host, row, 0);
     let out = b.get_matrix_row(host, 0);
     b.mark_output(out);
-    let report = analyze(&b.finish());
-    expect_only(
-        &report,
+    let report = expect_only(
+        &b.finish(),
         DiagnosticCode::InPlaceOnInput,
         Severity::Info,
         "HDA011",
@@ -380,7 +441,7 @@ fn dead_stage_program_compiles_with_its_body_kept() {
     assert_eq!(report.dce.removed_instrs, 0);
     assert_eq!(program.instr_count(), instrs);
     expect_only(
-        &analyze(&program),
+        &program,
         DiagnosticCode::DeadStageOutput,
         Severity::Error,
         "HDA002",

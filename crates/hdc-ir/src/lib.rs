@@ -16,7 +16,9 @@
 //! * [`HdcOp`] — the HDC intrinsics of the paper's Table 1.
 //! * [`ProgramBuilder`] — the HDC++-like embedded DSL used by applications
 //!   to construct programs without referring to any hardware target.
-//! * [`verify::verify`] — the IR verifier (type/shape/def-use checking).
+//! * [`verify::verify`] — the IR verifier: value ids in range, op arity
+//!   and shapes, stage interfaces, perforation and target legality, each
+//!   failure a typed [`verify::Violation`].
 //! * [`dataflow`] — def-use chains (with the structural stage flows) and
 //!   the worklist engine that binarization, DCE and the analyzer share.
 //! * [`printer`] — a human-readable textual dump of the IR.

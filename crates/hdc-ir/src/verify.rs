@@ -1,5 +1,10 @@
-//! The IR verifier: def-before-use, shape compatibility, perforation
-//! legality and stage-interface consistency checks.
+//! The IR verifier: operand value ids in range, op arity and shapes,
+//! perforation legality, stage-interface shapes and accelerator target
+//! legality.
+//!
+//! It is the one owner of the stage-interface and perforation rules: every
+//! [`Violation`] names the [`Rule`] it breaks, and `hdc-analyze` reports
+//! [`Rule::StageShape`] as `HDA003` and [`Rule::Perforation`] as `HDA005`.
 
 use crate::instr::{HdcInstr, Operand};
 use crate::ops::HdcOp;
@@ -8,11 +13,41 @@ use crate::stage::{StageKind, StageNode};
 use crate::types::ValueType;
 use std::fmt;
 
+/// The rule family a [`Violation`] breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// The IR is malformed: a value id out of range, a wrong arity or
+    /// operand shape, an incomplete stage, an illegal target.
+    Malformed,
+    /// A stage's body result or output disagrees with its interface: one
+    /// output row per query row, one encoded row of the output width, one
+    /// score per class row.
+    StageShape,
+    /// A `red_perf` annotation on an op that is not a perforable
+    /// reduction, or a descriptor invalid for the reduction dimension.
+    Perforation,
+}
+
+/// One verification failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The rule broken.
+    pub rule: Rule,
+    /// Name of the node the failure is in.
+    pub node: String,
+    /// Index of the instruction within `node.instrs()`, if one is at fault.
+    pub instr: Option<usize>,
+    /// The value slot at fault, if one is.
+    pub value: Option<ValueId>,
+    /// What is wrong.
+    pub message: String,
+}
+
 /// A collection of verification failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyErrors {
-    /// Human-readable messages, one per failure.
-    pub messages: Vec<String>,
+    /// Every failure, in program order.
+    pub violations: Vec<Violation>,
 }
 
 impl fmt::Display for VerifyErrors {
@@ -20,10 +55,10 @@ impl fmt::Display for VerifyErrors {
         writeln!(
             f,
             "IR verification failed ({} errors):",
-            self.messages.len()
+            self.violations.len()
         )?;
-        for m in &self.messages {
-            writeln!(f, "  - {m}")?;
+        for v in &self.violations {
+            writeln!(f, "  - [{}] {}", v.node, v.message)?;
         }
         Ok(())
     }
@@ -31,45 +66,52 @@ impl fmt::Display for VerifyErrors {
 
 impl std::error::Error for VerifyErrors {}
 
+/// Walks a program; `node` and `instr` say where it is looking, and every
+/// violation it records is placed there.
 struct Checker<'a> {
     program: &'a Program,
-    errors: Vec<String>,
+    node: &'a str,
+    instr: Option<usize>,
+    violations: Vec<Violation>,
 }
 
 impl<'a> Checker<'a> {
-    fn err(&mut self, node: &str, msg: String) {
-        self.errors.push(format!("[{node}] {msg}"));
+    fn push(&mut self, rule: Rule, value: Option<ValueId>, message: String) {
+        self.violations.push(Violation {
+            rule,
+            node: self.node.to_string(),
+            instr: self.instr,
+            value,
+            message,
+        });
+    }
+
+    fn err(&mut self, message: String) {
+        self.push(Rule::Malformed, None, message);
     }
 
     fn value_ty(&self, v: ValueId) -> Option<ValueType> {
-        if v.index() < self.program.values().len() {
-            Some(self.program.value(v).ty)
-        } else {
-            None
-        }
+        self.program.values().get(v.index()).map(|info| info.ty)
     }
 
-    fn check_instr(&mut self, node: &str, instr: &HdcInstr) {
+    fn check_instr(&mut self, instr: &HdcInstr) {
         // operand value ids must exist
         for op in &instr.operands {
             if let Operand::Value(v) = op {
                 if self.value_ty(*v).is_none() {
-                    self.err(
-                        node,
-                        format!("{}: operand {} out of range", instr.op, v.index()),
-                    );
+                    self.err(format!("{}: operand {} out of range", instr.op, v.index()));
                     return;
                 }
             }
         }
         if let Some(r) = instr.result {
             if self.value_ty(r).is_none() {
-                self.err(node, format!("{}: result value out of range", instr.op));
+                self.err(format!("{}: result value out of range", instr.op));
                 return;
             }
         }
-        self.check_arity_and_shapes(node, instr);
-        self.check_perforation(node, instr);
+        self.check_arity_and_shapes(instr);
+        self.check_perforation(instr);
     }
 
     fn operand_value_ty(&self, instr: &HdcInstr, idx: usize) -> Option<ValueType> {
@@ -80,12 +122,12 @@ impl<'a> Checker<'a> {
             .and_then(|v| self.value_ty(v))
     }
 
-    fn check_arity_and_shapes(&mut self, node: &str, instr: &HdcInstr) {
+    fn check_arity_and_shapes(&mut self, instr: &HdcInstr) {
         let op = &instr.op;
         let n = instr.operands.len();
         let expect = |checker: &mut Self, cond: bool, msg: String| {
             if !cond {
-                checker.err(node, msg);
+                checker.err(msg);
             }
         };
         match op {
@@ -118,7 +160,7 @@ impl<'a> Checker<'a> {
                 expect(self, n == 1, format!("{op}: expected 1 operand, got {n}"));
                 let k = *k;
                 if k == 0 {
-                    self.err(node, format!("{op}: k must be at least 1"));
+                    self.err(format!("{op}: k must be at least 1"));
                 }
                 // k may not exceed the number of candidate scores (the
                 // vector length / matrix column count), and the result must
@@ -130,23 +172,20 @@ impl<'a> Checker<'a> {
                         _ => (None, None),
                     };
                     match candidates {
-                        Some(c) if k > c => self.err(
-                            node,
-                            format!("{op}: k = {k} exceeds the {c} candidate scores"),
-                        ),
-                        None => self.err(
-                            node,
-                            format!("{op}: operand must be a hypervector or hypermatrix"),
-                        ),
+                        Some(c) if k > c => {
+                            self.err(format!("{op}: k = {k} exceeds the {c} candidate scores"))
+                        }
+                        None => self.err(format!(
+                            "{op}: operand must be a hypervector or hypermatrix"
+                        )),
                         _ => {}
                     }
                     if let (Some(expected), Some(r)) = (expected_len, instr.result) {
                         match self.value_ty(r) {
                             Some(ValueType::IndexVector { len }) if len == expected => {}
-                            Some(other) => self.err(
-                                node,
-                                format!("{op}: result must be indices<{expected}>, got {other}"),
-                            ),
+                            Some(other) => self.err(format!(
+                                "{op}: result must be indices<{expected}>, got {other}"
+                            )),
                             None => {}
                         }
                     }
@@ -183,12 +222,9 @@ impl<'a> Checker<'a> {
                     ) = (m, v)
                     {
                         if cols != dim {
-                            self.err(
-                                node,
-                                format!(
-                                    "{op}: row length {dim} does not match matrix columns {cols}"
-                                ),
-                            );
+                            self.err(format!(
+                                "{op}: row length {dim} does not match matrix columns {cols}"
+                            ));
                         }
                     }
                 }
@@ -216,10 +252,7 @@ impl<'a> Checker<'a> {
                         _ => false,
                     };
                     if !dims_match {
-                        self.err(
-                            node,
-                            format!("{op}: operand shapes {a} and {b} are incompatible"),
-                        );
+                        self.err(format!("{op}: operand shapes {a} and {b} are incompatible"));
                     }
                 }
             }
@@ -232,16 +265,12 @@ impl<'a> Checker<'a> {
                     let (da, db) = (a.reduction_dim(), b.reduction_dim());
                     if let (Some(da), Some(db)) = (da, db) {
                         if da != db {
-                            self.err(
-                                node,
-                                format!("{op}: reduction dimensions {da} and {db} differ"),
-                            );
+                            self.err(format!("{op}: reduction dimensions {da} and {db} differ"));
                         }
                     } else {
-                        self.err(
-                            node,
-                            format!("{op}: operands must be hypervectors or hypermatrices"),
-                        );
+                        self.err(format!(
+                            "{op}: operands must be hypervectors or hypermatrices"
+                        ));
                     }
                 }
             }
@@ -262,11 +291,12 @@ impl<'a> Checker<'a> {
                     };
                     match (in_dim, proj_cols) {
                         (Some(i), Some(p)) if i != p => {
-                            self.err(node, format!("matmul: input dimension {i} does not match projection columns {p}"));
+                            self.err(format!(
+                                "matmul: input dimension {i} does not match projection columns {p}"
+                            ));
                         }
                         (None, _) | (_, None) => {
                             self.err(
-                                node,
                                 "matmul: operands must be (vector|matrix, matrix)".to_string(),
                             );
                         }
@@ -277,119 +307,146 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_perforation(&mut self, node: &str, instr: &HdcInstr) {
-        if let Some(perf) = instr.perforation {
-            if !instr.op.supports_perforation() {
-                self.err(
-                    node,
+    fn check_perforation(&mut self, instr: &HdcInstr) {
+        let Some(perf) = instr.perforation else {
+            return;
+        };
+        if !instr.op.supports_perforation() {
+            self.push(
+                Rule::Perforation,
+                None,
+                format!(
+                    "{} carries a red_perf annotation but is not a perforable reduction",
+                    instr.op
+                ),
+            );
+            return;
+        }
+        if let Some(dim) = self
+            .operand_value_ty(instr, 0)
+            .and_then(|ty| ty.reduction_dim())
+        {
+            if let Err(e) = perf.validate(dim) {
+                self.push(
+                    Rule::Perforation,
+                    None,
                     format!(
-                        "{} carries a red_perf annotation but is not a perforable reduction",
+                        "{}: red_perf {perf} is invalid for dimension {dim}: {e}",
                         instr.op
                     ),
                 );
-                return;
-            }
-            if let Some(ty) = self.operand_value_ty(instr, 0) {
-                if let Some(dim) = ty.reduction_dim() {
-                    if let Err(e) = perf.validate(dim) {
-                        self.err(node, format!("{}: {e}", instr.op));
-                    }
-                }
             }
         }
     }
 
-    fn check_stage(&mut self, node: &str, stage: &StageNode) {
+    fn stage_shape(&mut self, value: ValueId, message: String) {
+        self.push(Rule::StageShape, Some(value), message);
+    }
+
+    fn check_stage(&mut self, stage: &StageNode) {
         let queries_ty = self.value_ty(stage.interface.queries);
         let (q_rows, q_cols) = match queries_ty {
             Some(ValueType::HyperMatrix { rows, cols, .. }) => (rows, cols),
             _ => {
-                self.err(node, "stage queries must be a hypermatrix".to_string());
+                self.err("stage queries must be a hypermatrix".to_string());
                 return;
             }
         };
         match self.value_ty(stage.body_query) {
             Some(ValueType::HyperVector { dim, .. }) => {
                 if dim != q_cols {
-                    self.err(
-                        node,
-                        format!("stage body query dimension {dim} does not match queries columns {q_cols}"),
-                    );
+                    self.err(format!(
+                        "stage body query dimension {dim} does not match queries columns {q_cols}"
+                    ));
                 }
             }
-            _ => self.err(node, "stage body query must be a hypervector".to_string()),
+            _ => self.err("stage body query must be a hypervector".to_string()),
         }
         if stage.body.is_empty() {
-            self.err(node, "stage has an empty implementation body".to_string());
+            self.err("stage has an empty implementation body".to_string());
         }
         if !stage
             .body
             .iter()
             .any(|i| i.written_values().contains(&stage.body_result))
         {
-            self.err(node, "stage body never writes its result value".to_string());
+            self.err("stage body never writes its result value".to_string());
         }
+        let result_dim = self
+            .value_ty(stage.body_result)
+            .and_then(|ty| ty.reduction_dim());
+        let output = stage.interface.output;
         match stage.kind {
-            StageKind::Encoding => match self.value_ty(stage.interface.output) {
-                Some(ValueType::HyperMatrix { rows, .. }) => {
+            StageKind::Encoding => match self.value_ty(output) {
+                Some(ValueType::HyperMatrix { rows, cols, .. }) => {
+                    if let Some(dim) = result_dim.filter(|&dim| dim != cols) {
+                        self.stage_shape(
+                            stage.body_result,
+                            format!("encoding body result has {dim} elements, output has {cols} columns"),
+                        );
+                    }
                     if rows != q_rows {
-                        self.err(
-                            node,
+                        self.stage_shape(
+                            output,
                             format!("encoding output rows {rows} do not match query rows {q_rows}"),
                         );
                     }
                 }
-                _ => self.err(
-                    node,
-                    "encoding_loop output must be a hypermatrix".to_string(),
-                ),
+                _ => self.err("encoding_loop output must be a hypermatrix".to_string()),
             },
             StageKind::Inference => {
-                match self.value_ty(stage.interface.output) {
+                self.check_class_scores(stage, result_dim);
+                match self.value_ty(output) {
                     Some(ValueType::IndexVector { len }) => {
                         if len != q_rows {
-                            self.err(
-                                node,
+                            self.stage_shape(
+                                output,
                                 format!("inference output length {len} does not match query rows {q_rows}"),
                             );
                         }
                     }
-                    _ => self.err(
-                        node,
-                        "inference_loop output must be an index vector".to_string(),
-                    ),
-                }
-                if stage.interface.classes.is_none() {
-                    self.err(
-                        node,
-                        "inference_loop requires a class hypermatrix".to_string(),
-                    );
+                    _ => self.err("inference_loop output must be an index vector".to_string()),
                 }
             }
             StageKind::Training { epochs } => {
                 if epochs == 0 {
-                    self.err(node, "training_loop with zero epochs".to_string());
+                    self.err("training_loop with zero epochs".to_string());
                 }
-                if stage.interface.classes.is_none() {
-                    self.err(
-                        node,
-                        "training_loop requires a class hypermatrix".to_string(),
-                    );
-                }
+                self.check_class_scores(stage, result_dim);
                 match stage.interface.labels.and_then(|l| self.value_ty(l)) {
                     Some(ValueType::IndexVector { len }) => {
                         if len != q_rows {
-                            self.err(
-                                node,
-                                format!("training labels length {len} does not match query rows {q_rows}"),
-                            );
+                            self.err(format!(
+                                "training labels length {len} does not match query rows {q_rows}"
+                            ));
                         }
                     }
-                    _ => self.err(
-                        node,
-                        "training_loop requires index-vector labels".to_string(),
-                    ),
+                    _ => self.err("training_loop requires index-vector labels".to_string()),
                 }
+            }
+        }
+    }
+
+    /// A training or inference body must produce one score per class row.
+    fn check_class_scores(&mut self, stage: &StageNode, result_dim: Option<usize>) {
+        let Some(classes) = stage.interface.classes else {
+            self.err(format!(
+                "{} requires a class hypermatrix",
+                stage.kind.name()
+            ));
+            return;
+        };
+        if let (Some(dim), Some(ValueType::HyperMatrix { rows, .. })) =
+            (result_dim, self.value_ty(classes))
+        {
+            if dim != rows {
+                self.stage_shape(
+                    stage.body_result,
+                    format!(
+                        "{} body produces {dim} scores but the class memory has {rows} rows",
+                        stage.kind.name()
+                    ),
+                );
             }
         }
     }
@@ -399,68 +456,61 @@ impl<'a> Checker<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`VerifyErrors`] describing every problem found: out-of-range
-/// value references, arity or shape mismatches, illegal perforation
-/// annotations, malformed stage interfaces, and accelerator-targeted nodes
-/// that are not coarse-grain stages.
+/// Returns [`VerifyErrors`] with one [`Violation`] per problem found:
+/// out-of-range value references, arity or shape mismatches, malformed
+/// stages and accelerator-targeted nodes that are not coarse-grain stages
+/// ([`Rule::Malformed`]); stage bodies and outputs that disagree with the
+/// interface ([`Rule::StageShape`]); illegal `red_perf` annotations
+/// ([`Rule::Perforation`]).
 pub fn verify(program: &Program) -> Result<(), VerifyErrors> {
     let mut checker = Checker {
         program,
-        errors: Vec::new(),
+        node: "",
+        instr: None,
+        violations: Vec::new(),
     };
     for node in program.nodes() {
+        checker.node = &node.name;
+        for (index, instr) in node.instrs().iter().enumerate() {
+            checker.instr = Some(index);
+            checker.check_instr(instr);
+        }
+        checker.instr = None;
         match &node.body {
-            NodeBody::Leaf { instrs } => {
-                for instr in instrs {
-                    checker.check_instr(&node.name, instr);
-                }
-            }
-            NodeBody::ParallelFor { index, body, count } => {
+            NodeBody::Leaf { .. } => {}
+            NodeBody::ParallelFor { index, count, .. } => {
                 if *count == 0 {
-                    checker.err(&node.name, "parallel_for with zero iterations".to_string());
+                    checker.err("parallel_for with zero iterations".to_string());
                 }
                 match checker.value_ty(*index) {
                     Some(ValueType::Scalar(_)) => {}
-                    _ => checker.err(
-                        &node.name,
-                        "parallel_for index must be a scalar value".to_string(),
-                    ),
-                }
-                for instr in body {
-                    checker.check_instr(&node.name, instr);
+                    _ => checker.err("parallel_for index must be a scalar value".to_string()),
                 }
             }
-            NodeBody::Stage(stage) => {
-                for instr in &stage.body {
-                    checker.check_instr(&node.name, instr);
-                }
-                checker.check_stage(&node.name, stage);
-            }
+            NodeBody::Stage(stage) => checker.check_stage(stage),
         }
         if node.target.is_hdc_accelerator() && !matches!(node.body, NodeBody::Stage(_)) {
-            checker.err(
-                &node.name,
-                format!(
-                    "node targets {} but is not a coarse-grain stage; accelerators only accept encoding/training/inference loops",
-                    node.target
-                ),
-            );
+            checker.err(format!(
+                "node targets {} but is not a coarse-grain stage; accelerators only accept \
+                 encoding/training/inference loops",
+                node.target
+            ));
         }
         if node.target.is_hdc_accelerator() {
             let has_perforation = node.instrs().iter().any(|i| i.perforation.is_some());
             if has_perforation {
-                checker.err(
-                    &node.name,
-                    format!("red_perf annotations are not supported on {}", node.target),
-                );
+                checker.err(format!(
+                    "red_perf annotations are not supported on {}",
+                    node.target
+                ));
             }
         }
     }
-    if checker.errors.is_empty() {
+    if checker.violations.is_empty() {
         Ok(())
     } else {
         Err(VerifyErrors {
-            messages: checker.errors,
+            violations: checker.violations,
         })
     }
 }
@@ -705,6 +755,12 @@ mod tests {
         });
         let err = verify(&p).unwrap_err();
         assert!(err.to_string().contains("inference output length"));
+        assert_eq!(err.violations.len(), 1, "{err}");
+        let v = &err.violations[0];
+        assert_eq!(
+            (v.rule, v.node.as_str(), v.instr, v.value),
+            (Rule::StageShape, "infer", None, Some(out))
+        );
     }
 
     #[test]

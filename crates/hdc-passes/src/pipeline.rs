@@ -294,6 +294,33 @@ mod tests {
     }
 
     #[test]
+    fn stage_shape_mismatch_is_rejected_as_input() {
+        // An encoding body that produces 32-element rows into a 16-column
+        // output (the analyzer's HDA003 battery program): the executor
+        // would fail at its first row write, so compile() refuses it.
+        use hdc_ir::types::ValueType;
+        use hdc_ir::verify::Rule;
+        let mut b = ProgramBuilder::new("neg_shape");
+        let feats = b.input_matrix("feats", ElementKind::F64, 4, 8);
+        let proj = b.input_matrix("proj", ElementKind::F64, 32, 8);
+        let enc = b.encoding_loop("encode", feats, 32, |body, sample| {
+            body.matmul(sample, proj)
+        });
+        b.mark_output(enc);
+        let mut p = b.finish();
+        p.value_mut(enc).ty = ValueType::HyperMatrix {
+            elem: ElementKind::F64,
+            rows: 4,
+            cols: 16,
+        };
+        let err = compile(&mut p, &CompileOptions::default()).unwrap_err();
+        let PipelineError::VerificationFailed { pass, errors } = err;
+        assert_eq!(pass, "<input>");
+        assert_eq!(errors.violations.len(), 1, "{errors}");
+        assert_eq!(errors.violations[0].rule, Rule::StageShape);
+    }
+
+    #[test]
     fn report_display_and_lookup() {
         let (mut p, ..) = listing1();
         let report = compile(&mut p, &CompileOptions::default()).unwrap();
